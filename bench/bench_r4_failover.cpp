@@ -144,7 +144,8 @@ RunOutcome run_failover(int scenario, std::uint64_t seed) {
       sim.schedule_at(t, [&parts, n, i] {
         Part& p = parts[static_cast<std::size_t>(n - 1)];
         if (p.sg) {
-          p.sg->broadcast("m" + std::to_string(n) + "-" + std::to_string(i));
+          (void)p.sg->broadcast("m" + std::to_string(n) + "-" +
+                                std::to_string(i));
         }
       });
     }

@@ -15,6 +15,25 @@ std::uint64_t next_engine_id() {
   return id++;
 }
 
+// Heap order for the interest-expiry min-heap.
+constexpr auto later = [](const auto& a, const auto& b) {
+  return a.at > b.at;
+};
+
+// First record of an id-sorted interest list whose id is >= @p id.
+template <typename List>
+auto seek(List& list, ClientId id) {
+  return std::lower_bound(
+      list.begin(), list.end(), id,
+      [](const auto& t, ClientId key) { return t.id < key; });
+}
+
+// Temporal interest raises the floor: someone editing "my" section is
+// relevant however far away they sit in the space.
+double combine(double spatial, double temporal) {
+  return std::clamp(spatial + temporal * (1.0 - spatial), 0.0, 1.0);
+}
+
 }  // namespace
 
 AwarenessEngine::AwarenessEngine(sim::Simulator& sim, SpatialModel& space,
@@ -46,7 +65,7 @@ AwarenessEngine::AwarenessEngine(sim::Simulator& sim, SpatialModel& space,
   m.expose(metric_prefix_ + "interest_evicted",
            [this] { return static_cast<double>(stats_.interest_evicted); });
   m.expose(metric_prefix_ + "interest_table_size",
-           [this] { return static_cast<double>(last_touch_.size()); });
+           [this] { return static_cast<double>(interest_entries_); });
   m.expose(metric_prefix_ + "candidate_set_size",
            [this] { return static_cast<double>(last_candidate_set_); });
   m.expose(metric_prefix_ + "observers",
@@ -75,7 +94,7 @@ void AwarenessEngine::subscribe(ClientId observer, DeliverFn fn) {
     deferred_.emplace_back(observer, std::optional<DeliverFn>(std::move(fn)));
     return;
   }
-  observers_[observer].deliver = std::move(fn);
+  add_observer(observer, std::move(fn));
 }
 
 void AwarenessEngine::unsubscribe(ClientId observer) {
@@ -84,49 +103,81 @@ void AwarenessEngine::unsubscribe(ClientId observer) {
     dead_.insert(observer);
     return;
   }
+  drop_observer(observer);
+}
+
+void AwarenessEngine::add_observer(ClientId observer, DeliverFn fn) {
+  auto [it, fresh] = observers_.try_emplace(observer);
+  if (fresh) {
+    // Ids usually arrive ascending, making this an append.
+    observer_ids_.insert(std::upper_bound(observer_ids_.begin(),
+                                          observer_ids_.end(), observer),
+                         observer);
+  }
+  it->second.deliver = std::move(fn);
+}
+
+void AwarenessEngine::drop_observer(ClientId observer) {
   auto it = observers_.find(observer);
   if (it == observers_.end()) return;
   stats_.digests_dropped += it->second.pending.size();
+  if (it->second.queued) {
+    // Absent when a flush skipped the (then dead) observer.
+    auto q = std::find(digest_queue_.begin(), digest_queue_.end(), observer);
+    if (q != digest_queue_.end()) digest_queue_.erase(q);
+  }
   observers_.erase(it);
+  observer_ids_.erase(std::lower_bound(observer_ids_.begin(),
+                                       observer_ids_.end(), observer));
 }
 
 void AwarenessEngine::apply_deferred() {
   for (auto& [observer, fn] : deferred_) {
-    if (fn.has_value()) {
-      observers_[observer].deliver = std::move(*fn);
-    } else {
-      auto it = observers_.find(observer);
-      if (it == observers_.end()) continue;
-      stats_.digests_dropped += it->second.pending.size();
-      observers_.erase(it);
-    }
+    if (fn.has_value())
+      add_observer(observer, std::move(*fn));
+    else
+      drop_observer(observer);
   }
   deferred_.clear();
   dead_.clear();
 }
 
-double AwarenessEngine::interest(ClientId observer,
-                                 const std::string& object) const {
-  auto it = last_touch_.find({observer, object});
-  if (it == last_touch_.end()) return 0.0;
-  const auto age = static_cast<double>(sim_.now() - it->second);
+double AwarenessEngine::decay(sim::TimePoint touched) const {
+  const auto age = static_cast<double>(sim_.now() - touched);
   const auto tau = static_cast<double>(config_.interest_decay);
   if (tau <= 0) return 0.0;
   return std::exp(-age / tau);
 }
 
-double AwarenessEngine::weight(ClientId observer, ClientId actor,
-                               const std::string& object) const {
-  const double spatial = space_.awareness(observer, actor);
-  const double temporal = interest(observer, object);
-  // Temporal interest raises the floor: someone editing "my" section is
-  // relevant however far away they sit in the space.
-  return std::clamp(spatial + temporal * (1.0 - spatial), 0.0, 1.0);
+double AwarenessEngine::interest(const InterestList& list,
+                                 ClientId observer) const {
+  auto it = seek(list, observer);
+  return it != list.end() && it->id == observer ? decay(it->at) : 0.0;
 }
 
-void AwarenessEngine::touch(ClientId who, const std::string& object) {
-  last_touch_[{who, object}] = sim_.now();
-  interest_index_[object].insert(who);
+double AwarenessEngine::weight(ClientId observer, ClientId actor,
+                               const std::string& object) const {
+  auto it = interest_.find(object);
+  const double temporal =
+      it != interest_.end() ? interest(it->second, observer) : 0.0;
+  return combine(space_.awareness(observer, actor), temporal);
+}
+
+AwarenessEngine::InterestList& AwarenessEngine::touch(
+    ClientId who, const std::string& object) {
+  const sim::TimePoint now = sim_.now();
+  auto entry = interest_.try_emplace(object).first;
+  InterestList& list = entry->second;
+  auto it = seek(list, who);
+  if (it != list.end() && it->id == who) {
+    it->at = now;  // the entry's expiry record catches up when popped
+    return list;
+  }
+  list.insert(it, Touch{who, now});
+  ++interest_entries_;
+  expiry_.push_back(Expiry{now, &*entry, who});
+  std::push_heap(expiry_.begin(), expiry_.end(), later);
+  return list;
 }
 
 void AwarenessEngine::mark_interest(ClientId observer,
@@ -134,8 +185,8 @@ void AwarenessEngine::mark_interest(ClientId observer,
   touch(observer, object);
 }
 
-bool AwarenessEngine::handle(Observer& state, const ActivityEvent& event,
-                             double w) {
+bool AwarenessEngine::handle(ClientId id, Observer& state,
+                             const ActivityEvent& event, double w) {
   if (w <= 0.0) return false;
   if (w >= config_.full_threshold) {
     ++stats_.immediate;
@@ -149,6 +200,9 @@ bool AwarenessEngine::handle(Observer& state, const ActivityEvent& event,
       // stamped with an older event's higher weight misled observers
       // about what just happened (the old coalescing kept max(weight)).
       it->second = {event, w};
+    } else if (!state.queued) {
+      state.queued = true;
+      digest_queue_.push_back(id);
     }
   }
   return true;
@@ -158,7 +212,7 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
   obs::ProfScope prof(obs_->profiler, prof_publish_);
   ++stats_.published;
   // The action itself refreshes the actor's interest in the object.
-  touch(event.actor, event.object);
+  const InterestList* interested = &touch(event.actor, event.object);
 
   const std::uint64_t immediate_before = stats_.immediate;
   std::size_t handled = 0;
@@ -173,31 +227,49 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
     std::vector<ClientId> candidates = std::move(candidate_scratch_);
     candidates.clear();
     space_.spatial_candidates(event.actor, candidates);
-    if (auto iit = interest_index_.find(event.object);
-        iit != interest_index_.end()) {
+    {
+      // Merge the object's interest ids (sorted) into the grid's.
       std::vector<ClientId> merged = std::move(merge_scratch_);
       merged.clear();
-      std::set_union(candidates.begin(), candidates.end(),
-                     iit->second.begin(), iit->second.end(),
-                     std::back_inserter(merged));
+      std::size_t i = 0;
+      for (const Touch& t : *interested) {
+        while (i < candidates.size() && candidates[i] < t.id)
+          merged.push_back(candidates[i++]);
+        if (i < candidates.size() && candidates[i] == t.id) ++i;
+        merged.push_back(t.id);
+      }
+      merged.insert(merged.end(),
+                    candidates.begin() + static_cast<std::ptrdiff_t>(i),
+                    candidates.end());
       candidates.swap(merged);
       merge_scratch_ = std::move(merged);
     }
     // Observers already dead when this walk starts (unsubscribed by an
     // enclosing dispatch) were never eligible; observers that die *during*
     // the walk need the visited record below to be settled correctly.
-    const std::set<ClientId> dead_at_entry = dead_;
+    std::set<ClientId> dead_at_entry;
+    if (!dead_.empty()) dead_at_entry = dead_;
     std::vector<ClientId> visited_ids = std::move(visited_scratch_);
     visited_ids.clear();  // stays ascending: candidates are sorted
+    const std::uint64_t gc_epoch = gc_epoch_;
     for (ClientId observer : candidates) {
       if (observer == event.actor || dead_.count(observer) != 0) continue;
       auto it = observers_.find(observer);
       if (it == observers_.end()) continue;
       ++visited;
       visited_ids.push_back(observer);
-      if (handle(it->second,
-                 event, weight(observer, event.actor, event.object)))
-        ++handled;
+      // Callbacks may refresh or add entries in the list (read here, at
+      // visit time, as weight() would); only a GC run from inside a
+      // callback can free it.
+      if (gc_epoch_ != gc_epoch) {
+        auto iit = interest_.find(event.object);
+        interested = iit != interest_.end() ? &iit->second : nullptr;
+      }
+      const double temporal =
+          interested != nullptr ? interest(*interested, observer) : 0.0;
+      const double w =
+          combine(space_.awareness(observer, event.actor), temporal);
+      if (handle(observer, it->second, event, w)) ++handled;
     }
     // Non-candidates weigh 0 by construction; count them suppressed
     // without visiting so stats match the brute-force walk exactly.
@@ -221,10 +293,13 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
     visited_scratch_ = std::move(visited_ids);
     candidate_scratch_ = std::move(candidates);
   } else {
-    for (auto& [observer, state] : observers_) {
+    // The observer set cannot change during a dispatch, so the id vector
+    // is stable under this walk.
+    for (ClientId observer : observer_ids_) {
       if (observer == event.actor || dead_.count(observer) != 0) continue;
       ++visited;
-      if (!handle(state, event, weight(observer, event.actor, event.object)))
+      if (!handle(observer, observers_.find(observer)->second, event,
+                  weight(observer, event.actor, event.object)))
         ++stats_.suppressed;
       else
         ++handled;
@@ -249,9 +324,21 @@ void AwarenessEngine::flush_digests() {
   const std::uint64_t digested_before = stats_.digested;
   const std::uint64_t evicted_before = stats_.interest_evicted;
   std::uint64_t dropped = 0;
+  // This pass visits the queued observers in ascending id order, exactly
+  // the non-empty digests an ascending walk over every observer meets.
+  std::vector<ClientId> pass = std::move(digest_queue_);
+  digest_queue_ = std::move(flush_scratch_);
+  digest_queue_.clear();
+  std::sort(pass.begin(), pass.end());
   ++dispatch_depth_;
-  for (auto& [observer, state] : observers_) {
-    if (state.pending.empty() || dead_.count(observer) != 0) continue;
+  for (std::size_t i = 0; i < pass.size(); ++i) {
+    const ClientId observer = pass[i];
+    auto oit = observers_.find(observer);
+    // A dead observer keeps its entries (and its queued mark) until
+    // apply_deferred drops and counts them.
+    if (oit == observers_.end() || dead_.count(observer) != 0) continue;
+    Observer& state = oit->second;
+    state.queued = false;
     auto pending = std::move(state.pending);
     state.pending = {};
     std::size_t delivered = 0;
@@ -269,8 +356,24 @@ void AwarenessEngine::flush_digests() {
         state.deliver(entry.first, entry.second, /*via_digest=*/true);
       ++delivered;
     }
+    if (digest_queue_.empty()) continue;
+    // Callbacks queued new digests.  Ids above the cursor join this pass,
+    // as the ascending walk would still reach them; the rest (this
+    // observer included) wait for the next flush.
+    auto above = std::partition(digest_queue_.begin(), digest_queue_.end(),
+                                [observer](ClientId id) {
+                                  return id <= observer;
+                                });
+    if (above == digest_queue_.end()) continue;
+    std::sort(above, digest_queue_.end());
+    const auto old_size = static_cast<std::ptrdiff_t>(pass.size());
+    pass.insert(pass.end(), above, digest_queue_.end());
+    digest_queue_.erase(above, digest_queue_.end());
+    std::inplace_merge(pass.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                       pass.begin() + old_size, pass.end());
   }
   --dispatch_depth_;
+  flush_scratch_ = std::move(pass);
   stats_.digests_dropped += dropped;
   if (dispatch_depth_ == 0) apply_deferred();
   gc_interest();
@@ -283,8 +386,7 @@ void AwarenessEngine::flush_digests() {
          {"dropped", static_cast<double>(dropped)},
          {"evicted",
           static_cast<double>(stats_.interest_evicted - evicted_before)},
-         {"interest_table",
-          static_cast<double>(last_touch_.size())}});
+         {"interest_table", static_cast<double>(interest_entries_)}});
   }
 }
 
@@ -294,18 +396,26 @@ void AwarenessEngine::gc_interest() {
   const auto horizon =
       static_cast<sim::Duration>(tau * config_.interest_gc_factor);
   const sim::TimePoint now = sim_.now();
-  for (auto it = last_touch_.begin(); it != last_touch_.end();) {
-    if (now - it->second > horizon) {
-      auto iit = interest_index_.find(it->first.second);
-      if (iit != interest_index_.end()) {
-        iit->second.erase(it->first.first);
-        if (iit->second.empty()) interest_index_.erase(iit);
-      }
-      it = last_touch_.erase(it);
-      ++stats_.interest_evicted;
-    } else {
-      ++it;
+  // Every entry with now - touch > horizon has a record at or before its
+  // touch time, so popping records until the oldest is within the
+  // horizon reaches exactly the expired entries.
+  while (!expiry_.empty() && now - expiry_.front().at > horizon) {
+    std::pop_heap(expiry_.begin(), expiry_.end(), later);
+    Expiry& rec = expiry_.back();
+    InterestList& list = rec.entry->second;
+    auto it = seek(list, rec.id);
+    if (it->at != rec.at) {
+      // Touched since this record was pushed: re-file at the touch time.
+      rec.at = it->at;
+      std::push_heap(expiry_.begin(), expiry_.end(), later);
+      continue;
     }
+    list.erase(it);
+    --interest_entries_;
+    ++stats_.interest_evicted;
+    ++gc_epoch_;
+    if (list.empty()) interest_.erase(interest_.find(rec.entry->first));
+    expiry_.pop_back();
   }
 }
 

@@ -20,13 +20,20 @@
 // Scale: publish() does not walk every observer.  An event can only carry
 // non-zero weight for (a) observers inside the actor's nimbus — served by
 // the SpatialModel's uniform grid — and (b) observers with a live
-// temporal-interest entry for the object — served by an inverted index
-// (object -> interested ids) maintained alongside last_touch_.  The two
-// sets are merged, sorted, and visited in ascending id order, which is
-// exactly the order a brute-force scan of the (sorted) observer map
-// visits the non-zero-weight subset, so deliveries and stats are
-// byte-identical to the O(N) walk (config.use_index = false keeps the
-// brute-force path alive as the differential baseline).
+// temporal-interest entry for the object.  Interest lives in one hashed
+// table, object -> (id, last touch) records sorted by id, so a publish
+// finds the object once and that one list serves both the merge with the
+// grid candidates and every candidate's temporal term.  The merged ids
+// are visited in ascending order, which is exactly the order a
+// brute-force scan of the (sorted) observer ids visits the non-zero-weight
+// subset, so deliveries and stats are byte-identical to the O(N) walk
+// (config.use_index = false keeps the brute-force path alive as the
+// differential baseline).
+//
+// Periodic work is proportional to what is pending, not to the
+// population: observers holding a digest are queued once, and a flush
+// sorts and visits only those; interest GC pops expired records from a
+// min-heap that holds at most one record per live interest entry.
 //
 // Reentrancy contract: subscribe()/unsubscribe() may be called from
 // inside a DeliverFn.  The mutation is deferred until the dispatch that
@@ -45,6 +52,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "awareness/spatial.hpp"
@@ -129,7 +137,13 @@ class AwarenessEngine {
 
   /// Live (ungarbage-collected) interest entries across all objects.
   [[nodiscard]] std::size_t interest_table_size() const noexcept {
-    return last_touch_.size();
+    return interest_entries_;
+  }
+
+  /// Records in the interest-expiry heap: never more than
+  /// interest_table_size(), however often entries are refreshed.
+  [[nodiscard]] std::size_t interest_expiry_records() const noexcept {
+    return expiry_.size();
   }
 
   /// Observers visited by the most recent publish().
@@ -147,26 +161,58 @@ class AwarenessEngine {
     DeliverFn deliver;
     /// Pending digest: object -> latest event (+ its weight).
     std::map<std::string, std::pair<ActivityEvent, double>> pending;
+    /// In digest_queue_ or the running flush: set while pending is
+    /// non-empty (dead observers keep it until apply_deferred drops them).
+    bool queued = false;
   };
 
-  [[nodiscard]] double interest(ClientId observer,
-                                const std::string& object) const;
-  /// Refreshes (observer, object) interest and the inverted index.
-  void touch(ClientId who, const std::string& object);
+  /// One observer's interest in an object: when they last acted on it.
+  struct Touch {
+    ClientId id;
+    sim::TimePoint at;
+  };
+  /// Everyone with live interest in one object, sorted by id.
+  using InterestList = std::vector<Touch>;
+  using InterestTable = std::unordered_map<std::string, InterestList>;
+  /// Expiry-heap record for one live (object, id) entry.  `at` may lag
+  /// the entry's touch time: refreshes push nothing, and gc_interest()
+  /// re-pushes a popped record whose entry was touched since.
+  struct Expiry {
+    sim::TimePoint at;
+    InterestTable::value_type* entry;  // node pointers survive rehashing
+    ClientId id;
+  };
+
+  /// Refreshes (who, object) interest; returns the object's list.
+  InterestList& touch(ClientId who, const std::string& object);
+  [[nodiscard]] double decay(sim::TimePoint touched) const;
+  /// Decayed interest of @p observer in @p list's object (0 if none).
+  [[nodiscard]] double interest(const InterestList& list,
+                                ClientId observer) const;
   /// Delivers or digests @p event for one observer; false if weight == 0.
-  bool handle(Observer& state, const ActivityEvent& event, double w);
+  bool handle(ClientId id, Observer& state, const ActivityEvent& event,
+              double w);
   void flush_digests();
   void gc_interest();
+  void add_observer(ClientId observer, DeliverFn fn);
+  void drop_observer(ClientId observer);
   void apply_deferred();
 
   sim::Simulator& sim_;
   SpatialModel& space_;
   EngineConfig config_;
-  std::map<ClientId, Observer> observers_;
-  /// (observer, object) -> last time the observer acted on the object.
-  std::map<std::pair<ClientId, std::string>, sim::TimePoint> last_touch_;
-  /// Inverted interest index: object -> ids with a last_touch_ entry.
-  std::map<std::string, std::set<ClientId>> interest_index_;
+  std::unordered_map<ClientId, Observer> observers_;
+  /// observers_' keys, ascending: the brute-force walk's order.
+  std::vector<ClientId> observer_ids_;
+  /// Observers whose digest is waiting for the next flush, unsorted.
+  std::vector<ClientId> digest_queue_;
+  InterestTable interest_;
+  std::size_t interest_entries_ = 0;
+  /// Min-heap on `at` (see Expiry).
+  std::vector<Expiry> expiry_;
+  /// Bumped whenever GC erases interest, so a publish holding an
+  /// InterestList pointer across callbacks knows to look it up again.
+  std::uint64_t gc_epoch_ = 0;
   sim::PeriodicTimer digest_timer_;
   EngineStats stats_;
   std::size_t last_candidate_set_ = 0;
@@ -184,6 +230,7 @@ class AwarenessEngine {
   std::vector<ClientId> candidate_scratch_;
   std::vector<ClientId> merge_scratch_;
   std::vector<ClientId> visited_scratch_;
+  std::vector<ClientId> flush_scratch_;
 
   // --- observability ------------------------------------------------------
   std::unique_ptr<obs::Obs> owned_obs_;  // only when no context was supplied

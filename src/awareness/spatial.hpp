@@ -23,8 +23,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "awareness/spatial_index.hpp"
@@ -47,26 +47,38 @@ class SpatialModel {
     double nimbus_radius = 10.0;
   };
 
+  // Non-finite input is rejected: a NaN or infinite position or radius
+  // leaves the model unchanged and the call returns false.  Such a value
+  // has no meaningful distance to anyone, and one infinite radius would
+  // grow the grid's cells without bound.  A negative radius is clamped
+  // to 0 (the aura reaches nobody).
+
   /// Adds or moves a participant.
-  void place(ClientId who, Point where) {
+  bool place(ClientId who, Point where) {
+    if (!std::isfinite(where.x) || !std::isfinite(where.y)) return false;
     participants_[who].position = where;
     grid_.upsert(who, where);
+    return true;
   }
 
   /// Sets how far @p who's attention reaches.
-  void set_focus(ClientId who, double radius) {
+  bool set_focus(ClientId who, double radius) {
+    if (!std::isfinite(radius)) return false;
     Participant& p = participants_[who];
     p.focus_radius = std::max(0.0, radius);
     grid_.upsert(who, p.position);  // may be a fresh default-placed entry
     grow_cells(p.focus_radius);
+    return true;
   }
 
   /// Sets how far @p who's activity projects.
-  void set_nimbus(ClientId who, double radius) {
+  bool set_nimbus(ClientId who, double radius) {
+    if (!std::isfinite(radius)) return false;
     Participant& p = participants_[who];
     p.nimbus_radius = std::max(0.0, radius);
     grid_.upsert(who, p.position);
     grow_cells(p.nimbus_radius);
+    return true;
   }
 
   void remove(ClientId who) {
@@ -122,11 +134,6 @@ class SpatialModel {
     return participants_.size();
   }
 
-  /// All participants (iteration for engines built on the model).
-  [[nodiscard]] const std::map<ClientId, Participant>& participants() const {
-    return participants_;
-  }
-
   /// The backing index (tests and gauges).
   [[nodiscard]] const UniformGridIndex& grid() const noexcept { return grid_; }
 
@@ -146,7 +153,7 @@ class SpatialModel {
     grid_.set_cell_size(next);
   }
 
-  std::map<ClientId, Participant> participants_;
+  std::unordered_map<ClientId, Participant> participants_;
   UniformGridIndex grid_;
 };
 

@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -102,22 +103,35 @@ class UniformGridIndex {
   }
 
   /// Appends every participant (except @p exclude) whose distance from
-  /// @p centre is <= @p radius.  Exact: callers need no re-check.
+  /// @p centre is <= @p radius.  Exact: callers need no re-check.  A block
+  /// of cells larger than the number of occupied cells (a huge radius, or
+  /// coordinates saturated at the int32 edge) walks the occupied cells
+  /// instead, so the cost never exceeds one pass over the index.
   void query(Point centre, double radius, ClientId exclude,
              std::vector<ClientId>& out) const {
-    if (radius < 0) return;
-    const auto cx_lo = cell_coord(centre.x - radius);
-    const auto cx_hi = cell_coord(centre.x + radius);
-    const auto cy_lo = cell_coord(centre.y - radius);
-    const auto cy_hi = cell_coord(centre.y + radius);
-    for (std::int32_t cx = cx_lo; cx <= cx_hi; ++cx) {
-      for (std::int32_t cy = cy_lo; cy <= cy_hi; ++cy) {
-        auto it = cells_.find(pack(cx, cy));
-        if (it == cells_.end()) continue;
-        for (const Entry& e : it->second) {
-          if (e.id == exclude) continue;
-          if (distance(e.at, centre) <= radius) out.push_back(e.id);
-        }
+    if (!(radius >= 0)) return;  // negative or NaN reaches nobody
+    const std::int64_t cx_lo = cell_coord(centre.x - radius);
+    const std::int64_t cx_hi = cell_coord(centre.x + radius);
+    const std::int64_t cy_lo = cell_coord(centre.y - radius);
+    const std::int64_t cy_hi = cell_coord(centre.y + radius);
+    const auto width = static_cast<std::uint64_t>(cx_hi - cx_lo + 1);
+    const auto height = static_cast<std::uint64_t>(cy_hi - cy_lo + 1);
+    const std::uint64_t occupied = cells_.size();
+    auto scan = [&](const std::vector<Entry>& bucket) {
+      for (const Entry& e : bucket) {
+        if (e.id == exclude) continue;
+        if (distance(e.at, centre) <= radius) out.push_back(e.id);
+      }
+    };
+    if (width > occupied || height > occupied || width * height > occupied) {
+      for (const auto& [key, bucket] : cells_) scan(bucket);
+      return;
+    }
+    for (std::int64_t cx = cx_lo; cx <= cx_hi; ++cx) {
+      for (std::int64_t cy = cy_lo; cy <= cy_hi; ++cy) {
+        auto it = cells_.find(pack(static_cast<std::int32_t>(cx),
+                                   static_cast<std::int32_t>(cy)));
+        if (it != cells_.end()) scan(it->second);
       }
     }
   }
@@ -132,8 +146,17 @@ class UniformGridIndex {
     Point at;
   };
 
+  /// The cell column (or row) of coordinate @p v, saturated into the
+  /// int32 range: far-away points share the edge cells, which costs
+  /// only scan time since query() filters by distance.  NaN lands in the
+  /// lowest cell, where no distance test ever matches it.
   [[nodiscard]] std::int32_t cell_coord(double v) const {
-    return static_cast<std::int32_t>(std::floor(v / cell_));
+    constexpr double kLo = std::numeric_limits<std::int32_t>::min();
+    constexpr double kHi = std::numeric_limits<std::int32_t>::max();
+    const double c = std::floor(v / cell_);
+    if (!(c > kLo)) return std::numeric_limits<std::int32_t>::min();
+    if (c >= kHi) return std::numeric_limits<std::int32_t>::max();
+    return static_cast<std::int32_t>(c);
   }
 
   static std::int64_t pack(std::int32_t cx, std::int32_t cy) {

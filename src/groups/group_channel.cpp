@@ -332,7 +332,6 @@ void GroupChannel::finish_recovery() {
 
 void GroupChannel::resequence(std::uint32_t sender, std::uint64_t seq,
                               sim::TimePoint sent_at, std::string payload) {
-  obs::Tracer& tracer = net_.obs().tracer;
   next_req_[sender] = std::max(next_req_[sender], seq + 1);
   const bool already_delivered_here = seen_[sender].count(seq) != 0;
   seen_[sender].insert(seq);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -172,6 +174,82 @@ TEST(SpatialIndex, CellSizeGrowsWithLargestAura) {
   EXPECT_GT(m.grid().cell_size(), before);
   // Everyone inside that huge nimbus is still found after the rebuild.
   m.place(kBob, {400, 0});
+  std::vector<ClientId> cand;
+  m.spatial_candidates(kAlice, cand);
+  EXPECT_EQ(cand, std::vector<ClientId>{kBob});
+}
+
+TEST(SpatialIndex, FarAwayPointsSaturateIntoEdgeCellsAndStayExact) {
+  // |x / cell| far beyond 2^31: the cell coordinate saturates instead of
+  // overflowing, and the distance filter keeps the answer exact.
+  UniformGridIndex grid(16.0);
+  grid.upsert(kAlice, {1e12, 0});
+  grid.upsert(kBob, {1e12 + 3, 0});
+  grid.upsert(kCarol, {0, -1e15});
+  std::vector<ClientId> got;
+  grid.query({1e12, 0}, 5.0, kAlice, got);
+  EXPECT_EQ(got, std::vector<ClientId>{kBob});
+  got.clear();
+  grid.query({0, -1e15}, 1.0, 0, got);
+  EXPECT_EQ(got, std::vector<ClientId>{kCarol});
+  got.clear();
+  grid.query({0, 0}, 1.0, 0, got);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(SpatialIndex, HugeRadiusWalksOccupiedCellsOnly) {
+  // A block of ~2^64 cells must cost one pass over the occupied cells.
+  UniformGridIndex grid(1.0);
+  for (ClientId id = 1; id <= 20; ++id)
+    grid.upsert(id, {static_cast<double>(id) * 1e6, -1e9});
+  for (double radius : {1e12, 1e300, std::numeric_limits<double>::max(),
+                        std::numeric_limits<double>::infinity()}) {
+    std::vector<ClientId> got;
+    grid.query({0, 0}, radius, /*exclude=*/7, got);
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got.size(), 19u) << "radius " << radius;
+    EXPECT_EQ(got.front(), 1u);
+    EXPECT_EQ(got.back(), 20u);
+  }
+}
+
+TEST(SpatialIndex, NaNNeverMatches) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  UniformGridIndex grid(8.0);
+  grid.upsert(kAlice, {nan, 0});
+  grid.upsert(kBob, {1, 1});
+  std::vector<ClientId> got;
+  grid.query({0, 0}, std::numeric_limits<double>::infinity(), 0, got);
+  EXPECT_EQ(got, std::vector<ClientId>{kBob});  // never the NaN point
+  got.clear();
+  grid.query({0, 0}, nan, 0, got);  // a NaN radius reaches nobody
+  EXPECT_TRUE(got.empty());
+  grid.query({nan, 0}, 10.0, 0, got);  // nor does a NaN centre
+  EXPECT_TRUE(got.empty());
+  grid.erase(kAlice);
+  EXPECT_EQ(grid.size(), 1u);
+}
+
+TEST(Spatial, NonFiniteInputIsRejectedAndLeavesTheModelUnchanged) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  SpatialModel m;
+  ASSERT_TRUE(m.place(kAlice, {1e12, 0}));  // far but finite: accepted
+  ASSERT_TRUE(m.place(kBob, {1e12 + 1, 0}));
+  EXPECT_GT(m.awareness(kBob, kAlice), 0.0);
+  const double cell = m.grid().cell_size();
+
+  EXPECT_FALSE(m.place(kAlice, {nan, 0}));
+  EXPECT_FALSE(m.place(kAlice, {0, inf}));
+  EXPECT_FALSE(m.place(kCarol, {-inf, 0}));
+  EXPECT_FALSE(m.set_focus(kAlice, nan));
+  EXPECT_FALSE(m.set_nimbus(kAlice, inf));
+  EXPECT_FALSE(m.set_nimbus(kCarol, nan));
+
+  EXPECT_EQ(m.position(kAlice)->x, 1e12);
+  EXPECT_FALSE(m.position(kCarol).has_value());  // never created
+  EXPECT_EQ(m.participant_count(), 2u);
+  EXPECT_EQ(m.grid().cell_size(), cell);
   std::vector<ClientId> cand;
   m.spatial_candidates(kAlice, cand);
   EXPECT_EQ(cand, std::vector<ClientId>{kBob});
@@ -468,6 +546,60 @@ TEST_P(ReentrancyTest, MidFlushUnsubscribeDropsRemainingDigestsAndCounts) {
   EXPECT_EQ(engine.stats().suppressed, 0u);
 }
 
+// A DeliverFn that publishes during a digest flush queues digests for
+// observers on both sides of the flush cursor.  The flush keeps the
+// ascending walk's rule: ids above the cursor are delivered in this
+// flush, ids at or below it in the next one.
+
+class MidFlushReentrancyTest : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(BothPublishPaths, MidFlushReentrancyTest,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Indexed" : "BruteForce";
+                         });
+
+TEST_P(MidFlushReentrancyTest, DigestsQueuedAboveTheCursorJoinThisFlush) {
+  constexpr ClientId kLow = 2, kMid = 5, kHigh = 8, kFar = 10, kEcho = 20;
+  sim::Simulator sim;
+  SpatialModel space;
+  AwarenessEngine engine(sim, space,
+                         {.full_threshold = 0.4,
+                          .digest_period = sim::sec(5),
+                          .interest_decay = sim::sec(60),
+                          .use_index = GetParam()});
+  // Every weight below is 0.25 * 0.25 = 0.0625: the digest band.  kMid
+  // hears kFar; kLow and kHigh hear only kEcho, far from everyone else.
+  space.place(kFar, {0, 0});
+  space.place(kMid, {7.5, 0});
+  space.place(kEcho, {1000, 0});
+  space.place(kLow, {1007.5, 0});
+  space.place(kHigh, {992.5, 0});
+  std::vector<std::string> log;
+  bool echoed = false;
+  for (ClientId id : {kLow, kMid, kHigh, kFar}) {
+    engine.subscribe(id, [&, id](const ActivityEvent& e, double, bool d) {
+      log.push_back(std::to_string(sim.now() / sim::sec(1)) + "s " +
+                    std::to_string(id) + " " + e.object +
+                    (d ? " digest" : " immediate"));
+      if (id == kMid && !echoed) {
+        echoed = true;
+        engine.publish({kEcho, "echo", "edit", sim.now()});
+      }
+    });
+  }
+  engine.publish({kFar, "doc", "edit", sim.now()});
+  sim.run_until(sim::sec(6));
+  EXPECT_EQ(log, (std::vector<std::string>{"5s 5 doc digest",
+                                           "5s 8 echo digest"}));
+  sim.run_until(sim::sec(11));
+  EXPECT_EQ(log, (std::vector<std::string>{"5s 5 doc digest",
+                                           "5s 8 echo digest",
+                                           "10s 2 echo digest"}));
+  EXPECT_EQ(engine.stats().digested, 3u);
+  EXPECT_EQ(engine.stats().immediate, 0u);
+}
+
 // ------------------------------------------------- interest GC + revival
 
 class GcEngineTest : public ::testing::Test {
@@ -518,6 +650,39 @@ TEST_F(GcEngineTest, MarkInterestAfterEvictionRevivesDelivery) {
   ASSERT_EQ(carol.size(), 1u);
   EXPECT_FALSE(carol[0].via_digest);
   EXPECT_GE(carol[0].weight, 0.9);
+}
+
+TEST_F(GcEngineTest, InterestGcIsExactAndKeepsOneExpiryRecordPerEntry) {
+  // Carol sits in Alice's digest band, so the entry's weight is the
+  // spatial term lifted by the temporal one.
+  space.place(kCarol, {7.5, 0});
+  const double spatial = space.awareness(kCarol, kAlice);
+  ASSERT_GT(spatial, 0.0);
+  // 10k refreshes over 250 s, across many flushes that pop and re-file
+  // the one stale expiry record: the bookkeeping never grows.
+  for (int i = 1; i <= 10000; ++i) {
+    sim.run_until(sim::msec(25) * i);
+    engine.mark_interest(kCarol, "doc/sec1");
+    ASSERT_EQ(engine.interest_table_size(), 1u) << "touch " << i;
+    ASSERT_EQ(engine.interest_expiry_records(), 1u) << "touch " << i;
+  }
+  // The last touch lands at 250 s, just after that instant's flush.  The
+  // horizon is 10 tau = 100 s: the flush at 350 s sees an age of exactly
+  // 100 s and keeps the entry; the one at 355 s evicts it.
+  sim.run_until(sim::sec(350));
+  EXPECT_EQ(engine.interest_table_size(), 1u);
+  EXPECT_EQ(engine.interest_expiry_records(), 1u);
+  EXPECT_EQ(engine.stats().interest_evicted, 0u);
+  const double temporal = std::exp(-100.0 / 10.0);
+  EXPECT_DOUBLE_EQ(engine.weight(kCarol, kAlice, "doc/sec1"),
+                   spatial + temporal * (1.0 - spatial));
+  sim.run_until(sim::sec(355) - 1);
+  EXPECT_EQ(engine.interest_table_size(), 1u);
+  sim.run_until(sim::sec(355));
+  EXPECT_EQ(engine.interest_table_size(), 0u);
+  EXPECT_EQ(engine.interest_expiry_records(), 0u);
+  EXPECT_EQ(engine.stats().interest_evicted, 1u);
+  EXPECT_DOUBLE_EQ(engine.weight(kCarol, kAlice, "doc/sec1"), spatial);
 }
 
 // ------------------------------------------------- digest coalescing

@@ -37,12 +37,10 @@
 #define COOP_COUNT_ALLOCS 1
 #endif
 
-namespace {
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
 #if COOP_COUNT_ALLOCS
 namespace {
+std::uint64_t g_alloc_count = 0;
+
 void* counted_alloc(std::size_t n) {
   ++g_alloc_count;
   if (void* p = std::malloc(n ? n : 1)) return p;

@@ -224,7 +224,7 @@ TEST_F(MembershipTest, CoordinatorObserverFires) {
 }
 
 TEST_F(MembershipTest, ViewChangesCountsChangesNotViewId) {
-  coord.view_changes();  // fresh coordinator: nothing published yet
+  // Fresh coordinator: nothing published yet.
   EXPECT_EQ(coord.view_changes(), 0u);
   int observed = 0;
   coord.on_view_change([&](const View&) { ++observed; });
@@ -393,7 +393,9 @@ TEST_F(FailoverTest, MinorityPartitionNeverActivatesAndHealsClean) {
   // Exactly one coordinator ended active, and ids never rolled back.
   EXPECT_EQ(coord->active(), false);
   for (MembershipMember* m : members) {
-    if (m != b.get()) EXPECT_EQ(m->hosted_coordinator(), nullptr);
+    if (m != b.get()) {
+      EXPECT_EQ(m->hosted_coordinator(), nullptr);
+    }
     const auto& ids = installed[m];
     for (std::size_t i = 1; i < ids.size(); ++i)
       EXPECT_GT(ids[i], ids[i - 1]) << "member node rollback";

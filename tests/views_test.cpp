@@ -142,16 +142,16 @@ TEST(SharedViewAgreement, SurvivesCoordinatorAndSequencerCrash) {
   }
   sim.run_until(sim::msec(800));
 
-  parts[0]->sg->broadcast("agenda|1. QoS  2. AOB");
-  parts[1]->sg->broadcast("minutes|draft");
+  (void)parts[0]->sg->broadcast("agenda|1. QoS  2. AOB");
+  (void)parts[1]->sg->broadcast("minutes|draft");
   sim.run_until(sim::msec(1200));
 
   net.crash(100);  // membership coordinator
   net.crash(1);    // total-order sequencer (and participant 0)
   sim.run_until(sim::sec(5));
 
-  parts[1]->sg->broadcast("minutes|approved");
-  parts[2]->sg->broadcast("actions|send figures");
+  (void)parts[1]->sg->broadcast("minutes|approved");
+  (void)parts[2]->sg->broadcast("actions|send figures");
   sim.run_until(sim::sec(9));
 
   // Same shared state at both survivors, whatever their local policies.
