@@ -9,7 +9,8 @@
 #   3. Chaos soak: bench_r1_chaos runs the full seed x scenario matrix
 #      (20 seeds x 4 scenarios) and exits non-zero on any invariant
 #      violation; a second run must reproduce the artifact byte-for-byte
-#      (wall-clock line excluded) or determinism has regressed.
+#      (wall-clock line excluded) or determinism has regressed
+#      (scripts/determinism_gate.sh; the other soaks use it too).
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 #
@@ -33,22 +34,18 @@ run cmake -B build-check -S . -DCMAKE_BUILD_TYPE=Release
 run cmake --build build-check -j "${JOBS}"
 run ctest --test-dir build-check --output-on-failure -j "${JOBS}"
 
+# gate <binary> <artifact> [args...]: run a bench twice, fail on any
+# violation or on an artifact that differs modulo wall_ms.  The first
+# run's artifact is left in build-check/.
+gate() {
+  (cd build-check && run ../scripts/determinism_gate.sh "$@")
+}
+
 echo "== chaos soak: invariants + SLO rules across the seed matrix =="
 # COOP_SLO_STRICT=1 upgrades the soak: rules (ack-rate floor, RTT p99
 # ceiling) are evaluated per virtual-time window and any rule that
 # overspends its breach budget or never recovers fails the run.
-soak_a="$(mktemp -d)"
-soak_b="$(mktemp -d)"
-trap 'rm -rf "${soak_a}" "${soak_b}"' EXIT
-bench_bin="$(pwd)/build-check/bench/bench_r1_chaos"
-(cd "${soak_a}" && COOP_SLO_STRICT=1 run "${bench_bin}" >/dev/null)
-(cd "${soak_b}" && COOP_SLO_STRICT=1 run "${bench_bin}" >/dev/null)
-if ! diff <(grep -v wall_ms "${soak_a}/BENCH_r1_chaos.json") \
-          <(grep -v wall_ms "${soak_b}/BENCH_r1_chaos.json"); then
-  echo "chaos soak artifact is not reproducible across identical runs" >&2
-  exit 1
-fi
-echo "chaos soak: clean, artifact reproducible"
+COOP_SLO_STRICT=1 gate bench/bench_r1_chaos r1_chaos
 
 echo "== durable soak: WAL + checkpoint recovery + anti-entropy =="
 # --durable swaps the replicas for durable::DurableStore instances:
@@ -56,14 +53,7 @@ echo "== durable soak: WAL + checkpoint recovery + anti-entropy =="
 # recover solely from checkpoint + log replay, and on top of the R1
 # invariants the run proves a quiesce-and-recover identity, zero
 # acked-op loss and a bounded WAL.  Same determinism contract.
-(cd "${soak_a}" && COOP_SLO_STRICT=1 run "${bench_bin}" --durable >/dev/null)
-(cd "${soak_b}" && COOP_SLO_STRICT=1 run "${bench_bin}" --durable >/dev/null)
-if ! diff <(grep -v wall_ms "${soak_a}/BENCH_r1_durable.json") \
-          <(grep -v wall_ms "${soak_b}/BENCH_r1_durable.json"); then
-  echo "durable soak artifact is not reproducible across identical runs" >&2
-  exit 1
-fi
-echo "durable soak: clean, artifact reproducible"
+COOP_SLO_STRICT=1 gate bench/bench_r1_chaos r1_durable --durable
 
 echo "== failover soak: coordinator/sequencer crash matrix + partitions =="
 # bench_r4_failover drives a five-participant total-order session through
@@ -73,42 +63,17 @@ echo "== failover soak: coordinator/sequencer crash matrix + partitions =="
 # core delivery logs, exactly one active coordinator per primary
 # partition, and strictly monotone view ids; the binary exits non-zero on
 # any violation.  Same determinism contract as the other soaks.
-failover_bin="$(pwd)/build-check/bench/bench_r4_failover"
-(cd "${soak_a}" && run "${failover_bin}" >/dev/null)
-(cd "${soak_b}" && run "${failover_bin}" >/dev/null)
-if ! diff <(grep -v wall_ms "${soak_a}/BENCH_r4_failover.json") \
-          <(grep -v wall_ms "${soak_b}/BENCH_r4_failover.json"); then
-  echo "failover soak artifact is not reproducible across identical runs" >&2
-  exit 1
-fi
-echo "failover soak: clean, artifact reproducible"
+gate bench/bench_r4_failover r4_failover
 
 echo "== overload soak: goodput sweep + no-acked-shed + SLO rules =="
-overload_bin="$(pwd)/build-check/bench/bench_r2_overload"
-(cd "${soak_a}" && COOP_SLO_STRICT=1 run "${overload_bin}" >/dev/null)
-(cd "${soak_b}" && COOP_SLO_STRICT=1 run "${overload_bin}" >/dev/null)
-if ! diff <(grep -v wall_ms "${soak_a}/BENCH_r2_overload.json") \
-          <(grep -v wall_ms "${soak_b}/BENCH_r2_overload.json"); then
-  echo "overload soak artifact is not reproducible across identical runs" >&2
-  exit 1
-fi
-echo "overload soak: clean, artifact reproducible"
+COOP_SLO_STRICT=1 gate bench/bench_r2_overload r2_overload
 
 echo "== awareness parity smoke: indexed fan-out == brute force =="
 # bench_e12's parity mode replays the same seeded workload through the
 # indexed and brute-force engines and exits non-zero if the delivery
 # sequences or stats diverge; the artifact must also reproduce.
-awareness_bin="$(pwd)/build-check/bench/bench_e12_awareness_scaling"
-(cd "${soak_a}" && run "${awareness_bin}" \
-    --benchmark_filter=Parity >/dev/null)
-(cd "${soak_b}" && run "${awareness_bin}" \
-    --benchmark_filter=Parity >/dev/null)
-if ! diff <(grep -v wall_ms "${soak_a}/BENCH_e12_awareness.json") \
-          <(grep -v wall_ms "${soak_b}/BENCH_e12_awareness.json"); then
-  echo "awareness parity artifact is not reproducible across identical runs" >&2
-  exit 1
-fi
-echo "awareness parity: deliveries identical, artifact reproducible"
+gate bench/bench_e12_awareness_scaling e12_awareness \
+    --benchmark_filter=Parity
 
 echo "== shard parity: sharded kernel == serial differential oracle =="
 # bench_e13_million_users replays the space-time-matrix workload through
@@ -141,16 +106,12 @@ echo "== tier-2: ASan/UBSan build + tests =="
 run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DCOOP_SANITIZE=ON
 run cmake --build build-asan -j "${JOBS}"
 run ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
-asan_bench="$(pwd)/build-asan/bench/bench_r1_chaos"
-(cd "${soak_a}" && run "${asan_bench}" >/dev/null)
-(cd "${soak_a}" && run "${asan_bench}" --durable >/dev/null)
-asan_failover="$(pwd)/build-asan/bench/bench_r4_failover"
-(cd "${soak_a}" && run "${asan_failover}" >/dev/null)
-asan_overload="$(pwd)/build-asan/bench/bench_r2_overload"
-(cd "${soak_a}" && run "${asan_overload}" >/dev/null)
-asan_awareness="$(pwd)/build-asan/bench/bench_e12_awareness_scaling"
-(cd "${soak_a}" && run "${asan_awareness}" --benchmark_filter=Parity \
-    >/dev/null)
+(cd build-asan && run bench/bench_r1_chaos >/dev/null)
+(cd build-asan && run bench/bench_r1_chaos --durable >/dev/null)
+(cd build-asan && run bench/bench_r4_failover >/dev/null)
+(cd build-asan && run bench/bench_r2_overload >/dev/null)
+(cd build-asan && run bench/bench_e12_awareness_scaling \
+    --benchmark_filter=Parity >/dev/null)
 run scripts/shard_parity_gate.sh build-asan
 
 echo "== all checks passed =="

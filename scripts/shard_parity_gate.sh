@@ -21,6 +21,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
 
 FULL=0
 BUILD_DIR="build"
@@ -37,23 +38,12 @@ if [[ ! -x "${BIN}" ]]; then
   exit 2
 fi
 
-FILTER="ParityMatrix|SpaceTime/10000$"
+FILTER="ParityMatrix|SpaceTime/10000/"
 [[ "${FULL}" == "1" ]] && FILTER=".*"
 
-run_a="$(mktemp -d)"
-run_b="$(mktemp -d)"
-trap 'rm -rf "${run_a}" "${run_b}"' EXIT
-
 echo "shard_parity_gate: oracle matrix (filter: ${FILTER})"
-(cd "${run_a}" && "${BIN}" --benchmark_filter="${FILTER}" >/dev/null)
-(cd "${run_b}" && "${BIN}" --benchmark_filter="${FILTER}" >/dev/null)
-
-if ! diff <(grep -v wall_ms "${run_a}/BENCH_e13_million_users.json") \
-          <(grep -v wall_ms "${run_b}/BENCH_e13_million_users.json"); then
-  echo "shard_parity_gate: artifact is not reproducible across runs" >&2
-  exit 1
-fi
-# Keep one artifact where CI can pick it up.
-cp "${run_a}"/BENCH_e13_million_users* "${BUILD_DIR}/" 2>/dev/null || true
+# The artifact (from the first run) lands in the build dir for CI upload.
+(cd "${BUILD_DIR}" && "${ROOT}/scripts/determinism_gate.sh" "${BIN}" \
+    e13_million_users --benchmark_filter="${FILTER}")
 echo "shard_parity_gate: sharded == serial across the matrix," \
      "artifact reproducible"

@@ -146,8 +146,10 @@ class Platform {
   }
 
  private:
-  static void trace_step(void* self, sim::EventId id, sim::TimePoint when,
-                         std::size_t pending) {
+  // Serial steps carry no shard field (the lone kernel is always shard
+  // 0), which keeps serial traces free of a constant column.
+  static void trace_step(void* self, std::uint32_t /*shard*/, sim::EventId id,
+                         sim::TimePoint when, std::size_t pending) {
     auto* p = static_cast<Platform*>(self);
     p->obs_->tracer.event(when, obs::Category::kSim, "step",
                           {{"id", static_cast<double>(id)},

@@ -209,7 +209,7 @@ void Network::transmit(Message msg, bool injectable) {
 
 std::uint32_t Network::acquire_dslot(Message&& msg, sim::Duration queue_wait) {
   if (dfree_.empty()) {
-    dslots_.push_back(DeliverySlot{std::move(msg), queue_wait, kNoSlot});
+    dslots_.push_back(DeliverySlot{std::move(msg), queue_wait});
     return static_cast<std::uint32_t>(dslots_.size() - 1);
   }
   const std::uint32_t slot = dfree_.back();
@@ -217,7 +217,6 @@ std::uint32_t Network::acquire_dslot(Message&& msg, sim::Duration queue_wait) {
   DeliverySlot& d = dslots_[slot];
   d.msg = std::move(msg);
   d.queue_wait = queue_wait;
-  d.next = kNoSlot;
   return slot;
 }
 
@@ -225,61 +224,17 @@ Network::DeliverySlot Network::take_dslot(std::uint32_t slot) {
   // Move out by value: the delivery handler may transmit() and grow the
   // pool, invalidating any reference into dslots_.
   DeliverySlot d = std::move(dslots_[slot]);
-  dslots_[slot].next = kNoSlot;
   dfree_.push_back(slot);
   return d;
 }
 
 void Network::schedule_delivery(sim::TimePoint arrival, Message&& msg,
                                 sim::Duration queue_wait) {
-  const std::uint64_t link = key(msg.src.node, msg.dst.node);
   const std::uint32_t slot = acquire_dslot(std::move(msg), queue_wait);
-  if (!coalesce_) {
-    sim_.schedule_at(arrival, [this, slot] {
-      DeliverySlot d = take_dslot(slot);
-      deliver(d.msg, d.queue_wait);
-    });
-    return;
-  }
-  // Coalescing: append to the link's open batch when the arrival matches,
-  // otherwise open a new batch (superseding the old map entry; the old
-  // batch still fires from its own event).
-  auto it = open_batch_.find(link);
-  if (it != open_batch_.end() && batches_[it->second].at == arrival) {
-    Batch& b = batches_[it->second];
-    dslots_[b.tail].next = slot;
-    b.tail = slot;
-    ++coalesced_;
-    return;
-  }
-  std::uint32_t bi;
-  if (bfree_.empty()) {
-    batches_.push_back(Batch{arrival, link, slot, slot});
-    bi = static_cast<std::uint32_t>(batches_.size() - 1);
-  } else {
-    bi = bfree_.back();
-    bfree_.pop_back();
-    batches_[bi] = Batch{arrival, link, slot, slot};
-  }
-  open_batch_[link] = bi;
-  sim_.schedule_at(arrival, [this, bi] { fire_batch(bi); });
-}
-
-void Network::fire_batch(std::uint32_t batch) {
-  // Close the batch before delivering: handlers may transmit() on this
-  // link, which must open a fresh batch rather than append to a firing
-  // one (and batches_ may grow, so copy what we need out first).
-  const std::uint64_t link = batches_[batch].link;
-  std::uint32_t s = batches_[batch].head;
-  auto it = open_batch_.find(link);
-  if (it != open_batch_.end() && it->second == batch) open_batch_.erase(it);
-  bfree_.push_back(batch);
-  while (s != kNoSlot) {
-    const std::uint32_t next = dslots_[s].next;
-    DeliverySlot d = take_dslot(s);
+  sim_.schedule_at(arrival, [this, slot] {
+    DeliverySlot d = take_dslot(slot);
     deliver(d.msg, d.queue_wait);
-    s = next;
-  }
+  });
 }
 
 void Network::deliver(Message& msg, sim::Duration queue_wait) {

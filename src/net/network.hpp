@@ -205,22 +205,6 @@ class Network {
   /// Traffic totals, assembled from the registry counters.
   [[nodiscard]] NetworkStats stats() const noexcept;
 
-  /// Opt-in delivery coalescing: datagrams on the same directed link with
-  /// the same arrival timestamp share one kernel event instead of one
-  /// each.  Default off — coalescing preserves per-link delivery order
-  /// and all virtual-time results, but it changes the kernel event count
-  /// (and therefore the step-event trace), so runs are only comparable
-  /// against runs with the same setting.
-  void set_delivery_coalescing(bool on) noexcept { coalesce_ = on; }
-  [[nodiscard]] bool delivery_coalescing() const noexcept {
-    return coalesce_;
-  }
-  /// Datagrams that piggybacked on an already-scheduled delivery event
-  /// (plain member, not a registry metric: must not alter artifacts).
-  [[nodiscard]] std::uint64_t coalesced_deliveries() const noexcept {
-    return coalesced_;
-  }
-
   /// Per-directed-link dynamic counters (congestion inspection in tests).
   [[nodiscard]] const LinkState* link_state(NodeId from, NodeId to) const {
     auto it = link_states_.find(key(from, to));
@@ -255,27 +239,14 @@ class Network {
   void schedule_delivery(sim::TimePoint arrival, Message&& msg,
                          sim::Duration queue_wait);
 
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
   /// Parked in-flight datagram awaiting its delivery event.
   struct DeliverySlot {
     Message msg;
     sim::Duration queue_wait = 0;
-    std::uint32_t next = kNoSlot;  ///< chain link within a coalesced batch
-  };
-
-  /// One scheduled kernel event covering a chain of same-link,
-  /// same-arrival deliveries (coalescing mode only).
-  struct Batch {
-    sim::TimePoint at = 0;
-    std::uint64_t link = 0;
-    std::uint32_t head = kNoSlot;
-    std::uint32_t tail = kNoSlot;
   };
 
   std::uint32_t acquire_dslot(Message&& msg, sim::Duration queue_wait);
   DeliverySlot take_dslot(std::uint32_t slot);
-  void fire_batch(std::uint32_t batch);
 
   sim::Simulator& sim_;
   std::unique_ptr<obs::Obs> owned_obs_;  // only when no context was supplied
@@ -307,17 +278,9 @@ class Network {
   std::set<NodeId> side_a_;
   std::set<NodeId> side_b_;  // empty => complement of side_a_
   std::uint64_t next_msg_id_ = 1;
-  // Delivery slot + batch pools (freelist-recycled, never shrink).
+  // Delivery slot pool (freelist-recycled, never shrinks).
   std::vector<DeliverySlot> dslots_;
   std::vector<std::uint32_t> dfree_;
-  std::vector<Batch> batches_;
-  std::vector<std::uint32_t> bfree_;
-  // link key -> batch still accepting appends (its arrival time is the
-  // link's current latest; an older entry is superseded in place and
-  // closes itself when its event fires).
-  std::unordered_map<std::uint64_t, std::uint32_t> open_batch_;
-  bool coalesce_ = false;
-  std::uint64_t coalesced_ = 0;
 };
 
 }  // namespace coop::net

@@ -1,104 +1,8 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace coop::sim {
-
-// --- ShardSim ---------------------------------------------------------------
-
-EventId ShardSim::schedule_at(TimePoint when, EventFn fn) {
-  if (when < now_) when = now_;
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(CalEntry{when, seq, acquire_slot(std::move(fn))});
-  live_.insert(seq);
-  if (next_seq_ >= compact_check_) maybe_compact_live();
-  return seq;
-}
-
-void ShardSim::maybe_compact_live() {
-  // Same windowed-liveness compaction as the serial kernel: the minimum
-  // queued seq bounds every id the shard will still test.
-  compact_check_ = next_seq_ + (std::uint64_t{1} << 20);
-  std::uint64_t min_seq = next_seq_;
-  queue_.for_each([&min_seq](const CalEntry& e) {
-    min_seq = std::min(min_seq, e.seq);
-  });
-  live_.compact(min_seq);
-}
-
-std::uint32_t ShardSim::acquire_slot(EventFn&& fn) {
-  if (free_slots_.empty()) {
-    slots_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  slots_[slot] = std::move(fn);
-  return slot;
-}
-
-void ShardSim::release_slot(std::uint32_t slot) {
-  slots_[slot].reset();
-  free_slots_.push_back(slot);
-}
-
-void ShardSim::dispatch(const CalEntry& top) {
-  now_ = top.when;
-  ++processed_;
-  if (hook_fn_ != nullptr)
-    hook_fn_(hook_ctx_, shard_, top.seq, top.when, live_.size());
-  // Move the callable out and free the slot before invoking: the callback
-  // may schedule new events, reusing this very slot.
-  EventFn fn = std::move(slots_[top.slot]);
-  release_slot(top.slot);
-  if (timer_fn_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    timer_fn_(timer_ctx_,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count()));
-  } else {
-    fn();
-  }
-}
-
-std::size_t ShardSim::run_below(TimePoint horizon) {
-  std::size_t n = 0;
-  CalEntry top;
-  while (queue_.peek(top) && top.when < horizon) {
-    queue_.pop();
-    if (!live_.erase(top.seq)) {  // lazily cancelled
-      release_slot(top.slot);
-      continue;
-    }
-    dispatch(top);
-    ++n;
-  }
-  return n;
-}
-
-std::size_t ShardSim::run_at(TimePoint t) {
-  std::size_t n = 0;
-  CalEntry top;
-  // <= rather than == flushes cancelled residue below t; live entries
-  // below t cannot exist (earlier epochs drained them).
-  while (queue_.peek(top) && top.when <= t) {
-    queue_.pop();
-    if (!live_.erase(top.seq)) {
-      release_slot(top.slot);
-      continue;
-    }
-    assert(top.when == t && "live event below the barrier timestamp");
-    dispatch(top);
-    ++n;
-  }
-  return n;
-}
-
-// --- ShardedEngine ----------------------------------------------------------
 
 ShardedEngine::ShardedEngine(const ShardedConfig& cfg) : cfg_(cfg) {
   if (cfg_.shards == 0) cfg_.shards = 1;
@@ -109,9 +13,9 @@ ShardedEngine::ShardedEngine(const ShardedConfig& cfg) : cfg_(cfg) {
   Rng master(cfg_.seed);
   shards_.reserve(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<ShardSim>(
-        s, master.next() ^ 0xa5a5a5a55a5a5a5aULL, cfg_.bucket_width,
-        cfg_.buckets));
+    shards_.push_back(
+        std::make_unique<Shard>(master.next() ^ 0xa5a5a5a55a5a5a5aULL));
+    shards_.back()->sim.shard_ = s;
   }
   phase_counts_.assign(cfg_.shards, 0);
 }
@@ -129,61 +33,61 @@ ShardedEngine::~ShardedEngine() {
 
 TimePoint ShardedEngine::now() const noexcept {
   TimePoint t = 0;
-  for (const auto& s : shards_) t = std::max(t, s->now());
+  for (const auto& s : shards_) t = std::max(t, s->sim.now());
   return t;
 }
 
 std::size_t ShardedEngine::pending() const noexcept {
   std::size_t n = 0;
-  for (const auto& s : shards_) n += s->pending();
-  for (const auto& s : shards_) n += s->outbox_.size();
+  for (const auto& s : shards_) n += s->sim.pending() + s->outbox.size();
   return n;
 }
 
 std::uint64_t ShardedEngine::events_processed() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->events_processed();
+  for (const auto& s : shards_) n += s->sim.events_processed();
   return n;
 }
 
-void ShardedEngine::set_step_hook(ShardSim::HookFn fn, void* ctx) noexcept {
-  for (auto& s : shards_) {
-    s->hook_fn_ = fn;
-    s->hook_ctx_ = ctx;
-  }
+std::uint64_t ShardedEngine::lookahead_violations() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& s : shards_) n += s->violations;
+  return n;
+}
+
+void ShardedEngine::set_step_hook(StepHookFn fn, void* ctx) noexcept {
+  for (auto& s : shards_) s->sim.set_step_hook(fn, ctx);
 }
 
 void ShardedEngine::set_step_timer(StepTimerFn fn, void* ctx) noexcept {
-  for (auto& s : shards_) {
-    s->timer_fn_ = fn;
-    s->timer_ctx_ = ctx;
-  }
+  for (auto& s : shards_) s->sim.set_step_timer(fn, ctx);
 }
 
 void ShardedEngine::send(const ShardMsg& m) {
   assert(m.src_shard < shards_.size() && m.dst_shard < shards_.size());
-  ShardSim& src = *shards_[m.src_shard];
+  Shard& src = *shards_[m.src_shard];
   if (m.dst_shard == m.src_shard) {
     // Same shard: an ordinary event, exactly as the serial kernel would
     // schedule a delivery (clamped to the shard's clock).
     ShardedEngine* eng = this;
     const ShardMsg msg = m;
-    src.schedule_at(m.at, [eng, msg] {
+    src.sim.schedule_at(m.at, [eng, msg] {
       if (eng->msg_fn_ != nullptr) eng->msg_fn_(eng->msg_ctx_, msg);
     });
     return;
   }
-  const TimePoint floor = saturating_after(src.now(), cfg_.lookahead);
-  if (m.at < floor) ++lookahead_violations_;
-  src.outbox_.push_back(m);
+  // Counted on the source shard: send() runs on that shard's worker.
+  if (m.at < saturating_after(src.sim.now(), cfg_.lookahead))
+    ++src.violations;
+  src.outbox.push_back(m);
 }
 
 void ShardedEngine::flush_outboxes() {
   scratch_.clear();
   for (auto& s : shards_) {
-    if (s->outbox_.empty()) continue;
-    scratch_.insert(scratch_.end(), s->outbox_.begin(), s->outbox_.end());
-    s->outbox_.clear();
+    if (s->outbox.empty()) continue;
+    scratch_.insert(scratch_.end(), s->outbox.begin(), s->outbox.end());
+    s->outbox.clear();
   }
   if (scratch_.empty()) return;
   cross_msgs_ += scratch_.size();
@@ -199,15 +103,23 @@ void ShardedEngine::flush_outboxes() {
             });
   ShardedEngine* eng = this;
   for (const ShardMsg& m : scratch_) {
-    shards_[m.dst_shard]->schedule_at(m.at, [eng, m] {
+    shards_[m.dst_shard]->sim.schedule_at(m.at, [eng, m] {
       if (eng->msg_fn_ != nullptr) eng->msg_fn_(eng->msg_ctx_, m);
     });
   }
 }
 
 void ShardedEngine::run_shard(std::uint32_t s, Phase phase, TimePoint bound) {
-  phase_counts_[s] = phase == Phase::kBelow ? shards_[s]->run_below(bound)
-                                            : shards_[s]->run_at(bound);
+  Simulator& sim = shards_[s]->sim;
+  if (phase == Phase::kBelow) {
+    // The window [t0, bound) is half-open; bound >= 1 since L > 0.
+    phase_counts_[s] = sim.drain(bound - 1, Simulator::kNoEventLimit);
+  } else {
+    // bound is the global minimum queued timestamp, so nothing — live or
+    // cancelled — sits below it, and every event this fires is at bound.
+    assert(sim.next_time() >= bound && "event below the barrier timestamp");
+    phase_counts_[s] = sim.drain(bound, Simulator::kNoEventLimit);
+  }
 }
 
 std::size_t ShardedEngine::run_phase(Phase phase, TimePoint bound) {
@@ -271,44 +183,22 @@ void ShardedEngine::worker_loop(std::uint32_t worker) {
   }
 }
 
-std::size_t ShardedEngine::run_until(TimePoint t) {
+std::size_t ShardedEngine::run_epochs(TimePoint last,
+                                      std::size_t max_events) {
   std::size_t total = 0;
   for (;;) {
     flush_outboxes();  // also admits driver sends parked pre-run
     TimePoint t0 = kTimeMax;
-    for (auto& s : shards_) t0 = std::min(t0, s->next_time());
-    if (t0 > t) break;
+    for (auto& s : shards_) t0 = std::min(t0, s->sim.next_time());
+    if (t0 > last || t0 == kTimeMax) break;
     std::size_t n;
     TimePoint horizon;
     if (cfg_.lookahead > 0) {
-      // Window [t0, t0 + L), clipped so nothing past t fires — stopping
-      // mid-epoch must leave the queues exactly as a straight run would.
+      // Window [t0, t0 + L), clipped so nothing past `last` fires —
+      // stopping mid-epoch must leave the queues exactly as a straight
+      // run would.
       horizon = saturating_after(t0, cfg_.lookahead);
-      if (horizon > t) horizon = saturating_after(t, 1);
-      n = run_phase(Phase::kBelow, horizon);
-    } else {
-      horizon = t0;
-      n = run_phase(Phase::kAt, t0);
-    }
-    total += n;
-    ++epochs_;
-    if (epoch_fn_ != nullptr) epoch_fn_(epoch_ctx_, t0, horizon, n);
-  }
-  for (auto& s : shards_) s->advance_to(t);
-  return total;
-}
-
-std::size_t ShardedEngine::run(std::size_t max_events) {
-  std::size_t total = 0;
-  for (;;) {
-    flush_outboxes();
-    TimePoint t0 = kTimeMax;
-    for (auto& s : shards_) t0 = std::min(t0, s->next_time());
-    if (t0 == kTimeMax) break;
-    std::size_t n;
-    TimePoint horizon;
-    if (cfg_.lookahead > 0) {
-      horizon = saturating_after(t0, cfg_.lookahead);
+      if (horizon > last) horizon = saturating_after(last, 1);
       n = run_phase(Phase::kBelow, horizon);
     } else {
       horizon = t0;
@@ -320,6 +210,16 @@ std::size_t ShardedEngine::run(std::size_t max_events) {
     if (total >= max_events) break;  // epoch-granular runaway guard
   }
   return total;
+}
+
+std::size_t ShardedEngine::run_until(TimePoint t) {
+  const std::size_t n = run_epochs(t, Simulator::kNoEventLimit);
+  for (auto& s : shards_) s->sim.advance_to(t);
+  return n;
+}
+
+std::size_t ShardedEngine::run(std::size_t max_events) {
+  return run_epochs(kTimeMax, max_events);
 }
 
 }  // namespace coop::sim

@@ -2,8 +2,8 @@
 //
 // The serial Simulator runs every simulated node on one event queue; that
 // caps experiments near 10^4 participants.  This kernel partitions nodes
-// into shards, each with an independent calendar-queue scheduler and its
-// own virtual clock, and exchanges cross-shard messages deterministically:
+// into shards, each a plain Simulator with its own event queue, virtual
+// clock and rng, and exchanges cross-shard messages deterministically:
 //
 //   * Conservative lookahead.  When every cross-shard link has a minimum
 //     latency L > 0, an epoch lets each shard run freely through the
@@ -22,11 +22,10 @@
 // messages into their destination queues sorted by (arrival, source node,
 // source sequence) — a key independent of shard count, thread count and
 // epoch geometry, which is what makes a run's outcome a pure function of
-// its seed.  The serial Simulator is retained, unmodified, as the
-// differential oracle: a scenario whose per-node state is insensitive to
-// same-timestamp cross-node interleaving (the only freedom either kernel
-// has) produces byte-identical artifacts on both (DESIGN.md §17,
-// bench_e13_million_users).
+// its seed.  A lone Simulator is the differential oracle: a scenario whose
+// per-node state is insensitive to same-timestamp cross-node interleaving
+// (the only freedom either kernel has) produces byte-identical artifacts
+// on both (DESIGN.md §17, bench_e13_million_users).
 #pragma once
 
 #include <cassert>
@@ -37,8 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
-#include "sim/id_set.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -59,9 +56,9 @@ struct ShardMsg {
   std::uint64_t payload = 0;    ///< scenario-defined word
 };
 
-/// Sharded-kernel tuning.  Everything is deterministic: shard count,
-/// thread count and queue geometry may change wall-clock speed but never
-/// a run's virtual-time outcome.
+/// Sharded-kernel tuning.  Everything is deterministic: shard count and
+/// thread count may change wall-clock speed but never a run's virtual-time
+/// outcome.
 struct ShardedConfig {
   std::uint32_t shards = 1;
   /// Worker threads for the epoch fan-out (1 = run shards inline on the
@@ -72,93 +69,6 @@ struct ShardedConfig {
   /// Zero selects barrier-synchronized timestamp epochs.
   Duration lookahead = 0;
   std::uint64_t seed = 42;
-  /// Calendar-queue geometry per shard (see sim/calendar_queue.hpp).
-  Duration bucket_width = usec(256);
-  std::size_t buckets = 64;
-};
-
-class ShardedEngine;
-
-/// One shard: an independent event queue, clock, rng and callable-slot
-/// table.  API mirrors the serial Simulator where semantics are shared
-/// (clamp-to-now, saturating schedule_after, exact lazy cancellation);
-/// the run methods are epoch-bounded and only the engine calls them.
-class ShardSim {
- public:
-  ShardSim(std::uint32_t shard, std::uint64_t seed, Duration bucket_width,
-           std::size_t buckets)
-      : queue_(bucket_width, buckets), shard_(shard), rng_(seed) {}
-
-  ShardSim(const ShardSim&) = delete;
-  ShardSim& operator=(const ShardSim&) = delete;
-
-  [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
-  [[nodiscard]] TimePoint now() const noexcept { return now_; }
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
-  [[nodiscard]] std::size_t pending() const noexcept { return live_.size(); }
-  [[nodiscard]] std::uint64_t events_processed() const noexcept {
-    return processed_;
-  }
-
-  EventId schedule_at(TimePoint when, EventFn fn);
-  EventId schedule_after(Duration delay, EventFn fn) {
-    return schedule_at(saturating_after(now_, delay), std::move(fn));
-  }
-  bool cancel(EventId id) {
-    return id != kInvalidEvent && live_.erase(id);
-  }
-
-  /// Timestamp of the earliest queued entry (kTimeMax when empty).
-  /// Lazy-cancelled residue counts — a dead entry only costs a no-op
-  /// epoch, never correctness.
-  [[nodiscard]] TimePoint next_time() {
-    CalEntry top;
-    return queue_.peek(top) ? top.when : kTimeMax;
-  }
-
-  /// Fires every event with timestamp < @p horizon (exclusive), including
-  /// ones its own events schedule inside the window.  Returns the count.
-  std::size_t run_below(TimePoint horizon);
-
-  /// Fires every event with timestamp <= @p t; by construction only
-  /// events at exactly t remain live that low.  Returns the count.
-  std::size_t run_at(TimePoint t);
-
-  /// Clock catch-up at a barrier (never moves time backwards).
-  void advance_to(TimePoint t) noexcept {
-    if (t > now_) now_ = t;
-  }
-
-  /// Per-shard step observer: same contract as Simulator's StepHookFn
-  /// plus the shard id.  With a multi-threaded engine this fires on
-  /// worker threads — the installed hook must be thread-safe, which is
-  /// why Platform only wires tracing here in single-threaded mode.
-  using HookFn = void (*)(void* ctx, std::uint32_t shard, EventId id,
-                          TimePoint when, std::size_t pending);
-
- private:
-  friend class ShardedEngine;
-
-  std::uint32_t acquire_slot(EventFn&& fn);
-  void release_slot(std::uint32_t slot);
-  void dispatch(const CalEntry& top);
-  void maybe_compact_live();
-
-  CalendarQueue queue_;
-  std::vector<EventFn> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  LiveBits live_;
-  std::vector<ShardMsg> outbox_;  ///< cross-shard sends this epoch
-  HookFn hook_fn_ = nullptr;
-  void* hook_ctx_ = nullptr;
-  StepTimerFn timer_fn_ = nullptr;
-  void* timer_ctx_ = nullptr;
-  TimePoint now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t compact_check_ = std::uint64_t{1} << 20;
-  std::uint64_t processed_ = 0;
-  std::uint32_t shard_;
-  Rng rng_;
 };
 
 /// The sharded kernel: owns the shards, drives the epoch protocol and the
@@ -185,8 +95,8 @@ class ShardedEngine {
     return static_cast<std::uint32_t>(shards_.size());
   }
   [[nodiscard]] const ShardedConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] ShardSim& shard(std::uint32_t s) noexcept {
-    return *shards_[s];
+  [[nodiscard]] Simulator& shard(std::uint32_t s) noexcept {
+    return shards_[s]->sim;
   }
 
   /// Global virtual time: the furthest point all shards have committed.
@@ -200,13 +110,13 @@ class ShardedEngine {
   /// driver while the engine is idle, or from an event running on that
   /// same shard.  cancel() has the same locality contract.
   EventId schedule_at(std::uint32_t shard, TimePoint when, EventFn fn) {
-    return shards_[shard]->schedule_at(when, std::move(fn));
+    return shards_[shard]->sim.schedule_at(when, std::move(fn));
   }
   EventId schedule_after(std::uint32_t shard, Duration delay, EventFn fn) {
-    return shards_[shard]->schedule_after(delay, std::move(fn));
+    return shards_[shard]->sim.schedule_after(delay, std::move(fn));
   }
   bool cancel(std::uint32_t shard, EventId id) {
-    return shards_[shard]->cancel(id);
+    return shards_[shard]->sim.cancel(id);
   }
 
   void set_msg_handler(MsgFn fn, void* ctx = nullptr) noexcept {
@@ -217,8 +127,11 @@ class ShardedEngine {
     epoch_fn_ = fn;
     epoch_ctx_ = ctx;
   }
-  /// Per-shard step observers (see ShardSim::HookFn thread-safety note).
-  void set_step_hook(ShardSim::HookFn fn, void* ctx = nullptr) noexcept;
+  /// Per-shard step observers.  The hook receives the shard index.  With
+  /// a multi-threaded engine both fire on worker threads — an installed
+  /// observer must be thread-safe, which is why Platform only wires
+  /// tracing and profiling here in single-threaded mode.
+  void set_step_hook(StepHookFn fn, void* ctx = nullptr) noexcept;
   void set_step_timer(StepTimerFn fn, void* ctx = nullptr) noexcept;
 
   /// Sends @p m.  Same-shard messages become ordinary events at once;
@@ -251,12 +164,23 @@ class ShardedEngine {
     return cross_msgs_;
   }
   /// Cross-shard sends that broke the lookahead contract (see send()).
-  [[nodiscard]] std::uint64_t lookahead_violations() const noexcept {
-    return lookahead_violations_;
-  }
+  [[nodiscard]] std::uint64_t lookahead_violations() const noexcept;
 
  private:
   enum class Phase { kBelow, kAt };
+
+  /// One shard and the state only its own events touch.  Each lives in
+  /// its own allocation, so worker threads never share a cache line.
+  struct Shard {
+    explicit Shard(std::uint64_t seed) : sim(seed) {}
+    Simulator sim;
+    std::vector<ShardMsg> outbox;  ///< cross-shard sends this epoch
+    std::uint64_t violations = 0;  ///< lookahead-contract breaches
+  };
+
+  /// The epoch loop behind run() and run_until(): epochs until the
+  /// earliest pending timestamp passes @p last or the event cap is hit.
+  std::size_t run_epochs(TimePoint last, std::size_t max_events);
 
   /// One epoch body: every shard runs its window, possibly on the worker
   /// pool.  Returns events executed.
@@ -268,7 +192,7 @@ class ShardedEngine {
   void worker_loop(std::uint32_t worker);
 
   ShardedConfig cfg_;
-  std::vector<std::unique_ptr<ShardSim>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardMsg> scratch_;          ///< barrier merge staging
   std::vector<std::size_t> phase_counts_;  ///< per-shard events this phase
   MsgFn msg_fn_ = nullptr;
@@ -277,7 +201,6 @@ class ShardedEngine {
   void* epoch_ctx_ = nullptr;
   std::uint64_t epochs_ = 0;
   std::uint64_t cross_msgs_ = 0;
-  std::uint64_t lookahead_violations_ = 0;
 
   // Worker pool (lazily started; idle when cfg_.threads <= 1).  The
   // coordinating thread takes worker slot 0's shard set itself.

@@ -89,7 +89,7 @@ void Simulator::dispatch(const Entry& top) {
   now_ = top.when;
   ++processed_;
   if (step_hook_fn_ != nullptr)
-    step_hook_fn_(step_hook_ctx_, top.seq, top.when, live_.size());
+    step_hook_fn_(step_hook_ctx_, shard_, top.seq, top.when, live_.size());
   // Move the callable out and free the slot *before* invoking: the
   // callback may schedule new events (reusing this very slot) or even
   // re-enter run().
@@ -110,9 +110,13 @@ void Simulator::dispatch(const Entry& top) {
   }
 }
 
-bool Simulator::step() {
-  while (!heap_.empty()) {
+std::size_t Simulator::drain(TimePoint last, std::size_t max_events) {
+  std::size_t n = 0;
+  while (n < max_events && !heap_.empty()) {
     const Entry top = heap_[0];
+    // Nothing at or before `last` remains: every live entry above fires
+    // later, and any cancelled residue up there can stay lazy.
+    if (top.when > last) break;
     heap_pop();
     // Lazy deletion: a queue entry whose liveness bit is clear was
     // cancelled; free its slot (destroying the captures) and move on.
@@ -121,35 +125,8 @@ bool Simulator::step() {
       continue;
     }
     dispatch(top);
-    return true;
-  }
-  return false;
-}
-
-std::size_t Simulator::run(std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && step()) ++n;
-  return n;
-}
-
-std::size_t Simulator::run_until(TimePoint t) {
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const Entry top = heap_[0];
-    if (top.when > t) {
-      // Nothing at or before t remains: every live entry above fires
-      // later, and any cancelled residue up there can stay lazy.
-      break;
-    }
-    heap_pop();
-    if (!live_.erase(top.seq)) {  // cancelled; reclaim the slot now
-      release_slot(top.slot);
-      continue;
-    }
-    dispatch(top);
     ++n;
   }
-  if (now_ < t) now_ = t;
   return n;
 }
 

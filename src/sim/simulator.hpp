@@ -35,20 +35,24 @@ inline constexpr EventId kInvalidEvent = 0;
 using EventFn = SmallFn;
 
 /// Observer invoked once per executed event, just before its callback runs:
-/// (context, event id, its timestamp, events still pending after this one).
-/// A raw function pointer + context — not a type-erased callable — because
-/// this is the hottest seam in the kernel: the test-and-call must cost one
-/// predictable branch per step.  Lets an observability layer trace kernel
-/// activity without the kernel depending on it.
-using StepHookFn = void (*)(void* ctx, EventId id, TimePoint when,
-                            std::size_t pending);
+/// (context, shard index — 0 for a lone Simulator —, event id, its
+/// timestamp, events still pending after this one).  A raw function
+/// pointer + context — not a type-erased callable — because this is the
+/// hottest seam in the kernel: the test-and-call must cost one predictable
+/// branch per step.  Lets an observability layer trace kernel activity
+/// without the kernel depending on it.
+using StepHookFn = void (*)(void* ctx, std::uint32_t shard, EventId id,
+                            TimePoint when, std::size_t pending);
 
 /// Observer handed the wall-clock nanoseconds an event callback took.  The
 /// kernel reads the steady clock only while one is installed, so profiling
 /// is strictly pay-for-use.
 using StepTimerFn = void (*)(void* ctx, std::uint64_t elapsed_ns);
 
-/// The event-driven virtual-time kernel.
+class ShardedEngine;
+
+/// The event-driven virtual-time kernel: a lone serial kernel, or one shard
+/// of a ShardedEngine (which drives it epoch by epoch through drain()).
 ///
 /// Typical use:
 /// @code
@@ -83,17 +87,19 @@ class Simulator {
   /// id returns false and leaves no residue in the kernel's accounting.
   bool cancel(EventId id);
 
-  /// Executes the single earliest pending event.  Returns false if the
-  /// queue is empty.
-  bool step();
-
   /// Runs until no events remain.  Returns the number of events processed.
   /// @p max_events guards against runaway feedback loops in experiments.
-  std::size_t run(std::size_t max_events = kNoEventLimit);
+  std::size_t run(std::size_t max_events = kNoEventLimit) {
+    return drain(kTimeMax, max_events);
+  }
 
   /// Runs all events with timestamp <= @p t, then advances the clock to
   /// exactly @p t.  Returns the number of events processed.
-  std::size_t run_until(TimePoint t);
+  std::size_t run_until(TimePoint t) {
+    const std::size_t n = drain(t, kNoEventLimit);
+    advance_to(t);
+    return n;
+  }
 
   /// Runs the simulation forward by @p d (saturating at kTimeMax).
   std::size_t run_for(Duration d) { return run_until(saturating_after(now_, d)); }
@@ -125,6 +131,26 @@ class Simulator {
   static constexpr std::size_t kNoEventLimit = ~static_cast<std::size_t>(0);
 
  private:
+  friend class ShardedEngine;
+
+  /// The kernel's one run loop: fires live events in (when, seq) order
+  /// while the earliest has timestamp <= @p last, including events the
+  /// callbacks schedule, stopping after @p max_events.  Cancelled entries
+  /// are skipped (and their slots reclaimed) as they surface.
+  std::size_t drain(TimePoint last, std::size_t max_events);
+
+  /// Timestamp of the earliest queued entry (kTimeMax when empty).
+  /// Lazy-cancelled residue counts — a dead entry costs the sharded
+  /// engine a no-op epoch, never correctness.
+  [[nodiscard]] TimePoint next_time() const noexcept {
+    return heap_.empty() ? kTimeMax : heap_[0].when;
+  }
+
+  /// Clock catch-up (never moves time backwards).
+  void advance_to(TimePoint t) noexcept {
+    if (now_ < t) now_ = t;
+  }
+
   // The queue holds POD ordering data plus the index of the recycled
   // callable slot, so firing an event never has to look the slot up.
   struct Entry {
@@ -171,6 +197,7 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t compact_check_ = kCompactInterval;
   std::uint64_t processed_ = 0;
+  std::uint32_t shard_ = 0;  // reported to the step hook
   Rng rng_;
 
   // How many ids may be allocated between liveness-window compaction

@@ -1,14 +1,13 @@
-// Tests for the sharded parallel kernel: calendar-queue ordering, shard
-// semantics, and the differential oracle — the sharded engine must produce
-// outcomes identical to the serial Simulator across seeds, topologies,
-// shard counts and thread counts (DESIGN.md §17).
+// Tests for the event kernel and its sharded engine: pop order under
+// cancel storms, epoch-drain edges, and the differential oracle — the
+// sharded engine must produce outcomes identical to the serial Simulator
+// across seeds, topologies, shard counts and thread counts (DESIGN.md §17).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
@@ -16,180 +15,268 @@
 namespace coop::sim {
 namespace {
 
-// --- CalendarQueue ----------------------------------------------------------
+// --- Kernel pop order under cancel storms ----------------------------------
+//
+// One seeded storm, three kernels: a lone Simulator, a ShardedEngine shard
+// driven through its epoch drain (windowed and zero-lookahead), and a
+// reference that keeps its live entries in a vector and std::sorts them
+// before every pop.  The storm schedules from outside and from inside
+// callbacks (re-entrantly, including past-clamped and end-of-time
+// inserts), cancels live, fired, cancelled and invalid ids, and stops
+// and resumes with run_until.  All choices come from the storm's own rng,
+// so every kernel sees the same operation stream; the fired (when, id)
+// sequence, every cancel() result and pending() must match exactly.
 
-std::vector<CalEntry> drain(CalendarQueue& q) {
-  std::vector<CalEntry> out;
-  CalEntry e;
-  while (q.peek(e)) {
-    q.pop();
-    out.push_back(e);
+/// The obviously-correct kernel: strict (when, id) order by std::sort.
+class SortedReference {
+ public:
+  [[nodiscard]] TimePoint now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return live_.size(); }
+
+  EventId schedule_at(TimePoint when, EventFn fn) {
+    live_.push_back({std::max(when, now_), next_id_, std::move(fn)});
+    return next_id_++;
   }
-  return out;
-}
-
-void expect_sorted(const std::vector<CalEntry>& v) {
-  for (std::size_t i = 1; i < v.size(); ++i)
-    ASSERT_TRUE(CalendarQueue::before(v[i - 1], v[i]))
-        << "out of order at " << i;
-}
-
-TEST(CalendarQueue, PopsInStrictWhenSeqOrder) {
-  CalendarQueue q(usec(100), 16);
-  Rng rng(7);
-  std::vector<CalEntry> ref;
-  for (std::uint64_t s = 1; s <= 5000; ++s) {
-    // Cluster most timestamps near the clock, some far out, some ties.
-    const TimePoint when =
-        static_cast<TimePoint>(rng.next() % (rng.bernoulli(0.1) ? 10'000'000
-                                                                : 50'000));
-    q.push({when, s, 0});
-    ref.push_back({when, s, 0});
+  bool cancel(EventId id) {
+    auto it = std::find_if(live_.begin(), live_.end(),
+                           [id](const Ref& r) { return r.id == id; });
+    if (it == live_.end()) return false;
+    live_.erase(it);
+    return true;
   }
-  std::sort(ref.begin(), ref.end(), CalendarQueue::before);
-  const auto got = drain(q);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(got[i].when, ref[i].when);
-    EXPECT_EQ(got[i].seq, ref[i].seq);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, InterleavedPushPopKeepsOrder) {
-  CalendarQueue q(usec(64), 8);
-  Rng rng(11);
-  std::uint64_t seq = 1;
-  TimePoint clock = 0;
-  TimePoint last_when = 0;
-  std::uint64_t last_seq = 0;
-  std::size_t popped = 0;
-  for (int round = 0; round < 200; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      q.push({clock + static_cast<TimePoint>(rng.next() % 5000), seq++, 0});
+  void run_until(TimePoint t) {
+    for (;;) {
+      std::sort(live_.begin(), live_.end(), [](const Ref& a, const Ref& b) {
+        return a.when != b.when ? a.when < b.when : a.id < b.id;
+      });
+      if (live_.empty() || live_.front().when > t) break;
+      Ref top = std::move(live_.front());
+      live_.erase(live_.begin());
+      now_ = top.when;
+      top.fn();
     }
-    for (int i = 0; i < 15 && !q.empty(); ++i) {
-      CalEntry e;
-      ASSERT_TRUE(q.peek(e));
-      q.pop();
-      ASSERT_GE(e.when, clock);  // never pops into the past
-      if (popped > 0) {
-        ASSERT_TRUE(e.when > last_when ||
-                    (e.when == last_when && e.seq > last_seq));
-      }
-      last_when = e.when;
-      last_seq = e.seq;
-      clock = e.when;
-      ++popped;
-    }
+    now_ = std::max(now_, t);
   }
-  expect_sorted(drain(q));
-}
 
-TEST(CalendarQueue, GrowsUnderOccupancyAndKeepsOrder) {
-  CalendarQueue q(usec(10), 8);
-  const std::size_t initial = q.bucket_count();
-  std::vector<CalEntry> ref;
-  for (std::uint64_t s = 1; s <= 2000; ++s) {
-    const TimePoint when = static_cast<TimePoint>((s * 37) % 501);
-    q.push({when, s, 0});
-    ref.push_back({when, s, 0});
+ private:
+  struct Ref {
+    TimePoint when;
+    EventId id;
+    EventFn fn;
+  };
+  std::vector<Ref> live_;
+  EventId next_id_ = 1;
+  TimePoint now_ = 0;
+};
+
+/// Adapter: the storm on shard 0 of a one-shard engine.
+class EngineShard {
+ public:
+  explicit EngineShard(Duration lookahead)
+      : eng_(ShardedConfig{.shards = 1, .lookahead = lookahead}) {}
+  [[nodiscard]] TimePoint now() { return eng_.shard(0).now(); }
+  [[nodiscard]] std::size_t pending() const { return eng_.pending(); }
+  EventId schedule_at(TimePoint when, EventFn fn) {
+    return eng_.schedule_at(0, when, std::move(fn));
   }
-  EXPECT_GT(q.bucket_count(), initial);
-  std::sort(ref.begin(), ref.end(), CalendarQueue::before);
-  const auto got = drain(q);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(got[i].seq, ref[i].seq);
-}
+  bool cancel(EventId id) { return eng_.cancel(0, id); }
+  void run_until(TimePoint t) { eng_.run_until(t); }
 
-TEST(CalendarQueue, FarFutureClustersRebaseThroughOverflow) {
-  CalendarQueue q(usec(100), 8);
-  // Three clusters separated by far more than one ring revolution.
-  std::vector<CalEntry> ref;
-  std::uint64_t s = 1;
-  for (TimePoint base : {TimePoint{0}, sec(1000), sec(2'000'000)}) {
-    for (int i = 0; i < 50; ++i) {
-      const auto when = base + usec(i * 37);
-      q.push({when, s, 0});
-      ref.push_back({when, s, 0});
-      ++s;
+ private:
+  ShardedEngine eng_;
+};
+
+struct StormLog {
+  std::vector<std::pair<TimePoint, EventId>> fired;
+  std::vector<bool> cancels;
+  std::vector<std::size_t> pending;  // after every stop
+  bool operator==(const StormLog&) const = default;
+};
+
+template <typename Kernel>
+class Storm {
+ public:
+  Storm(Kernel& k, std::uint64_t seed) : k_(k), rng_(seed) {}
+
+  /// Rounds of outside schedules and cancels, each ended by a stop at a
+  /// random point that run_until must resume from exactly.
+  void rounds(int n) {
+    TimePoint stop = k_.now();
+    for (int round = 0; round < n; ++round) {
+      for (int i = 0; i < 40; ++i) schedule_one();
+      for (int i = 0; i < 10; ++i) cancel_one();
+      stop += static_cast<Duration>(rng_.next() % 3000);
+      k_.run_until(stop);
+      EXPECT_EQ(k_.now(), stop);
+      log_.pending.push_back(k_.pending());
     }
   }
-  std::sort(ref.begin(), ref.end(), CalendarQueue::before);
-  const auto got = drain(q);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(got[i].seq, ref[i].seq);
+
+  [[nodiscard]] const StormLog& log() const { return log_; }
+
+ private:
+  void schedule_one() {
+    const TimePoint now = k_.now();
+    const std::uint64_t r = rng_.next() % 100;
+    const auto within = [this](std::uint64_t range) {
+      return static_cast<Duration>(rng_.next() % range);
+    };
+    TimePoint when;
+    if (r < 5) {
+      when = kTimeMax;  // "never" sentinel
+    } else if (r < 15) {
+      when = now - within(500);  // in the past: clamps to now
+    } else if (r < 25) {
+      when = now;  // same-timestamp FIFO
+    } else if (r < 35) {
+      when = saturating_after(now, within(1'000'000));  // far out
+    } else {
+      when = saturating_after(now, within(2000));
+    }
+    // The callback learns its own id through the index it captures: the
+    // id is stored before any event can fire.
+    const std::size_t k = ids_.size();
+    ids_.push_back(kInvalidEvent);
+    ids_[k] = k_.schedule_at(when, [this, k] { fire(k); });
+  }
+
+  void cancel_one() {
+    // Mostly issued ids (live, fired or already cancelled), sometimes the
+    // invalid handle or one never issued.
+    const std::uint64_t r = rng_.next() % 20;
+    EventId id = kInvalidEvent;
+    if (r == 1) {
+      id = ids_.size() + 1000;
+    } else if (r > 1 && !ids_.empty()) {
+      id = ids_[rng_.next() % ids_.size()];
+    }
+    log_.cancels.push_back(k_.cancel(id));
+  }
+
+  void fire(std::size_t k) {
+    log_.fired.emplace_back(k_.now(), ids_[k]);
+    // Re-entrant storm: children and cancels from inside a callback.
+    // Fewer than one child per event on average keeps it finite.
+    const std::uint64_t r = rng_.next() % 10;
+    if (r < 4) schedule_one();
+    if (r < 2) cancel_one();
+    if (r == 0) schedule_one();
+  }
+
+  Kernel& k_;
+  Rng rng_;
+  std::vector<EventId> ids_;
+  StormLog log_;
+};
+
+template <typename Kernel>
+StormLog storm(Kernel& k, std::uint64_t seed) {
+  Storm<Kernel> st(k, seed);
+  st.rounds(40);
+  return st.log();
 }
 
-TEST(CalendarQueue, EndOfTimeSentinelsNeverStrand) {
-  CalendarQueue q(usec(100), 8);
-  q.push({kTimeMax, 1, 0});
-  q.push({kTimeMax, 2, 0});
-  q.push({usec(5), 3, 0});
-  CalEntry e;
-  ASSERT_TRUE(q.peek(e));
-  EXPECT_EQ(e.seq, 3u);
-  q.pop();
-  ASSERT_TRUE(q.peek(e));
-  EXPECT_EQ(e.when, kTimeMax);
-  EXPECT_EQ(e.seq, 1u);  // FIFO among the sentinels
-  q.pop();
-  ASSERT_TRUE(q.peek(e));
-  EXPECT_EQ(e.seq, 2u);
-  q.pop();
-  EXPECT_TRUE(q.empty());
+TEST(KernelOrder, SerialKernelMatchesSortedReferenceUnderCancelStorms) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    Simulator sim;
+    SortedReference ref;
+    Storm<Simulator> a(sim, seed);
+    Storm<SortedReference> b(ref, seed);
+    a.rounds(40);
+    b.rounds(40);
+    ASSERT_EQ(a.log(), b.log()) << "seed=" << seed;
+    ASSERT_GT(a.log().fired.size(), 1000u);
+    // Drain everything, "never" sentinels included (FIFO at kTimeMax).
+    sim.run_until(kTimeMax);
+    ref.run_until(kTimeMax);
+    EXPECT_EQ(a.log().fired, b.log().fired) << "seed=" << seed;
+    EXPECT_EQ(a.log().fired.back().first, kTimeMax);
+    EXPECT_EQ(sim.pending(), 0u);
+  }
 }
 
-TEST(CalendarQueue, InsertBelowHuntedCursorStaysOrdered) {
-  CalendarQueue q(usec(100), 16);
-  // Push one far entry so the cursor hunts ahead when we drain to it,
-  // then insert below the hunted position (a barrier insert).
-  q.push({usec(50), 1, 0});
-  q.push({usec(1200), 2, 0});
-  CalEntry e;
-  ASSERT_TRUE(q.peek(e));
-  EXPECT_EQ(e.seq, 1u);
-  q.pop();
-  ASSERT_TRUE(q.peek(e));  // cursor now parked at the 1200us bucket
-  EXPECT_EQ(e.seq, 2u);
-  q.push({usec(600), 3, 0});  // below the cursor's bucket start
-  ASSERT_TRUE(q.peek(e));
-  EXPECT_EQ(e.seq, 3u) << "rewind insert must pop before the later entry";
-  q.pop();
-  ASSERT_TRUE(q.peek(e));
-  EXPECT_EQ(e.seq, 2u);
-  q.pop();
-  EXPECT_TRUE(q.empty());
+TEST(KernelOrder, EngineShardEpochDrainMatchesSortedReference) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SortedReference ref;
+    const StormLog want = storm(ref, seed);
+    // Windowed epochs narrower than the stop spacing (so runs stop
+    // mid-window), and zero-lookahead timestamp epochs.
+    for (const Duration lookahead : {usec(700), Duration{0}}) {
+      EngineShard eng(lookahead);
+      EXPECT_EQ(storm(eng, seed), want)
+          << "seed=" << seed << " lookahead=" << lookahead;
+    }
+  }
 }
 
-// --- ShardSim ---------------------------------------------------------------
+// --- A shard's Simulator under the epoch drain -----------------------------
+
+struct EpochRecord {
+  TimePoint t0;
+  TimePoint horizon;
+  std::size_t events;
+  bool operator==(const EpochRecord&) const = default;
+};
+
+void record_epochs(ShardedEngine& eng, std::vector<EpochRecord>& out) {
+  eng.set_epoch_hook(
+      [](void* ctx, TimePoint t0, TimePoint horizon, std::size_t events) {
+        static_cast<std::vector<EpochRecord>*>(ctx)->push_back(
+            {t0, horizon, events});
+      },
+      &out);
+}
 
 TEST(ShardSim, MirrorsSerialSchedulingSemantics) {
-  ShardSim s(0, 42, usec(100), 8);
+  ShardedEngine eng(ShardedConfig{.shards = 1, .lookahead = usec(30)});
+  std::vector<EpochRecord> epochs;
+  record_epochs(eng, epochs);
   std::vector<int> order;
-  s.schedule_at(usec(30), [&] { order.push_back(3); });
-  s.schedule_at(usec(10), [&] { order.push_back(1); });
-  const EventId dead = s.schedule_at(usec(20), [&] { order.push_back(2); });
-  EXPECT_TRUE(s.cancel(dead));
-  EXPECT_FALSE(s.cancel(dead));  // second cancel is a clean no-op
-  EXPECT_EQ(s.pending(), 2u);
-  EXPECT_EQ(s.run_below(usec(30)), 1u);  // horizon is exclusive
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(s.run_at(usec(30)), 1u);
+  eng.schedule_at(0, usec(40), [&] { order.push_back(2); });
+  eng.schedule_at(0, usec(10), [&] { order.push_back(1); });
+  const EventId dead = eng.schedule_at(0, usec(20), [&] { order.push_back(9); });
+  EXPECT_TRUE(eng.cancel(0, dead));
+  EXPECT_FALSE(eng.cancel(0, dead));  // second cancel is a clean no-op
+  EXPECT_EQ(eng.pending(), 2u);
+  EXPECT_EQ(eng.run(), 2u);
+  // The event at exactly t0 + L belongs to the next window.
+  EXPECT_EQ(epochs, (std::vector<EpochRecord>{{usec(10), usec(40), 1},
+                                              {usec(40), usec(70), 1}}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eng.shard(0).now(), usec(40));
+  EXPECT_EQ(eng.events_processed(), 2u);
+}
+
+TEST(ShardSim, BarrierEpochsFireOneTimestampAndFlushResidue) {
+  ShardedEngine eng(ShardedConfig{.shards = 1});
+  std::vector<EpochRecord> epochs;
+  record_epochs(eng, epochs);
+  std::vector<int> order;
+  eng.schedule_at(0, usec(30), [&] { order.push_back(3); });
+  eng.schedule_at(0, usec(10), [&] { order.push_back(1); });
+  eng.cancel(0, eng.schedule_at(0, usec(20), [&] { order.push_back(2); }));
+  EXPECT_EQ(eng.run(), 2u);
+  // The cancelled entry still costs its timestamp one empty epoch.
+  EXPECT_EQ(epochs, (std::vector<EpochRecord>{{usec(10), usec(10), 1},
+                                              {usec(20), usec(20), 0},
+                                              {usec(30), usec(30), 1}}));
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(s.now(), usec(30));
-  EXPECT_EQ(s.events_processed(), 2u);
+  EXPECT_EQ(eng.shard(0).now(), usec(30));
 }
 
 TEST(ShardSim, PastScheduleClampsToNow) {
-  ShardSim s(0, 42, usec(100), 8);
-  s.schedule_at(usec(50), [&s] {
-    s.schedule_at(usec(10), [] {});  // in the past: clamps to now=50us
+  ShardedEngine eng(ShardedConfig{.shards = 1, .lookahead = usec(1)});
+  std::vector<EpochRecord> epochs;
+  record_epochs(eng, epochs);
+  Simulator& shard = eng.shard(0);
+  TimePoint fired_at = -1;
+  eng.schedule_at(0, usec(50), [&] {
+    // In the past: clamps to now = 50us, inside the current window.
+    eng.schedule_at(0, usec(10), [&] { fired_at = shard.now(); });
   });
-  EXPECT_EQ(s.run_below(usec(51)), 2u);
-  EXPECT_EQ(s.now(), usec(50));
+  EXPECT_EQ(eng.run(), 2u);
+  EXPECT_EQ(epochs, (std::vector<EpochRecord>{{usec(50), usec(51), 2}}));
+  EXPECT_EQ(fired_at, usec(50));
 }
 
 // --- Differential oracle ----------------------------------------------------
@@ -528,6 +615,50 @@ TEST(ShardedEngine, LookaheadViolationsAreCountedNotFatal) {
   eng.run_until(msec(20));
   EXPECT_EQ(eng.lookahead_violations(), 1u);
   EXPECT_EQ(got, 5u);  // still delivered
+}
+
+TEST(ShardedEngine, ViolationsFromWorkerThreadsAreAllCounted) {
+  // Both shards send concurrently (one on the coordinator, one on the
+  // worker): a shared counter would lose increments and race.
+  constexpr std::uint32_t kSends = 20'000;
+  ShardedConfig cfg;
+  cfg.shards = 2;
+  cfg.threads = 2;
+  cfg.lookahead = msec(10);
+  ShardedEngine eng(cfg);
+  std::uint64_t delivered[2] = {0, 0};  // one counter per receiving shard
+  eng.set_msg_handler(
+      [](void* ctx, const ShardMsg& m) {
+        ++static_cast<std::uint64_t*>(ctx)[m.dst_shard];
+      },
+      delivered);
+  for (std::uint16_t s = 0; s < 2; ++s) {
+    eng.schedule_at(s, msec(1), [&eng, s] {
+      const auto peer = static_cast<std::uint16_t>(1 - s);
+      for (std::uint32_t i = 0; i < kSends; ++i)  // at < now + lookahead
+        eng.send(ShardMsg{msec(2), s, peer, s, peer, i, 1});
+    });
+  }
+  eng.run_until(msec(20));
+  EXPECT_EQ(eng.lookahead_violations(), 2u * kSends);
+  EXPECT_EQ(delivered[0], kSends);
+  EXPECT_EQ(delivered[1], kSends);
+}
+
+TEST(ShardedEngine, EndOfTimeSentinelsStayPending) {
+  // run() and run_until(kTimeMax) both stop short of kTimeMax "never"
+  // events instead of spinning on an empty window at the end of time.
+  ShardedConfig cfg;
+  cfg.shards = 2;
+  cfg.lookahead = msec(5);
+  ShardedEngine eng(cfg);
+  int fired = 0;
+  eng.schedule_at(0, kTimeMax, [&fired] { ++fired; });
+  eng.schedule_at(1, msec(1), [&fired] { ++fired; });
+  EXPECT_EQ(eng.run_until(kTimeMax), 1u);
+  EXPECT_EQ(eng.run(), 0u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(eng.pending(), 1u);
 }
 
 TEST(ShardedEngine, RunDrainsToQuiescence) {

@@ -140,8 +140,10 @@ TEST(Simulator, StepHookSeesEveryExecutedEvent) {
   } state{&sim, {}, {}};
   // The hook is a raw fn ptr + context (hot-seam discipline): no captures.
   sim.set_step_hook(
-      [](void* ctx, EventId id, TimePoint when, std::size_t pending) {
+      [](void* ctx, std::uint32_t shard, EventId id, TimePoint when,
+         std::size_t pending) {
         auto* s = static_cast<HookState*>(ctx);
+        EXPECT_EQ(shard, 0u);  // a lone Simulator reports shard 0
         s->hooked.push_back(id);
         s->times.push_back(when);
         EXPECT_EQ(pending, s->sim->pending());
