@@ -111,12 +111,21 @@ void GroupChannel::take_over_sequencing() {
 void GroupChannel::tail_push(std::uint32_t sender, std::uint64_t seq,
                              std::uint32_t epoch, std::uint64_t total,
                              sim::TimePoint sent_at,
-                             const std::string& payload) {
+                             std::string_view payload) {
   if (!total_replay() || config_.recovery_tail == 0) return;
-  delivered_tail_.push_back(
-      {sender, seq, epoch, total, sent_at, payload});
-  while (delivered_tail_.size() > config_.recovery_tail)
-    delivered_tail_.pop_front();
+  TailEntry* e = nullptr;
+  if (delivered_tail_.size() < config_.recovery_tail) {
+    e = &delivered_tail_.emplace_back();
+  } else {
+    e = &delivered_tail_[tail_next_];
+    tail_next_ = (tail_next_ + 1) % delivered_tail_.size();
+  }
+  e->sender = sender;
+  e->seq = seq;
+  e->epoch = epoch;
+  e->total = total;
+  e->sent_at = sent_at;
+  e->payload.assign(payload);
 }
 
 void GroupChannel::begin_recovery() {
@@ -133,7 +142,7 @@ void GroupChannel::begin_recovery() {
     relay_replays_.try_emplace(
         pending_key(self_index_, seq),
         ReplayReq{static_cast<std::uint32_t>(self_index_), seq, rw.sent_at,
-                  rw.deadline, rw.payload});
+                  rw.deadline, rw.payload.str()});
   }
   recover_min_pos_ = {epoch_, next_expected_total_ - 1};
   recover_started_ = net_.simulator().now();
@@ -193,17 +202,17 @@ void GroupChannel::handle_solicit(const net::Message& msg) {
       .put(static_cast<std::uint32_t>(epoch_))
       .put(next_expected_total_ - 1);
   std::uint32_t n_tail = 0;
-  for (const TailEntry& e : delivered_tail_) {
+  for_each_tail([&](const TailEntry& e) {
     if (std::pair(e.epoch, e.total) > std::pair(their_epoch, their_total))
       ++n_tail;
-  }
+  });
   w.put(n_tail);
-  for (const TailEntry& e : delivered_tail_) {
+  for_each_tail([&](const TailEntry& e) {
     if (std::pair(e.epoch, e.total) <= std::pair(their_epoch, their_total))
-      continue;
+      return;
     w.put(e.sender).put(e.seq).put(e.epoch).put(e.total).put(e.sent_at);
     w.put_string(e.payload);
-  }
+  });
   w.put(static_cast<std::uint32_t>(relay_wait_.size()));
   for (const auto& [seq, rw] : relay_wait_) {
     w.put(seq).put(rw.sent_at).put(rw.deadline);
@@ -267,7 +276,7 @@ void GroupChannel::finish_recovery() {
   }
   // Our own tail is a summary like any other (merged late so deliveries
   // that landed during the solicit round are included).
-  for (const TailEntry& e : delivered_tail_) {
+  for_each_tail([&](const TailEntry& e) {
     auto [it, inserted] =
         recovered_.try_emplace(pending_key(e.sender, e.seq), e);
     if (!inserted &&
@@ -275,7 +284,7 @@ void GroupChannel::finish_recovery() {
             std::pair(it->second.epoch, it->second.total)) {
       it->second = e;
     }
-  }
+  });
   // Phase 1: re-sequence the recovered suffix — everything some survivor
   // delivered beyond the *minimum* live prefix — in the old global order,
   // so the new epoch's order extends every survivor's delivered prefix.
@@ -404,7 +413,7 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
     // dies after acking but before relaying, the promoted sequencer
     // replays it from this buffer (with replay disabled the buffer only
     // quantifies the loss window).
-    relay_wait_[seq] = {now, deadline, payload, bctx};
+    relay_wait_[seq] = {now, deadline, util::Buf(payload), bctx};
     util::Writer w;
     w.put(MsgType::kTotalReq)
         .put(static_cast<std::uint32_t>(self_index_))
@@ -416,7 +425,7 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
     const std::size_t seq_slot = sequencer_slot();
     Pending p;
     p.wire = wire;
-    p.awaiting = {seq_slot};
+    p.awaiting.insert(seq_slot);
     p.is_total_req = true;
     p.deadline = deadline;
     p.ctx = bctx;
@@ -526,8 +535,8 @@ void GroupChannel::arm_retransmit(std::uint64_t key) {
         // Unicast retransmission to just the members still missing.  Each
         // resend is a child of the broadcast span; `waited` is the ack
         // timeout that lapsed first — the critical-path "retry" bucket.
-        for (std::size_t slot : p.awaiting) {
-          if (!alive_[slot]) continue;
+        p.awaiting.for_each([&](std::size_t slot) {
+          if (!alive_[slot]) return;
           ++stats_.retransmits;
           const obs::CausalContext rctx =
               p.ctx.valid() ? p.ctx.child(tracer.mint_id())
@@ -542,7 +551,7 @@ void GroupChannel::arm_retransmit(std::uint64_t key) {
           net_.send({.src = self_, .dst = members_[slot], .payload = p.wire,
                      .deadline = p.deadline, .priority = config_.priority,
                      .ctx = rctx});
-        }
+        });
         arm_retransmit(key);
       });
 }
@@ -558,7 +567,7 @@ void GroupChannel::mark_failed(const net::Address& member) {
 
   for (auto pit = pending_.begin(); pit != pending_.end();) {
     Pending& p = pit->second;
-    if (p.is_total_req && p.awaiting.count(slot) != 0 && was_sequencer) {
+    if (p.is_total_req && p.awaiting.contains(slot) && was_sequencer) {
       // Re-route the ordering request to the promoted sequencer.
       p.awaiting.erase(slot);
       if (new_seq_slot < members_.size() && new_seq_slot != self_index_) {
@@ -670,7 +679,7 @@ void GroupChannel::handle_total_req(const net::Message& msg) {
   const auto sender = r.get<std::uint32_t>();
   const auto seq = r.get<std::uint64_t>();
   const auto sent_at = r.get<sim::TimePoint>();
-  std::string payload = r.get_string();
+  const std::string_view payload = r.get_string_view();
   if (r.failed() || sender >= members_.size()) return;
 
   // A request that reaches a non-sequencer (the slot demoted, or the
@@ -719,8 +728,19 @@ void GroupChannel::handle_total_req(const net::Message& msg) {
   // with the stash so expiry is judged at sequencing time.  A recovering
   // sequencer only stashes: fresh requests sequence after the replayed
   // suffix, when the recovery round closes.
-  stashed_reqs_[sender][seq] = {sent_at, std::move(payload), msg.deadline,
-                                msg.ctx};
+  auto& stash = stashed_reqs_[sender];
+  if (!recovering_ && stash.empty() && seq == next_req_[sender]) {
+    // The steady state: the request is next in line, so stashing it only
+    // to dequeue it at once would change nothing but cost an allocation.
+    ++next_req_[sender];
+    StashedReq req{sent_at, std::exchange(req_spare_, {}), msg.deadline,
+                   msg.ctx};
+    req.payload.assign(payload);
+    sequence_req(sender, seq, req);
+    req_spare_ = std::move(req.payload);
+    return;
+  }
+  stash[seq] = {sent_at, std::string(payload), msg.deadline, msg.ctx};
   if (!recovering_) sequence_ready_reqs(sender);
 }
 
@@ -732,60 +752,67 @@ void GroupChannel::sequence_ready_reqs(std::size_t sender) {
   if (resync_ && !stash.empty() && stash.begin()->first > next_req_[sender]) {
     next_req_[sender] = stash.begin()->first;
   }
-  obs::Tracer& tracer = net_.obs().tracer;
   for (auto it = stash.find(next_req_[sender]); it != stash.end();
        it = stash.find(next_req_[sender])) {
     const std::uint64_t seq = it->first;
     StashedReq req = std::move(it->second);
     stash.erase(it);
     ++next_req_[sender];
-    seen_[sender].insert(seq);
-    // Expired on dequeue: the deadline passed while the request sat in
-    // the stash, so sequencing it would multicast work every member will
-    // only throw away.  The request was already acked and is recorded
-    // seen with the cursor advanced past it, so skipping assigns it no
-    // slot in the total order and stalls nobody (receivers track
-    // total_seq contiguity, not per-sender seq).
-    if (req.deadline > 0 && net_.simulator().now() >= req.deadline) {
-      ++stats_.expired_drops;
-      net_.obs().metrics.counter("rpc.expired_drops").inc();
-      tracer.event(net_.simulator().now(), obs::Category::kGroup, "expired",
-                   req.ctx.valid() ? req.ctx.child(tracer.mint_id())
-                                   : obs::CausalContext{},
-                   {{"sender", static_cast<double>(sender)},
-                    {"seq", static_cast<double>(seq)}});
-      continue;
-    }
-    const std::uint64_t total_seq = next_total_seq_++;
-    // The sequencer's relay continues the originator's trace: the
-    // sequencing decision is a child of the arriving request, and the
-    // re-multicast + local delivery are children of the decision.
-    const obs::CausalContext sctx =
-        req.ctx.valid() ? req.ctx.child(tracer.mint_id())
-                        : obs::CausalContext{};
-    tracer.event(net_.simulator().now(), obs::Category::kGroup, "sequence",
-                 sctx,
-                 {{"sender", static_cast<double>(sender)},
-                  {"seq", static_cast<double>(seq)},
-                  {"total", static_cast<double>(total_seq)}});
-    const util::Buf wire = encode_data(sender, seq, total_seq, req.sent_at,
-                                         logical::VectorClock(), req.payload);
-    send_data(pending_key(sender, seq), wire, sctx, req.deadline);
-    // The sequencer's own delivery happens at sequencing time, keeping it
-    // consistent with the global order it just defined.
-    epoch_ = static_cast<std::uint32_t>(self_index_);
-    next_expected_total_ = total_seq + 1;
-    tail_push(static_cast<std::uint32_t>(sender), seq, epoch_, total_seq,
-              req.sent_at, req.payload);
-    deliver_now({.sender = sender,
-                 .sender_addr = members_[sender],
-                 .seq = seq,
-                 .total_seq = total_seq,
-                 .payload = std::move(req.payload),
-                 .sent_at = req.sent_at,
-                 .ctx = sctx.valid() ? sctx.child(tracer.mint_id())
-                                     : obs::CausalContext{}});
+    sequence_req(sender, seq, req);
   }
+}
+
+void GroupChannel::sequence_req(std::size_t sender, std::uint64_t seq,
+                                StashedReq& req) {
+  obs::Tracer& tracer = net_.obs().tracer;
+  seen_[sender].insert(seq);
+  // Expired on dequeue: the deadline passed while the request was in
+  // flight or sat in the stash, so sequencing it would multicast work
+  // every member will only throw away.  The request was already acked and
+  // is recorded seen with the cursor advanced past it, so skipping assigns
+  // it no slot in the total order and stalls nobody (receivers track
+  // total_seq contiguity, not per-sender seq).
+  if (req.deadline > 0 && net_.simulator().now() >= req.deadline) {
+    ++stats_.expired_drops;
+    net_.obs().metrics.counter("rpc.expired_drops").inc();
+    tracer.event(net_.simulator().now(), obs::Category::kGroup, "expired",
+                 req.ctx.valid() ? req.ctx.child(tracer.mint_id())
+                                 : obs::CausalContext{},
+                 {{"sender", static_cast<double>(sender)},
+                  {"seq", static_cast<double>(seq)}});
+    return;
+  }
+  const std::uint64_t total_seq = next_total_seq_++;
+  // The sequencer's relay continues the originator's trace: the
+  // sequencing decision is a child of the arriving request, and the
+  // re-multicast + local delivery are children of the decision.
+  const obs::CausalContext sctx =
+      req.ctx.valid() ? req.ctx.child(tracer.mint_id())
+                      : obs::CausalContext{};
+  tracer.event(net_.simulator().now(), obs::Category::kGroup, "sequence",
+               sctx,
+               {{"sender", static_cast<double>(sender)},
+                {"seq", static_cast<double>(seq)},
+                {"total", static_cast<double>(total_seq)}});
+  const util::Buf wire = encode_data(sender, seq, total_seq, req.sent_at,
+                                     logical::VectorClock(), req.payload);
+  send_data(pending_key(sender, seq), wire, sctx, req.deadline);
+  // The sequencer's own delivery happens at sequencing time, keeping it
+  // consistent with the global order it just defined.
+  epoch_ = static_cast<std::uint32_t>(self_index_);
+  next_expected_total_ = total_seq + 1;
+  tail_push(static_cast<std::uint32_t>(sender), seq, epoch_, total_seq,
+            req.sent_at, req.payload);
+  Delivery d{.sender = sender,
+             .sender_addr = members_[sender],
+             .seq = seq,
+             .total_seq = total_seq,
+             .payload = std::move(req.payload),
+             .sent_at = req.sent_at,
+             .ctx = sctx.valid() ? sctx.child(tracer.mint_id())
+                                 : obs::CausalContext{}};
+  deliver_now(d);
+  req.payload = std::move(d.payload);  // the caller may recycle it
 }
 
 void GroupChannel::handle_data(const net::Message& msg) {
@@ -796,16 +823,23 @@ void GroupChannel::handle_data(const net::Message& msg) {
   const auto total_seq = r.get<std::uint64_t>();
   const auto epoch = r.get<std::uint32_t>();
   const auto sent_at = r.get<sim::TimePoint>();
-  logical::VectorClock vc = logical::VectorClock::decode(r);
-  std::string payload = r.get_string();
+  // Only causal order reads the clock; the others step over its bytes.
+  logical::VectorClock vc;
+  if (config_.ordering == Ordering::kCausal) {
+    vc = logical::VectorClock::decode(r);
+  } else {
+    r.skip_vector<std::uint64_t>();
+  }
+  const std::string_view payload = r.get_string_view();
   if (r.failed() || sender >= members_.size()) return;
 
+  // The payload is copied in only once the message is accepted (see
+  // try_deliver), so the dedupe and shed paths below never touch it.
   HeldBack hb;
   hb.delivery = {.sender = sender,
                  .sender_addr = members_[sender],
                  .seq = seq,
                  .total_seq = total_seq,
-                 .payload = std::move(payload),
                  .sent_at = sent_at,
                  // Even if delivery is deferred in the hold-back queue, the
                  // chain stays anchored to the network arrival.
@@ -864,11 +898,11 @@ void GroupChannel::handle_data(const net::Message& msg) {
       holdback_.erase(it);
       break;
     }
-    try_deliver(std::move(hb));
+    try_deliver(std::move(hb), payload);
     return;
   }
 
-  if (!seen_[sender].insert(seq).second) {
+  if (!seen_[sender].insert(seq)) {
     ++stats_.duplicates;
     return;
   }
@@ -880,7 +914,7 @@ void GroupChannel::handle_data(const net::Message& msg) {
     return;
   }
 
-  try_deliver(std::move(hb));
+  try_deliver(std::move(hb), payload);
 }
 
 bool GroupChannel::deliverable_now(const HeldBack& hb) const {
@@ -924,7 +958,9 @@ void GroupChannel::commit_order(const HeldBack& hb) {
   }
 }
 
-void GroupChannel::try_deliver(HeldBack hb) {
+void GroupChannel::try_deliver(HeldBack hb, std::string_view payload) {
+  hb.delivery.payload = std::exchange(rx_spare_, {});
+  hb.delivery.payload.assign(payload);
   if (!deliverable_now(hb)) {
     holdback_.push_back(std::move(hb));
     stats_.held_back_max =
@@ -941,6 +977,7 @@ void GroupChannel::try_deliver(HeldBack hb) {
   } else {
     deliver_now(hb.delivery);
   }
+  rx_spare_ = std::move(hb.delivery.payload);
   flush_holdback();
 }
 
@@ -961,6 +998,7 @@ void GroupChannel::flush_holdback() {
       } else {
         deliver_now(hb.delivery);
       }
+      rx_spare_ = std::move(hb.delivery.payload);
       progress = true;
       break;  // iterator invalidated; rescan
     }

@@ -22,6 +22,7 @@
 // compacted — so vector-clock components never need remapping mid-session.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -29,10 +30,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/network.hpp"
 #include "time/logical_clocks.hpp"
+#include "util/watermark_set.hpp"
 
 namespace coop::groups {
 
@@ -105,6 +108,55 @@ struct ChannelConfig {
   /// long for solicited summaries before proceeding with what arrived
   /// (covers survivors that die mid-recovery without a view change).
   sim::Duration recovery_timeout = sim::msec(500);
+};
+
+/// A set of member slots as a bitmask, iterated in ascending slot order.
+/// The first 64 slots live inline, so typical groups never allocate;
+/// larger groups spill the higher words into a vector.
+class SlotMask {
+ public:
+  void insert(std::size_t slot) {
+    std::uint64_t& w = word(slot);
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    if ((w & bit) == 0) ++count_;
+    w |= bit;
+  }
+  /// Removes @p slot; returns true if it was present.
+  bool erase(std::size_t slot) {
+    if (!contains(slot)) return false;
+    word(slot) &= ~(std::uint64_t{1} << (slot % 64));
+    --count_;
+    return true;
+  }
+  [[nodiscard]] bool contains(std::size_t slot) const noexcept {
+    const std::size_t w = slot / 64;
+    const std::uint64_t bits =
+        w == 0 ? low_ : (w - 1 < high_.size() ? high_[w - 1] : 0);
+    return ((bits >> (slot % 64)) & 1) != 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  /// Calls @p fn(slot) for every member, lowest slot first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t w = 0; w <= high_.size(); ++w) {
+      for (std::uint64_t bits = w == 0 ? low_ : high_[w - 1]; bits != 0;
+           bits &= bits - 1) {
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+ private:
+  std::uint64_t& word(std::size_t slot) {
+    const std::size_t w = slot / 64;
+    if (w == 0) return low_;
+    if (w > high_.size()) high_.resize(w, 0);
+    return high_[w - 1];
+  }
+
+  std::uint64_t low_ = 0;
+  std::vector<std::uint64_t> high_;
+  std::size_t count_ = 0;
 };
 
 /// Channel statistics for experiment accounting.
@@ -182,6 +234,11 @@ class GroupChannel : public net::Endpoint {
     return members_.size();
   }
   [[nodiscard]] bool is_sequencer() const noexcept;
+  /// The per-sender sequence numbers this member has recorded seen (by
+  /// receipt, or by delivery under kTotal failover replay).
+  [[nodiscard]] const util::WatermarkSet& seen(std::size_t sender) const {
+    return seen_[sender];
+  }
 
   void on_message(const net::Message& msg) override;
 
@@ -196,7 +253,7 @@ class GroupChannel : public net::Endpoint {
 
   struct Pending {  // sender side: awaiting acks
     util::Buf wire;                  ///< encoded DATA, shared by resends
-    std::set<std::size_t> awaiting;  ///< member slots yet to ack
+    SlotMask awaiting;               ///< member slots yet to ack
     int retries = 0;
     sim::EventId timer = sim::kInvalidEvent;
     bool is_total_req = false;       ///< re-route to new sequencer on fail
@@ -211,6 +268,13 @@ class GroupChannel : public net::Endpoint {
     bool phantom = false;  // kTotal replay: commit the slot, don't redeliver
   };
 
+  struct StashedReq {  // sequencer side: an ordering request not yet placed
+    sim::TimePoint sent_at;
+    std::string payload;
+    sim::TimePoint deadline = 0;  ///< from the request header; 0 = none
+    obs::CausalContext ctx{};  ///< context of the arriving ordering request
+  };
+
   void send_data(std::uint64_t seq, const util::Buf& wire,
                  const obs::CausalContext& ctx, sim::TimePoint deadline);
   void arm_retransmit(std::uint64_t seq);
@@ -223,7 +287,12 @@ class GroupChannel : public net::Endpoint {
   void handle_ack(const net::Message& msg);
   void handle_total_req(const net::Message& msg);
   void sequence_ready_reqs(std::size_t sender);
-  void try_deliver(HeldBack hb);
+  /// Assigns the next total_seq to a dequeued request, relays it and
+  /// delivers it locally.
+  void sequence_req(std::size_t sender, std::uint64_t seq, StashedReq& req);
+  /// Delivers @p hb (with @p payload) now if its order allows, else holds
+  /// it back.
+  void try_deliver(HeldBack hb, std::string_view payload);
   void flush_holdback();
   void deliver_now(const Delivery& d);
 
@@ -244,7 +313,7 @@ class GroupChannel : public net::Endpoint {
   std::uint64_t next_seq_ = 1;                   // own per-sender seq
   std::map<std::uint64_t, Pending> pending_;     // own unacked broadcasts
   std::vector<std::uint64_t> next_expected_;     // FIFO: per-sender cursor
-  std::vector<std::set<std::uint64_t>> seen_;    // dedupe per sender
+  std::vector<util::WatermarkSet> seen_;         // dedupe per sender
   std::deque<HeldBack> holdback_;
   logical::VectorClock vclock_;                  // causal state
 
@@ -252,18 +321,18 @@ class GroupChannel : public net::Endpoint {
   // requests are sequenced in per-sender seq order — not raw arrival
   // order — so total order preserves each sender's FIFO order even when
   // the network reorders requests in flight.
-  struct StashedReq {
-    sim::TimePoint sent_at;
-    std::string payload;
-    sim::TimePoint deadline = 0;  ///< from the request header; 0 = none
-    obs::CausalContext ctx{};  ///< context of the arriving ordering request
-  };
   std::uint64_t next_total_seq_ = 1;
   std::uint64_t next_expected_total_ = 1;  // receiver cursor for total order
   std::uint32_t epoch_ = 0;                // receiver: current sequencer slot
   bool resync_ = false;  // new sequencer: relax req contiguity once
   std::vector<std::uint64_t> next_req_;    // per-sender request cursor
   std::vector<std::map<std::uint64_t, StashedReq>> stashed_reqs_;
+
+  // Payload storage recycled across the kTotal hot path: each is moved out
+  // while in use (so a delivery callback that re-enters the channel just
+  // allocates) and moved back afterwards, handing its capacity on.
+  std::string rx_spare_;   // receiver: an arriving kData payload
+  std::string req_spare_;  // sequencer: an arriving request's payload
 
   // kTotal failover-recovery state (failover_replay).
   //
@@ -284,7 +353,7 @@ class GroupChannel : public net::Endpoint {
   struct RelayWait {  // an own broadcast not yet delivered back to us
     sim::TimePoint sent_at = 0;
     sim::TimePoint deadline = 0;
-    std::string payload;
+    util::Buf payload;  ///< pooled copy: no heap allocation once warm
     obs::CausalContext ctx{};
   };
   struct ReplayReq {  // recovered un-relayed request, keyed by (sender,seq)
@@ -294,7 +363,10 @@ class GroupChannel : public net::Endpoint {
     sim::TimePoint deadline = 0;
     std::string payload;
   };
-  std::deque<TailEntry> delivered_tail_;
+  // Fixed ring of the last recovery_tail deliveries (grown on first use,
+  // then overwritten in place so each entry reuses its payload capacity).
+  std::vector<TailEntry> delivered_tail_;
+  std::size_t tail_next_ = 0;  // slot the next push overwrites once full
   std::map<std::uint64_t, RelayWait> relay_wait_;  // own seq -> payload
   bool recovering_ = false;
   std::set<std::size_t> recover_await_;            // slots yet to answer
@@ -311,7 +383,15 @@ class GroupChannel : public net::Endpoint {
   }
   void tail_push(std::uint32_t sender, std::uint64_t seq, std::uint32_t epoch,
                  std::uint64_t total, sim::TimePoint sent_at,
-                 const std::string& payload);
+                 std::string_view payload);
+  /// Calls @p fn on every retained tail entry, oldest first.
+  template <typename Fn>
+  void for_each_tail(Fn&& fn) const {
+    const std::size_t n = delivered_tail_.size();
+    const std::size_t first = n < config_.recovery_tail ? 0 : tail_next_;
+    for (std::size_t i = 0; i < n; ++i)
+      fn(delivered_tail_[(first + i) % n]);
+  }
   void begin_recovery();
   void send_solicits();
   void handle_solicit(const net::Message& msg);

@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace coop::net {
@@ -98,14 +99,19 @@ std::uint64_t Network::multicast(McastId group, Message msg) {
   auto it = mcast_groups_.find(group);
   if (it == mcast_groups_.end()) return id;
   // Snapshot membership: joins/leaves during transit do not affect copies
-  // already in flight (matching IP multicast behaviour).
-  const std::set<Address> members = it->second;
-  for (const Address& member : members) {
+  // already in flight (matching IP multicast behaviour).  The snapshot
+  // vector is reused across calls; transmit() only schedules deliveries,
+  // so nothing below can re-enter multicast() and overwrite it mid-loop.
+  assert(!in_multicast_ && "multicast() re-entered from transmit()");
+  in_multicast_ = true;
+  mcast_snapshot_.assign(it->second.begin(), it->second.end());
+  for (const Address& member : mcast_snapshot_) {
     if (member == msg.src) continue;
     Message copy = msg;
     copy.dst = member;
     transmit(std::move(copy));
   }
+  in_multicast_ = false;
   return id;
 }
 

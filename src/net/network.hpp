@@ -272,6 +272,8 @@ class Network {
   std::unordered_map<std::uint64_t, LinkState> link_states_;
   std::unordered_map<Address, Endpoint*> endpoints_;
   std::map<McastId, std::set<Address>> mcast_groups_;
+  std::vector<Address> mcast_snapshot_;  // multicast()'s reused member copy
+  bool in_multicast_ = false;
   std::set<NodeId> crashed_;
   std::unordered_map<NodeId, Connectivity> connectivity_;
   bool partitioned_ = false;

@@ -194,15 +194,19 @@ class Reader {
     return value;
   }
 
-  /// Reads a length-prefixed string.  The bound is checked as
-  /// `len > remaining` (never `pos_ + len`, which can wrap size_t).
-  std::string get_string() {
+  /// Reads a length-prefixed string.
+  std::string get_string() { return std::string(get_string_view()); }
+
+  /// get_string() without the copy: a view into the Reader's input, valid
+  /// as long as that input is.  The bound is checked as `len > remaining`
+  /// (never `pos_ + len`, which can wrap size_t).
+  std::string_view get_string_view() {
     const auto len = get<std::uint32_t>();
     if (failed_ || len > data_.size() - pos_) {
       failed_ = true;
       return {};
     }
-    std::string s(data_.substr(pos_, len));
+    const std::string_view s = data_.substr(pos_, len);
     pos_ += len;
     return s;
   }
@@ -237,6 +241,19 @@ class Reader {
     v.reserve(len);
     for (std::uint32_t i = 0; i < len; ++i) v.push_back(get<T>());
     return v;
+  }
+
+  /// Steps over a vector written by put_vector, with get_vector's bounds
+  /// check (so a malformed length fails the Reader the same way).
+  template <typename T>
+    requires(std::is_arithmetic_v<T>)
+  void skip_vector() {
+    const auto len = get<std::uint32_t>();
+    if (failed_ || len > (data_.size() - pos_) / sizeof(T)) {
+      failed_ = true;
+      return;
+    }
+    pos_ += len * sizeof(T);
   }
 
   /// True if any read overran the buffer; once set, stays set.

@@ -2,6 +2,7 @@
 // randomized sweeps over lossy, jittery networks.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -416,6 +417,136 @@ TEST(GroupChannel, SequencerCrashWithConcurrentSendersConverges) {
     EXPECT_EQ(h.payloads(3), ref) << "seed " << seed;
     for (std::size_t m = 1; m < 4; ++m)
       EXPECT_EQ(h.members[m]->chan->stats().failover_lost, 0u);
+  }
+}
+
+TEST(SlotMask, IteratesAscendingAcrossTheInlineWord) {
+  SlotMask m;
+  EXPECT_TRUE(m.empty());
+  for (std::size_t slot : {130u, 3u, 64u, 0u, 63u, 3u}) m.insert(slot);
+  std::vector<std::size_t> seen;
+  m.for_each([&](std::size_t slot) { seen.push_back(slot); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 3, 63, 64, 130}));
+  EXPECT_TRUE(m.contains(64));
+  EXPECT_FALSE(m.contains(65));
+  EXPECT_FALSE(m.contains(1000));  // beyond every stored word
+  EXPECT_TRUE(m.erase(64));
+  EXPECT_FALSE(m.erase(64));
+  EXPECT_FALSE(m.erase(1000));
+  for (std::size_t slot : {0u, 3u, 63u, 130u}) EXPECT_TRUE(m.erase(slot));
+  EXPECT_TRUE(m.empty());
+}
+
+// Dedupe state is bounded by the reorder window, not by history: after a
+// long lossy kTotal session quiesces, every member's per-sender seen set is
+// one watermark with nothing above it.  Run with dedupe by delivery
+// (failover replay, the default) and by receipt (replay off), where
+// retransmissions do leave transient values above the watermark.
+TEST(GroupChannel, SeenSetsDrainToAWatermarkAfterLongTotalSession) {
+  for (const bool replay : {true, false}) {
+    SCOPED_TRACE(replay ? "replay on" : "replay off");
+    const std::size_t n = 12;
+    const int broadcasts = 10000;
+    Harness h(n,
+              {.ordering = Ordering::kTotal,
+               .retransmit_timeout = sim::msec(20),
+               .max_retransmits = 100,
+               .failover_replay = replay},
+              /*seed=*/77);
+    h.net.set_default_link({.latency = sim::msec(2), .jitter = sim::msec(2),
+                            .bandwidth_bps = 100e6, .loss = 0.02});
+    std::vector<std::uint64_t> sent(n, 0);
+    for (int i = 0; i < broadcasts; ++i) {
+      const auto m = static_cast<std::size_t>(i) % n;
+      ++sent[m];
+      h.sim.schedule_at(sim::usec(300) * i, [&h, m, i] {
+        (void)h.members[m]->chan->broadcast("b" + std::to_string(i));
+      });
+    }
+    h.sim.run();
+    for (std::size_t m = 0; m < n; ++m) {
+      const GroupChannel& c = *h.members[m]->chan;
+      ASSERT_EQ(h.members[m]->log.size(), static_cast<std::size_t>(broadcasts))
+          << "member " << m;
+      for (std::size_t s = 0; s < n; ++s) {
+        EXPECT_EQ(c.seen(s).sparse_size(), 0u) << "member " << m << " sender "
+                                               << s;
+        EXPECT_EQ(c.seen(s).watermark(), sent[s] + 1)
+            << "member " << m << " sender " << s;
+      }
+    }
+    for (std::size_t m = 1; m < n; ++m) EXPECT_EQ(h.payloads(m), h.payloads(0));
+  }
+}
+
+// Sequencer failover over a hole.  The sequencer's relay of one broadcast
+// to the survivor that will be promoted is dropped (corrupted in flight),
+// as are the sequencer's acks of that request and the next one, so the
+// sender still holds both when the sequencer crashes.  The promoted
+// sequencer must resume at the hole: its first new-epoch slot is the
+// missing message, and every survivor ends with the same log holding
+// every broadcast (the R4 agreement and acked-delivery invariants).  With
+// dedupe by receipt (replay off) the survivor's seen set also holds the
+// later message above its watermark, so the prefix scan has to stop at the
+// hole rather than at the top of the set.
+TEST(GroupChannel, PromotedSequencerResumesAtAHoleInItsSeenSet) {
+  for (const bool replay : {true, false}) {
+    SCOPED_TRACE(replay ? "replay on" : "replay off");
+    // Slots: 0 sequencer (node 1), 1 promoted survivor (node 2), 2 sender
+    // (node 3), 3 bystander (node 4).
+    Harness h(4,
+              {.ordering = Ordering::kTotal,
+               .retransmit_timeout = sim::msec(200),
+               .max_retransmits = 30,
+               .failover_replay = replay},
+              /*seed=*/5);
+    h.net.set_default_link({.latency = sim::msec(3), .jitter = 0,
+                            .bandwidth_bps = 10e6, .loss = 0});
+    constexpr std::uint64_t kHole = 4;
+    // Wire layout shared by kData (type 1) and kAck (type 2): type byte,
+    // then the u32 sender slot and the u64 per-sender seq.
+    h.net.set_inject_hook([](const net::Message& m) {
+      net::InjectDecision d;
+      if (m.src.node != 1 || m.payload.size() < 13) return d;
+      const auto type = static_cast<std::uint8_t>(m.payload[0]);
+      std::uint32_t sender = 0;
+      std::uint64_t seq = 0;
+      std::memcpy(&sender, m.payload.data() + 1, sizeof sender);
+      std::memcpy(&seq, m.payload.data() + 5, sizeof seq);
+      if (sender != 2) return d;
+      d.corrupt = (type == 1 && m.dst.node == 2 && seq == kHole) ||
+                  (type == 2 && m.dst.node == 3 && seq >= kHole);
+      return d;
+    });
+    for (int i = 1; i <= 5; ++i) {
+      h.sim.schedule_at(sim::msec(5) * i, [&h, i] {
+        (void)h.members[2]->chan->broadcast("m" + std::to_string(i));
+      });
+    }
+    const GroupChannel& promoted = *h.members[1]->chan;
+    h.sim.schedule_at(sim::msec(50), [&] {
+      // The hole: the promoted survivor's watermark for the sender stops
+      // at it while the bystander is past both messages.
+      EXPECT_EQ(promoted.seen(2).watermark(), kHole);
+      EXPECT_EQ(promoted.seen(2).sparse_size(), replay ? 0u : 1u);
+      EXPECT_EQ(h.members[3]->chan->seen(2).watermark(), kHole + 2);
+      h.net.crash(1);
+      for (std::size_t m = 1; m < 4; ++m)
+        h.members[m]->chan->mark_failed(h.members[0]->chan->self());
+    });
+    h.sim.run();
+    ASSERT_TRUE(promoted.is_sequencer());
+    const std::vector<std::string> want{"m1", "m2", "m3", "m4", "m5"};
+    for (std::size_t m = 1; m < 4; ++m) {
+      EXPECT_EQ(h.payloads(m), want) << "member " << m;
+      EXPECT_EQ(h.members[m]->chan->seen(2).sparse_size(), 0u) << m;
+    }
+    // The promoted sequencer's new epoch starts with the hole.
+    const auto& log = h.members[1]->log;
+    ASSERT_EQ(log.size(), want.size());
+    EXPECT_EQ(log[kHole - 1].seq, kHole);
+    EXPECT_EQ(log[kHole - 1].total_seq, 1u);
+    EXPECT_EQ(log[kHole].total_seq, 2u);
   }
 }
 

@@ -7,11 +7,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "groups/group_channel.hpp"
+#include "groups/membership.hpp"
+#include "groupware/session.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/small_fn.hpp"
@@ -430,6 +434,78 @@ TEST(ZeroAllocTest, SteadyStateUnicastPathDoesNotTouchTheHeap) {
   EXPECT_EQ(allocs, 0u) << "steady-state unicast performed " << allocs
                         << " heap allocations across 256 deliveries";
   EXPECT_EQ(sink.count, 128u + 256u);
+#endif
+}
+
+// kTotal broadcasts through a warmed-up 12-member SessionGroup (membership
+// plus a total-order GroupChannel): one ordering request to the sequencer,
+// its relay to 11 members, 12 deliveries and 12 acks per broadcast, with
+// the membership heartbeats of the same virtual interval charged to the
+// broadcasts too.  The payload is longer than std::string's inline buffer,
+// so any per-delivery payload copy would show as 11 or more allocations.
+//
+// Ceiling: 4 allocations per broadcast.  A member other than the
+// sequencer pays exactly 4: the caller's payload string, the sender's
+// relay-wait and pending-table map nodes, and the sequencer's
+// pending-table node.  The sequencer's own broadcasts pay 2, and the
+// heartbeats none, so the measured mean is 3.83 (GCC 12, libstdc++).
+// With a std::set per sender for dedupe and ack sets, a copied member set
+// per multicast and a payload copy per delivery it was 68.1.
+TEST(ZeroAllocTest, SessionGroupTotalBroadcastStaysUnderAllocationCeiling) {
+#if !COOP_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
+#else
+  constexpr double kCeiling = 4.0;  // allocations per broadcast
+  constexpr int kMembers = 12;
+  constexpr int kBroadcasts = 480;
+  sim::Simulator sim{5};
+  net::Network net{sim};
+  net.set_default_link({.latency = sim::msec(2), .jitter = sim::usec(500),
+                        .bandwidth_bps = 0, .loss = 0});
+  const net::Address coord_addr{100, 1};
+  groups::MembershipCoordinator coord(net, coord_addr);
+  std::vector<net::NodeId> roster;
+  for (net::NodeId n = 1; n <= kMembers; ++n) roster.push_back(n);
+  groups::ChannelConfig ccfg;
+  ccfg.ordering = groups::Ordering::kTotal;
+  std::vector<std::unique_ptr<groupware::SessionGroup>> members;
+  std::uint64_t delivered = 0;
+  for (const net::NodeId n : roster) {
+    members.push_back(std::make_unique<groupware::SessionGroup>(
+        net, n, roster, coord_addr, /*group=*/7, groupware::SessionPorts{},
+        groups::MembershipConfig{}, ccfg));
+    members.back()->on_deliver([&](const groups::Delivery&) { ++delivered; });
+    members.back()->join();
+  }
+  sim.run_until(sim::sec(1));
+  for (const auto& m : members) {
+    ASSERT_TRUE(m->member().view().has_value());
+    ASSERT_EQ(m->member().view()->members.size(),
+              static_cast<std::size_t>(kMembers));
+  }
+
+  const std::string payload(48, 'p');
+  auto run = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      (void)members[static_cast<std::size_t>(i % kMembers)]->broadcast(
+          payload);
+      sim.run_until(sim.now() + sim::msec(5));
+    }
+    sim.run_until(sim.now() + sim::msec(100));  // every ack is in
+  };
+  // Warm-up: tables, rings, spare payloads, pools and the tracer reach
+  // their steady-state capacity.
+  run(kBroadcasts);
+  const std::uint64_t delivered_before = delivered;
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  run(kBroadcasts);
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(delivered - delivered_before,
+            static_cast<std::uint64_t>(kBroadcasts * kMembers));
+  const double per_broadcast = static_cast<double>(allocs) / kBroadcasts;
+  EXPECT_LE(per_broadcast, kCeiling)
+      << allocs << " allocations across " << kBroadcasts << " broadcasts";
 #endif
 }
 

@@ -89,6 +89,38 @@ TEST(Codec, MaliciousVectorLengthFailsInsteadOfAllocating) {
   EXPECT_TRUE(r.failed());
 }
 
+TEST(Codec, SkipVectorLandsWhereGetVectorDoes) {
+  Writer w;
+  w.put_vector<std::uint64_t>({7, 8, 9});
+  w.put_string("after");
+  const std::string buf = w.take();
+  Reader got(buf);
+  got.skip_vector<std::uint64_t>();
+  EXPECT_EQ(got.get_string_view(), "after");
+  EXPECT_TRUE(got.exhausted());
+  // A length the remaining bytes cannot hold fails both the same way.
+  for (const std::uint32_t len : {4u, 0xffffffffu}) {
+    Writer bad;
+    bad.put<std::uint32_t>(len).put<std::uint64_t>(1).put<std::uint64_t>(2);
+    const std::string frame = bad.take();
+    Reader skip(frame);
+    Reader read(frame);
+    skip.skip_vector<std::uint64_t>();
+    EXPECT_TRUE(read.get_vector<std::uint64_t>().empty());
+    EXPECT_TRUE(skip.failed()) << len;
+    EXPECT_TRUE(read.failed()) << len;
+  }
+}
+
+TEST(Codec, TruncatedStringViewFails) {
+  Writer w;
+  w.put<std::uint32_t>(100);
+  const std::string buf = w.take();
+  Reader r(buf);
+  EXPECT_TRUE(r.get_string_view().empty());
+  EXPECT_TRUE(r.failed());
+}
+
 TEST(Stats, SummaryBasicMoments) {
   Summary s;
   for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
