@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -251,41 +250,16 @@ BENCHMARK(BM_E12Parity)
     ->ArgsProduct({{100, 300, 1000}, {1, 2, 3}})
     ->Iterations(1);
 
+/// A non-zero exit code when any brute-vs-indexed replay diverged, so CI
+/// fails on the parity contract itself rather than on an artifact diff.
+int parity_verdict(obs::Obs&) {
+  if (g_parity_failures == 0) return 0;
+  std::fprintf(stderr, "awareness parity FAILED: %llu divergent run(s)\n",
+               static_cast<unsigned long long>(g_parity_failures));
+  return 2;
+}
+
 }  // namespace
 
-// COOP_BENCH_MAIN with one addition: a non-zero exit code when any
-// brute-vs-indexed replay diverged, so CI fails on the parity contract
-// itself rather than on an artifact diff.
-int main(int argc, char** argv) {
-  coop::obs::Obs obs;
-  coop::obs::ScopedDefaultObs ambient(&obs);
-  obs.meta.knobs["tag"] = "e12_awareness";
-  obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
-  if (const char* cap = std::getenv("COOP_TRACE_CAP"))
-    obs.meta.knobs["COOP_TRACE_CAP"] = cap;
-  {
-    std::string args;
-    for (int i = 1; i < argc; ++i) {
-      if (i > 1) args += ' ';
-      args += argv[i];
-    }
-    if (!args.empty()) obs.meta.knobs["argv"] = args;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  obs.meta.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-  if (!coop::obs::write_bench_artifacts(obs, "e12_awareness")) {
-    std::fprintf(stderr, "warning: failed to write BENCH_e12_awareness.*\n");
-  }
-  if (g_parity_failures > 0) {
-    std::fprintf(stderr, "awareness parity FAILED: %llu divergent run(s)\n",
-                 static_cast<unsigned long long>(g_parity_failures));
-    return 2;
-  }
-  return 0;
-}
+#include "bench_harness.hpp"
+COOP_BENCH_MAIN("e12_awareness", {.verdict = parity_verdict})

@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -401,42 +400,18 @@ BENCHMARK(BM_E13_SpaceTime)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
+/// The in-binary parity verdict: any oracle mismatch fails the binary
+/// (and with it the shard-parity CI job), not just a counter in the
+/// artifact.
+int parity_verdict(obs::Obs& obs) {
+  obs.meta.knobs["e13.parity_failures"] = std::to_string(g_parity_failures);
+  if (g_parity_failures == 0) return 0;
+  std::fprintf(stderr, "E13: %d parity failure(s) — sharded kernel diverged "
+               "from the serial oracle\n", g_parity_failures);
+  return 3;
+}
+
 }  // namespace
 
-// COOP_BENCH_MAIN plus the in-binary parity verdict: any oracle mismatch
-// fails the binary (and with it the shard-parity CI job), not just a
-// counter in the artifact.
-int main(int argc, char** argv) {
-  coop::obs::Obs obs;
-  coop::obs::ScopedDefaultObs ambient(&obs);
-  obs.meta.knobs["tag"] = "e13_million_users";
-  obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
-  if (const char* cap = std::getenv("COOP_TRACE_CAP"))
-    obs.meta.knobs["COOP_TRACE_CAP"] = cap;
-  {
-    std::string args;
-    for (int i = 1; i < argc; ++i) {
-      if (i > 1) args += ' ';
-      args += argv[i];
-    }
-    if (!args.empty()) obs.meta.knobs["argv"] = args;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  obs.meta.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-  obs.meta.knobs["e13.parity_failures"] = std::to_string(g_parity_failures);
-  if (!coop::obs::write_bench_artifacts(obs, "e13_million_users")) {
-    std::fprintf(stderr, "warning: failed to write BENCH_e13_million_users.*\n");
-  }
-  if (g_parity_failures != 0) {
-    std::fprintf(stderr, "E13: %d parity failure(s) — sharded kernel diverged "
-                 "from the serial oracle\n", g_parity_failures);
-    return 3;
-  }
-  return 0;
-}
+#include "bench_harness.hpp"
+COOP_BENCH_MAIN("e13_million_users", {.verdict = parity_verdict})

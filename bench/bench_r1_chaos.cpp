@@ -22,9 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -721,13 +719,9 @@ BENCHMARK(BM_ChaosSoak)
     ->ArgsProduct({{0, 1, 2, 3}, benchmark::CreateDenseRange(1, 20, 1)})
     ->Iterations(1);
 
-}  // namespace
-
-// COOP_BENCH_MAIN with one addition: a non-zero exit code when any run
-// violated an invariant, so CI fails on the soak, not on a diff.
-int main(int argc, char** argv) {
-  // --durable (stripped before benchmark::Initialize): run the soak
-  // against real WAL+checkpoint replicas instead of harness-owned maps.
+/// --durable (stripped before argv is recorded): run the soak against
+/// real WAL+checkpoint replicas instead of harness-owned maps.
+const char* take_durable_flag(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--durable") {
       g_durable = true;
@@ -736,43 +730,28 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  const char* tag = g_durable ? "r1_durable" : "r1_chaos";
-  coop::obs::Obs obs;
-  coop::obs::ScopedDefaultObs ambient(&obs);
-  obs.meta.knobs["tag"] = tag;
-  obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
-  if (const char* cap = std::getenv("COOP_TRACE_CAP"))
-    obs.meta.knobs["COOP_TRACE_CAP"] = cap;
-  {
-    std::string args;
-    for (int i = 1; i < argc; ++i) {
-      if (i > 1) args += ' ';
-      args += argv[i];
-    }
-    if (!args.empty()) obs.meta.knobs["argv"] = args;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  obs.meta.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-  if (!coop::obs::write_bench_artifacts(obs, tag)) {
-    std::fprintf(stderr, "warning: failed to write BENCH_%s.*\n", tag);
-  }
+  return g_durable ? "r1_durable" : "r1_chaos";
+}
+
+/// A non-zero exit code when any run violated an invariant (2) or
+/// overspent an SLO budget (3).  Breach budgets already tolerate the
+/// fault horizon, so an SLO violation means a run failed to *recover*.
+int soak_verdict(obs::Obs&) {
   if (g_total_violations > 0) {
     std::fprintf(stderr, "chaos soak FAILED: %llu invariant violation(s)\n",
                  static_cast<unsigned long long>(g_total_violations));
     return 2;
   }
-  // Opt-in SLO-checked soak: breach budgets already tolerate the fault
-  // horizon, so a violation here means a run failed to *recover*.
-  if (g_slo_violations > 0 && std::getenv("COOP_SLO_STRICT") != nullptr) {
+  if (g_slo_violations > 0) {
     std::fprintf(stderr, "chaos soak FAILED: %llu SLO violation(s)\n",
                  static_cast<unsigned long long>(g_slo_violations));
     return 3;
   }
   return 0;
 }
+
+}  // namespace
+
+#include "bench_harness.hpp"
+COOP_BENCH_MAIN("r1_chaos", {.argv_filter = take_durable_flag,
+                             .verdict = soak_verdict})

@@ -26,9 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -247,19 +245,7 @@ BENCHMARK(BM_OverloadSweep)
                    benchmark::CreateDenseRange(1, 10, 1)})
     ->Iterations(1);
 
-}  // namespace
-
-// COOP_BENCH_MAIN with two additions: a non-zero exit code when any run
-// violated an invariant (so CI fails on the soak itself, not on a diff),
-// and an SLO watchdog over the representative traced run — with
-// COOP_SLO_STRICT set, an overspent objective also fails the soak.
-int main(int argc, char** argv) {
-  coop::obs::Obs obs;
-  coop::obs::ScopedDefaultObs ambient(&obs);
-  obs.meta.knobs["tag"] = "r2_overload";
-  obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
-  if (const char* cap = std::getenv("COOP_TRACE_CAP"))
-    obs.meta.knobs["COOP_TRACE_CAP"] = cap;
+void add_slo_rules(obs::Obs& obs) {
   // Objectives for the representative enabled x4 run (the only one that
   // feeds the ambient timeseries).  Bounds skip warm-up and the drain
   // tail, where a goodput floor would fire on intentional silence.
@@ -296,41 +282,28 @@ int main(int argc, char** argv) {
                     .kind = obs::SloRule::Kind::kRateCeiling,
                     .threshold = 500.0,
                     .allowed_breach_windows = 25});
-  {
-    std::string args;
-    for (int i = 1; i < argc; ++i) {
-      if (i > 1) args += ' ';
-      args += argv[i];
-    }
-    if (!args.empty()) obs.meta.knobs["argv"] = args;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  obs.meta.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-  if (!coop::obs::write_bench_artifacts(obs, "r2_overload")) {
-    std::fprintf(stderr, "warning: failed to write BENCH_r2_overload.*\n");
-  }
+}
+
+/// A non-zero exit code when any run violated an invariant (2), so CI
+/// fails on the soak itself, not on a diff, or when the SLO watchdog
+/// over the representative traced run saw an overspent objective (3).
+int soak_verdict(obs::Obs& obs) {
   if (g_total_violations > 0) {
     std::fprintf(stderr,
                  "overload soak FAILED: %llu invariant violation(s)\n",
                  static_cast<unsigned long long>(g_total_violations));
     return 2;
   }
-  // write_bench_artifacts() sealed the tail window, so the watchdog has
-  // seen every window.  Report always; fail only in strict mode.
-  if (obs.slo.violations() > 0) {
-    for (const std::string& msg : obs.slo.violation_messages())
-      std::fprintf(stderr, "SLO VIOLATION: %s\n", msg.c_str());
-    if (std::getenv("COOP_SLO_STRICT") != nullptr) {
-      std::fprintf(stderr, "overload soak FAILED: %zu SLO violation(s)\n",
-                   obs.slo.violations());
-      return 3;
-    }
-  }
-  return 0;
+  if (obs.slo.violations() == 0) return 0;
+  for (const std::string& msg : obs.slo.violation_messages())
+    std::fprintf(stderr, "SLO VIOLATION: %s\n", msg.c_str());
+  std::fprintf(stderr, "overload soak FAILED: %zu SLO violation(s)\n",
+               obs.slo.violations());
+  return 3;
 }
+
+}  // namespace
+
+#include "bench_harness.hpp"
+COOP_BENCH_MAIN("r2_overload", {.setup = add_slo_rules,
+                                .verdict = soak_verdict})

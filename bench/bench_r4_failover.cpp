@@ -30,9 +30,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -347,39 +345,16 @@ BENCHMARK(BM_FailoverSoak)
                    benchmark::CreateDenseRange(1, 20, 1)})
     ->Iterations(1);
 
+/// A non-zero exit code when any run violated an invariant, so CI fails
+/// on the soak, not on a diff.
+int soak_verdict(obs::Obs&) {
+  if (g_total_violations == 0) return 0;
+  std::fprintf(stderr, "failover soak FAILED: %llu invariant violation(s)\n",
+               static_cast<unsigned long long>(g_total_violations));
+  return 2;
+}
+
 }  // namespace
 
-// COOP_BENCH_MAIN with one addition: a non-zero exit code when any run
-// violated an invariant, so CI fails on the soak, not on a diff.
-int main(int argc, char** argv) {
-  coop::obs::Obs obs;
-  coop::obs::ScopedDefaultObs ambient(&obs);
-  obs.meta.knobs["tag"] = "r4_failover";
-  obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
-  {
-    std::string args;
-    for (int i = 1; i < argc; ++i) {
-      if (i > 1) args += ' ';
-      args += argv[i];
-    }
-    if (!args.empty()) obs.meta.knobs["argv"] = args;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  obs.meta.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-  if (!coop::obs::write_bench_artifacts(obs, "r4_failover")) {
-    std::fprintf(stderr, "warning: failed to write BENCH_r4_failover.*\n");
-  }
-  if (g_total_violations > 0) {
-    std::fprintf(stderr,
-                 "failover soak FAILED: %llu invariant violation(s)\n",
-                 static_cast<unsigned long long>(g_total_violations));
-    return 2;
-  }
-  return 0;
-}
+#include "bench_harness.hpp"
+COOP_BENCH_MAIN("r4_failover", {.verdict = soak_verdict})

@@ -1,4 +1,5 @@
-// T1 — wall-clock throughput of the hot message path.
+// T1 — wall-clock throughput of the hot message path, plus four outcome
+// hashes that pin its virtual-time behaviour.
 //
 // Every other bench in this suite reports *virtual-time* quality metrics
 // (latencies, miss rates, fairness).  T1 measures the one thing those hide:
@@ -6,9 +7,9 @@
 // through per wall-clock second.  That number caps experiment scale — E12
 // tops out near 10k participants not because the model breaks but because
 // the host runs out of patience — so it is tracked as a first-class,
-// regression-guarded metric (scripts/bench_t1_gate.sh).
+// regression-guarded metric.
 //
-// Three drivers, shaped after the experiments that stress each hot path:
+// Four drivers, shaped after the experiments that stress each hot path:
 //
 //   group     (E8 shape)  — reliable FIFO multicast storm: fan-out copies,
 //                           ack implosion, retransmit timers.
@@ -25,17 +26,17 @@
 //
 // Each driver is a pure function of its seed in virtual time: it folds an
 // FNV-1a hash over its delivery sequence and final counters.  The hashes
-// land in the BENCH artifact knobs, so the artifact diff (and the recorded
-// baseline in bench/baselines/) catches any change to simulated behaviour;
-// only the wall-clock figures may move.  A fixed CPU-bound calibration loop
-// is timed alongside the drivers so the regression gate can compare
-// machine-normalized throughput rather than raw events/sec.
+// land in the BENCH artifact knobs as t1.<driver>.hash, and
+// scripts/bench_t1_gate.sh pins them against bench/baselines/
+// t1_baseline.json; only the wall-clock figures may move.  Those are the
+// events_per_sec and messages_per_sec benchmark counters (read them with
+// BENCHMARK_OUT=<file> BENCHMARK_OUT_FORMAT=json);
+// scripts/artifact_ab_gate.sh compares events_per_sec against the
+// merge-base on the same host.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,7 +56,6 @@ struct Outcome {
   std::uint64_t kernel_events = 0;   ///< sim events executed by the driver
   std::uint64_t messages = 0;        ///< datagrams transmitted
   std::uint64_t deliveries = 0;      ///< application-level deliveries
-  std::int64_t sim_span_us = 0;      ///< virtual time the driver covered
   double wall_s = 0;                 ///< wall-clock seconds (nondeterministic)
 };
 
@@ -76,14 +76,6 @@ std::string hex64(std::uint64_t v) {
     s[static_cast<std::size_t>(i)] = hex_digit(v & 0xf);
   return s;
 }
-
-struct DriverReport {
-  const char* name = nullptr;
-  Outcome out;
-};
-
-DriverReport g_reports[4];
-double g_calib_mhps = 0;  ///< calibration: FNV MB hashed per wall second
 
 // --- drivers ---------------------------------------------------------------
 
@@ -138,7 +130,6 @@ Outcome run_group_storm(std::uint64_t seed) {
                    .count();
   out.kernel_events = sim.events_processed();
   out.messages = p.network().stats().sent - sent0;
-  out.sim_span_us = sim.now();
   for (const auto& ch : chans) {
     fnv_mix(out.hash, ch->stats().delivered);
     fnv_mix(out.hash, ch->stats().retransmits);
@@ -203,7 +194,6 @@ Outcome run_rpc_storm(std::uint64_t seed) {
                    .count();
   out.kernel_events = sim.events_processed();
   out.messages = p.network().stats().sent - sent0;
-  out.sim_span_us = sim.now();
   fnv_mix(out.hash, server.requests_handled());
   fnv_mix(out.hash, server.shed_total());
   fnv_mix(out.hash, p.network().stats().delivered);
@@ -286,7 +276,6 @@ Outcome run_awareness_churn(std::uint64_t seed) {
                    .count();
   out.kernel_events = sim.events_processed();
   out.messages = 0;
-  out.sim_span_us = sim.now();
   fnv_mix(out.hash, engine.stats().published);
   fnv_mix(out.hash, out.deliveries);
   fnv_mix(out.hash, static_cast<std::uint64_t>(sim.now()));
@@ -382,7 +371,6 @@ Outcome run_sharded_storm(std::uint64_t seed) {
                    .count();
   out.kernel_events = eng.events_processed();
   out.messages = eng.cross_shard_messages();
-  out.sim_span_us = eng.now();
   for (const P& p : world.ps) fnv_mix(out.hash, p.acc);
   fnv_mix(out.hash, eng.epochs() != 0 ? 1 : 0);
   fnv_mix(out.hash, eng.lookahead_violations());
@@ -390,31 +378,13 @@ Outcome run_sharded_storm(std::uint64_t seed) {
   return out;
 }
 
-/// Fixed CPU-bound work (FNV over 64 MiB), timed: a machine-speed score so
-/// the regression gate compares events/sec *per unit of host speed* and a
-/// slower CI box does not read as a platform regression.
-double run_calibration() {
-  std::vector<std::uint8_t> buf(1 << 20);
-  for (std::size_t i = 0; i < buf.size(); ++i)
-    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t h = 1469598103934665603ULL;
-  for (int pass = 0; pass < 64; ++pass) {
-    for (const std::uint8_t b : buf) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-  }
-  const double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  benchmark::DoNotOptimize(h);
-  return 64.0 / secs;  // MiB hashed per second
-}
-
 // --- registration ----------------------------------------------------------
 
-void report(benchmark::State& state, const Outcome& out) {
+/// Publishes @p out: its hash as the t1.<name>.hash artifact knob, its
+/// wall-clock rates as benchmark counters.
+void report(benchmark::State& state, const char* name, const Outcome& out) {
+  obs::default_obs()->meta.knobs[std::string("t1.") + name + ".hash"] =
+      hex64(out.hash);
   state.counters["events_per_sec"] =
       static_cast<double>(out.kernel_events) / out.wall_s;
   state.counters["messages_per_sec"] =
@@ -426,29 +396,25 @@ void report(benchmark::State& state, const Outcome& out) {
 void BM_T1_Group(benchmark::State& state) {
   Outcome out;
   for (auto _ : state) out = run_group_storm(/*seed=*/101);
-  g_reports[0] = {"group", out};
-  report(state, out);
+  report(state, "group", out);
 }
 
 void BM_T1_Rpc(benchmark::State& state) {
   Outcome out;
   for (auto _ : state) out = run_rpc_storm(/*seed=*/102);
-  g_reports[1] = {"rpc", out};
-  report(state, out);
+  report(state, "rpc", out);
 }
 
 void BM_T1_Awareness(benchmark::State& state) {
   Outcome out;
   for (auto _ : state) out = run_awareness_churn(/*seed=*/103);
-  g_reports[2] = {"awareness", out};
-  report(state, out);
+  report(state, "awareness", out);
 }
 
 void BM_T1_Sharded(benchmark::State& state) {
   Outcome out;
   for (auto _ : state) out = run_sharded_storm(/*seed=*/104);
-  g_reports[3] = {"sharded", out};
-  report(state, out);
+  report(state, "sharded", out);
 }
 
 BENCHMARK(BM_T1_Group)->Iterations(1);
@@ -456,77 +422,7 @@ BENCHMARK(BM_T1_Rpc)->Iterations(1);
 BENCHMARK(BM_T1_Awareness)->Iterations(1);
 BENCHMARK(BM_T1_Sharded)->Iterations(1);
 
-/// Machine-readable report for scripts/bench_t1_gate.sh.  Wall-clock
-/// figures are nondeterministic by nature, so they live here rather than
-/// in the BENCH artifact (which must stay byte-stable modulo wall_ms).
-bool write_t1_report(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"calibration_mbps\": %.1f,\n", g_calib_mhps);
-  std::fprintf(f, "  \"drivers\": {\n");
-  for (int i = 0; i < 4; ++i) {
-    const DriverReport& r = g_reports[i];
-    const double eps = static_cast<double>(r.out.kernel_events) / r.out.wall_s;
-    const double mps = static_cast<double>(r.out.messages) / r.out.wall_s;
-    std::fprintf(f,
-                 "    \"%s\": {\"hash\": \"%s\", \"kernel_events\": %llu, "
-                 "\"messages\": %llu, \"deliveries\": %llu, "
-                 "\"sim_span_us\": %lld, \"wall_s\": %.6f, "
-                 "\"events_per_sec\": %.0f, \"messages_per_sec\": %.0f, "
-                 "\"events_per_sec_normalized\": %.3f}%s\n",
-                 r.name, hex64(r.out.hash).c_str(),
-                 static_cast<unsigned long long>(r.out.kernel_events),
-                 static_cast<unsigned long long>(r.out.messages),
-                 static_cast<unsigned long long>(r.out.deliveries),
-                 static_cast<long long>(r.out.sim_span_us), r.out.wall_s, eps,
-                 mps, eps / g_calib_mhps, i + 1 < 4 ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
-// COOP_BENCH_MAIN with two additions: the calibration loop, and the
-// T1_report.json dump the regression gate consumes.  The deterministic
-// outcome hashes are also copied into the artifact knobs so the recorded
-// artifact baseline pins simulated behaviour.
-int main(int argc, char** argv) {
-  coop::obs::Obs obs;
-  coop::obs::ScopedDefaultObs ambient(&obs);
-  obs.meta.knobs["tag"] = "t1_throughput";
-  obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
-  if (const char* cap = std::getenv("COOP_TRACE_CAP"))
-    obs.meta.knobs["COOP_TRACE_CAP"] = cap;
-  {
-    std::string args;
-    for (int i = 1; i < argc; ++i) {
-      if (i > 1) args += ' ';
-      args += argv[i];
-    }
-    if (!args.empty()) obs.meta.knobs["argv"] = args;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  g_calib_mhps = run_calibration();
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  obs.meta.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-  for (const auto& r : g_reports) {
-    if (r.name != nullptr)
-      obs.meta.knobs[std::string("t1.") + r.name + ".hash"] =
-          hex64(r.out.hash);
-  }
-  if (!coop::obs::write_bench_artifacts(obs, "t1_throughput")) {
-    std::fprintf(stderr, "warning: failed to write BENCH_t1_throughput.*\n");
-  }
-  if (!write_t1_report("T1_report.json")) {
-    std::fprintf(stderr, "warning: failed to write T1_report.json\n");
-    return 2;
-  }
-  return 0;
-}
+#include "bench_harness.hpp"
+COOP_BENCH_MAIN("t1_throughput")

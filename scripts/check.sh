@@ -42,10 +42,10 @@ gate() {
 }
 
 echo "== chaos soak: invariants + SLO rules across the seed matrix =="
-# COOP_SLO_STRICT=1 upgrades the soak: rules (ack-rate floor, RTT p99
-# ceiling) are evaluated per virtual-time window and any rule that
-# overspends its breach budget or never recovers fails the run.
-COOP_SLO_STRICT=1 gate bench/bench_r1_chaos r1_chaos
+# SLO rules (ack-rate floor, RTT p99 ceiling) are evaluated per
+# virtual-time window; any rule that overspends its breach budget or
+# never recovers fails the run.
+gate bench/bench_r1_chaos r1_chaos
 
 echo "== durable soak: WAL + checkpoint recovery + anti-entropy =="
 # --durable swaps the replicas for durable::DurableStore instances:
@@ -53,7 +53,7 @@ echo "== durable soak: WAL + checkpoint recovery + anti-entropy =="
 # recover solely from checkpoint + log replay, and on top of the R1
 # invariants the run proves a quiesce-and-recover identity, zero
 # acked-op loss and a bounded WAL.  Same determinism contract.
-COOP_SLO_STRICT=1 gate bench/bench_r1_chaos r1_durable --durable
+gate bench/bench_r1_chaos r1_durable --durable
 
 echo "== failover soak: coordinator/sequencer crash matrix + partitions =="
 # bench_r4_failover drives a five-participant total-order session through
@@ -66,7 +66,7 @@ echo "== failover soak: coordinator/sequencer crash matrix + partitions =="
 gate bench/bench_r4_failover r4_failover
 
 echo "== overload soak: goodput sweep + no-acked-shed + SLO rules =="
-COOP_SLO_STRICT=1 gate bench/bench_r2_overload r2_overload
+gate bench/bench_r2_overload r2_overload
 
 echo "== awareness parity smoke: indexed fan-out == brute force =="
 # bench_e12's parity mode replays the same seeded workload through the
@@ -83,18 +83,18 @@ echo "== shard parity: sharded kernel == serial differential oracle =="
 # artifact to reproduce byte-for-byte modulo wall_ms.
 run scripts/shard_parity_gate.sh build-check
 
-echo "== T1 throughput gate: hot-path speed + behaviour pin =="
-# bench_t1_throughput re-runs the three hot-path drivers and the gate
-# compares (a) their outcome hashes — any drift means simulated behaviour
-# changed — and (b) machine-normalized events/sec against the recorded
-# baseline (>20% regression fails).
+echo "== T1 hash pin: hot-path behaviour =="
+# bench_t1_throughput runs the four hot-path drivers once and the gate
+# compares their outcome hashes with bench/baselines/t1_baseline.json —
+# any drift means simulated behaviour changed.  T1's speed is compared
+# against the merge-base on the same host by scripts/artifact_ab_gate.sh.
 run scripts/bench_t1_gate.sh build-check
 
 echo "== obs overhead gate: instrumentation must stay under 3% =="
-# Interleaved tracer-off vs sampling-off runs of the same drivers: the
+# Interleaved tracer-off vs sampling-off runs of the four T1 drivers: the
 # always-on observability plane may not cost more than 3% events/sec,
-# and its outcome hashes must match the baseline's exactly.  5 reps
-# because best-of needs a few samples to escape machine noise.
+# and its outcome hashes must agree across modes.  5 reps because
+# best-of needs a few samples to escape machine noise.
 REPS="${OBS_GATE_REPS:-5}" run scripts/obs_overhead_gate.sh build-check
 
 if [[ "${SKIP_SANITIZE}" == "1" ]]; then

@@ -3,7 +3,7 @@
 # artifact byte-for-byte across two identical runs.
 #
 # Runs <binary> [args...] twice, each in a fresh temporary directory, with
-# the caller's environment passed through (so e.g. COOP_SLO_STRICT=1
+# the caller's environment passed through (so e.g. COOP_TRACE_SAMPLE=0
 # applies to both runs).  Fails if either run exits non-zero, or if the
 # two BENCH_<artifact>.json files differ once the wall-clock line
 # (wall_ms, which sits alone on its own line) is removed.  On success the
@@ -14,8 +14,7 @@
 #   scripts/determinism_gate.sh <binary> <artifact> [args...]
 #
 # Example:
-#   COOP_SLO_STRICT=1 scripts/determinism_gate.sh \
-#       build/bench/bench_r1_chaos r1_durable --durable
+#   scripts/determinism_gate.sh build/bench/bench_r1_chaos r1_durable --durable
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then

@@ -11,9 +11,11 @@
 # Method: REPS (default 3) interleaved baseline/instrumented pairs of
 # bench_t1_throughput on the same machine, best events/sec per driver on
 # each side — best-of compares the least-perturbed run of each mode, and
-# interleaving keeps thermal/CPU drift from biasing one side.  Outcome
-# hashes must agree across every run of both modes: observability must
-# never change simulated behaviour, only wall-clock cost.
+# interleaving keeps thermal/CPU drift from biasing one side.  The rates
+# come from each run's Google Benchmark JSON (BENCHMARK_OUT).  Outcome
+# hashes (the t1.<driver>.hash knobs of BENCH_t1_throughput.json) must
+# agree across every run of both modes: observability must never change
+# simulated behaviour, only wall-clock cost.
 #
 # Usage:
 #   scripts/obs_overhead_gate.sh [build-dir]   (default: build)
@@ -36,6 +38,7 @@ fi
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 
+export BENCHMARK_OUT=T1_benchmark.json BENCHMARK_OUT_FORMAT=json
 for rep in $(seq 1 "${REPS}"); do
   off="${workdir}/off_${rep}"
   on="${workdir}/on_${rep}"
@@ -51,22 +54,31 @@ import json, sys
 workdir, reps, max_overhead = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
 
 def load(mode):
-    return [json.load(open(f"{workdir}/{mode}_{r}/T1_report.json"))
-            for r in range(1, reps + 1)]
+    """Per rep: {driver: (hash, events_per_sec)}."""
+    runs = []
+    for r in range(1, reps + 1):
+        run = f"{workdir}/{mode}_{r}"
+        artifact = json.load(open(f"{run}/BENCH_t1_throughput.json"))
+        knobs = artifact["meta"]["knobs"]
+        rates = {}
+        for b in json.load(open(f"{run}/T1_benchmark.json"))["benchmarks"]:
+            driver = b["name"].split("/")[0].removeprefix("BM_T1_").lower()
+            rates[driver] = (knobs[f"t1.{driver}.hash"], b["events_per_sec"])
+        runs.append(rates)
+    return runs
 
 off_runs, on_runs = load("off"), load("on")
-drivers = sorted(off_runs[0]["drivers"])
 failed = False
-for name in drivers:
-    hashes = {r["drivers"][name]["hash"] for r in off_runs + on_runs}
+for name in sorted(off_runs[0]):
+    hashes = {r[name][0] for r in off_runs + on_runs}
     if len(hashes) != 1:
         print(f"FAIL {name}: outcome hashes diverge across modes/reps "
               f"({sorted(hashes)}) — instrumentation changed simulated "
               f"behaviour")
         failed = True
         continue
-    best_off = max(r["drivers"][name]["events_per_sec"] for r in off_runs)
-    best_on = max(r["drivers"][name]["events_per_sec"] for r in on_runs)
+    best_off = max(r[name][1] for r in off_runs)
+    best_on = max(r[name][1] for r in on_runs)
     overhead = 1.0 - best_on / best_off
     status = "ok" if overhead <= max_overhead else "FAIL"
     print(f"{status:4s} {name}: tracer-off {best_off:.0f} ev/s, "

@@ -11,9 +11,9 @@
 // objective was lost and regained, not just whether the run ended well.
 //
 // Strict mode: each rule carries a breach-window budget; violations()
-// reports rules that overspent it (or never recovered), which the soak
-// binaries turn into a non-zero exit when COOP_SLO_STRICT is set —
-// upgrading the chaos and overload soaks into SLO-checked soaks.
+// reports rules that overspent it (or never recovered), which the chaos
+// and overload soak binaries turn into a non-zero exit — they are
+// SLO-checked soaks.
 //
 // Determinism: evaluation consumes only virtual-time windows, so health
 // trajectories are byte-identical across same-seed runs.
