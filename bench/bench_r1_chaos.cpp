@@ -198,8 +198,8 @@ RunOutcome run_chaos(int scenario, std::uint64_t seed) {
     fifo_rx = std::make_unique<net::FifoChannel>(
         net, net::Address{3, 3},
         net::FifoConfig{.retransmit_timeout = sim::msec(30), .epoch = epoch});
-    fifo_rx->on_receive([&](const net::Address&, const std::string& p) {
-      fifo_log.push_back(std::stoi(p.substr(1)));
+    fifo_rx->on_receive([&](const net::Address&, std::string_view p) {
+      fifo_log.push_back(std::stoi(std::string(p.substr(1))));
     });
   };
   start_fifo_tx(tx_epoch);

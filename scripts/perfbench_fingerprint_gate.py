@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Pinned perfbench fingerprints: behaviour must not move.
 
-    python3 scripts/perfbench_fingerprint_gate.py [--baseline FILE]
+    python3 scripts/perfbench_fingerprint_gate.py [--record] [--baseline FILE]
 
 Runs perfbench once per (workload, seed) pinned in the baseline file
 (default bench/baselines/perfbench_fingerprints.json), at the baseline's
@@ -11,6 +11,11 @@ metrics) must match exactly, except the util.alloc* counts, which depend
 on the C++ library and are pinned as ceilings: they may fall, never rise.
 Prints one line per pair and every field that moved; exits non-zero if
 any pair fails or a run produces no fingerprint.
+
+--record re-pins instead of checking: it runs the same pairs and rewrites
+the baseline file with their fingerprints (the util.alloc* ceilings become
+the counts just measured).  Diff the file afterwards: a change that is
+meant to be a pure speed-up may move only the util.alloc* lines.
 """
 import argparse
 import json
@@ -56,11 +61,14 @@ def compare(pinned, got):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", default=BASELINE)
+    ap.add_argument("--record", action="store_true",
+                    help="rewrite the baseline from fresh runs")
     args = ap.parse_args()
     with open(args.baseline) as f:
         baseline = json.load(f)
     seconds = baseline["seconds"]
     ok = True
+    recorded = []
     for pinned in baseline["fingerprints"]:
         workload, seed = pinned["workload"], pinned["seed"]
         code, got = run_fingerprint(workload, seed, seconds)
@@ -71,6 +79,11 @@ def main():
                   flush=True)
             ok = False
             continue
+        if args.record:
+            recorded.append(got)
+            print("rec  %-8s seed %d (hash %s)" %
+                  (workload, seed, got.get("hash")), flush=True)
+            continue
         problems = compare(pinned, got)
         print("%s %-8s seed %d (hash %s)" %
               ("ok  " if not problems else "FAIL", workload, seed,
@@ -78,6 +91,14 @@ def main():
         for p in problems:
             print("  " + p, flush=True)
         ok = ok and not problems
+    if args.record:
+        if not ok:
+            print("baseline left unchanged: a run failed", flush=True)
+            return 1
+        with open(args.baseline, "w") as f:
+            f.write(json.dumps({"seconds": seconds,
+                                "fingerprints": recorded}, indent=2) + "\n")
+        print("baseline re-recorded at %s" % args.baseline, flush=True)
     return 0 if ok else 1
 
 

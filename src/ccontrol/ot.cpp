@@ -48,25 +48,35 @@ TextOp transform(const TextOp& a, const TextOp& b) {
 }
 
 OtLink::Message OtLink::generate(const TextOp& op) {
-  Message msg{op, generated_, received_};
-  outgoing_.emplace_back(generated_, op);
-  ++generated_;
-  return msg;
+  if (in_flight_ == outgoing_.size()) {
+    // Full: re-lay the ring out from slot 0 at twice the size (sizes stay
+    // powers of two, so indices wrap with a mask).
+    std::vector<TextOp> grown(std::max<std::size_t>(4, 2 * outgoing_.size()));
+    for (std::size_t i = 0; i < in_flight_; ++i)
+      grown[i] = std::move(outgoing(i));
+    outgoing_ = std::move(grown);
+    head_ = 0;
+  }
+  outgoing(in_flight_++) = op;
+  return {op, generated_++, received_};
 }
 
 TextOp OtLink::receive(const Message& msg) {
   // Drop operations the peer has acknowledged seeing.
-  while (!outgoing_.empty() && outgoing_.front().first < msg.sender_received)
-    outgoing_.pop_front();
+  while (in_flight_ > 0 && generated_ - in_flight_ < msg.sender_received) {
+    head_ = (head_ + 1) & (outgoing_.size() - 1);
+    --in_flight_;
+  }
 
   // Transform the incoming op over every in-flight local op — and each
   // in-flight op over the incoming one, so future receives see updated
   // contexts (the Jupiter state-space walk).
   TextOp incoming = msg.op;
-  for (auto& [idx, local] : outgoing_) {
-    const TextOp incoming_next = transform(incoming, local);
+  for (std::size_t i = 0; i < in_flight_; ++i) {
+    TextOp& local = outgoing(i);
+    TextOp incoming_next = transform(incoming, local);
     local = transform(local, incoming);
-    incoming = incoming_next;
+    incoming = std::move(incoming_next);
   }
   ++received_;
   return incoming;
@@ -84,37 +94,27 @@ OtLink::Message OtClient::local_delete(std::size_t pos) {
   return link_.generate(op);
 }
 
-std::vector<OtLink::Message> OtClient::local_delete_range(std::size_t pos,
-                                                          std::size_t len) {
-  std::vector<OtLink::Message> msgs;
-  msgs.reserve(len);
-  // Deleting at the same position `len` times removes the whole range.
-  for (std::size_t i = 0; i < len; ++i) msgs.push_back(local_delete(pos));
-  return msgs;
-}
-
 void OtClient::receive(const OtLink::Message& msg) {
   const TextOp op = link_.receive(msg);
   op.apply(doc_);
 }
 
-std::vector<OtServer::Outgoing> OtServer::receive(SiteId from,
-                                                  const OtLink::Message& msg) {
-  std::vector<Outgoing> out;
+void OtServer::receive(SiteId from, const OtLink::Message& msg,
+                       std::vector<Outgoing>& out) {
+  out.clear();
   auto it = links_.find(from);
-  if (it == links_.end()) return out;
+  if (it == links_.end()) return;
   const TextOp op = it->second.receive(msg);
   op.apply(doc_);
   if (op.is_noop()) {
     // Still consume a slot on other links?  No: noops need not be
     // broadcast; other clients' documents are unaffected.
-    return out;
+    return;
   }
   for (auto& [site, link] : links_) {
     if (site == from) continue;
     out.push_back({site, link.generate(op)});
   }
-  return out;
 }
 
 }  // namespace coop::ccontrol

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -79,12 +78,19 @@ class OtLink {
   /// side's current context, ready to apply locally.
   TextOp receive(const Message& msg);
 
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return outgoing_.size();
-  }
+  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
  private:
-  std::deque<std::pair<std::uint64_t, TextOp>> outgoing_;
+  TextOp& outgoing(std::size_t i) noexcept {
+    return outgoing_[(head_ + i) & (outgoing_.size() - 1)];
+  }
+
+  /// Ring of the in-flight local ops, oldest first: op i has link index
+  /// generated_ - in_flight_ + i.  Slots are assigned over, not rebuilt,
+  /// so an insert's text reuses the capacity its slot already has.
+  std::vector<TextOp> outgoing_;
+  std::size_t head_ = 0;
+  std::size_t in_flight_ = 0;
   std::uint64_t generated_ = 0;
   std::uint64_t received_ = 0;
 };
@@ -99,11 +105,6 @@ class OtClient {
   /// the server.
   OtLink::Message local_insert(std::size_t pos, std::string text);
   OtLink::Message local_delete(std::size_t pos);
-
-  /// Convenience: deletes @p len characters starting at @p pos, returning
-  /// one message per character (the wire format is single-char deletes).
-  std::vector<OtLink::Message> local_delete_range(std::size_t pos,
-                                                  std::size_t len);
 
   /// Server message: transforms against in-flight local ops and applies.
   void receive(const OtLink::Message& msg);
@@ -137,8 +138,11 @@ class OtServer {
   };
 
   /// Ingests a client message; applies it to the server document and
-  /// returns the transformed operation addressed to every *other* client.
-  std::vector<Outgoing> receive(SiteId from, const OtLink::Message& msg);
+  /// replaces the contents of @p out with the transformed operation
+  /// addressed to every *other* client.  Reusing one @p out across calls
+  /// keeps the fan-out off the heap.
+  void receive(SiteId from, const OtLink::Message& msg,
+               std::vector<Outgoing>& out);
 
   [[nodiscard]] const std::string& doc() const noexcept { return doc_; }
   [[nodiscard]] std::size_t client_count() const noexcept {

@@ -1,6 +1,7 @@
 #include "durable/wal.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "net/message.hpp"  // frame_checksum (FNV-1a)
@@ -42,13 +43,14 @@ void Wal::encode_frame(std::vector<std::uint8_t>& out, const WalRecord& rec) {
       .put(rec.stamp)
       .put_string(rec.key)
       .put_string(rec.value);
-  const std::string body = w.take();
-  util::Writer hdr;
-  hdr.put(static_cast<std::uint32_t>(body.size()))
-      .put(net::frame_checksum(body));
-  const std::string head = hdr.take();
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), body.begin(), body.end());
+  // Header {u32 length, u32 checksum of the body}, then the body, both
+  // appended straight from the pooled encoding.
+  const util::Buf body = w.take_buf();
+  const std::array<std::uint32_t, 2> head{
+      static_cast<std::uint32_t>(body.size()), net::frame_checksum(body)};
+  const auto* head_bytes = reinterpret_cast<const std::uint8_t*>(head.data());
+  out.insert(out.end(), head_bytes, head_bytes + sizeof(head));
+  out.insert(out.end(), body.data(), body.data() + body.size());
 }
 
 bool Wal::Scanner::next(WalRecord& out) {

@@ -35,7 +35,7 @@ ConferenceServer::ConferenceServer(net::Network& net, net::Address self,
         broadcast_floor();
       }) {
   channel_.on_receive([this](const net::Address& from,
-                             const std::string& payload) {
+                             std::string_view payload) {
     handle(from, payload);
   });
   floor_.on_floor_change([this](std::optional<ClientId>,
@@ -47,28 +47,23 @@ ConferenceServer::ConferenceServer(net::Network& net, net::Address self,
 
 ConferenceServer::~ConferenceServer() { refresh_.stop(); }
 
-void ConferenceServer::send_to(const net::Address& addr,
-                               const std::string& wire) {
-  channel_.send(addr, wire);
-}
-
 void ConferenceServer::broadcast_display() {
   ++stats_.display_updates;
   util::Writer w;
   w.put(kDisplay).put_string(app_->display());
-  const std::string wire = w.take();
-  for (const auto& [id, addr] : members_) send_to(addr, wire);
+  const util::Buf wire = w.take_buf();
+  for (const auto& [id, addr] : members_) channel_.send(addr, wire);
 }
 
 void ConferenceServer::broadcast_floor() {
   util::Writer w;
   w.put(kFloor).put(floor_.holder().value_or(0));
-  const std::string wire = w.take();
-  for (const auto& [id, addr] : members_) send_to(addr, wire);
+  const util::Buf wire = w.take_buf();
+  for (const auto& [id, addr] : members_) channel_.send(addr, wire);
 }
 
 void ConferenceServer::handle(const net::Address& from,
-                              const std::string& payload) {
+                              std::string_view payload) {
   util::Reader r(payload);
   const auto type = r.get<std::uint8_t>();
   const auto client = r.get<ClientId>();
@@ -79,10 +74,10 @@ void ConferenceServer::handle(const net::Address& from,
       // Late joiners get the current state immediately.
       util::Writer w;
       w.put(kDisplay).put_string(app_->display());
-      send_to(from, w.take());
+      channel_.send(from, w.take_buf());
       util::Writer wf;
       wf.put(kFloor).put(floor_.holder().value_or(0));
-      send_to(from, wf.take());
+      channel_.send(from, wf.take_buf());
       break;
     }
     case kInput: {
@@ -116,17 +111,15 @@ ConferenceClient::ConferenceClient(net::Network& net, net::Address self,
                                    net::Address server, ClientId id)
     : channel_(net, self), server_(server), id_(id) {
   channel_.on_receive([this](const net::Address&,
-                             const std::string& payload) {
+                             std::string_view payload) {
     handle(payload);
   });
 }
 
-void ConferenceClient::send_simple(std::uint8_t type,
-                                   const std::string& body) {
+void ConferenceClient::send_simple(std::uint8_t type) {
   util::Writer w;
   w.put(type).put(id_);
-  if (!body.empty()) w.put_string(body);
-  channel_.send(server_, w.take());
+  channel_.send(server_, w.take_buf());
 }
 
 void ConferenceClient::join() { send_simple(kJoin); }
@@ -134,13 +127,13 @@ void ConferenceClient::join() { send_simple(kJoin); }
 void ConferenceClient::send_input(const std::string& input) {
   util::Writer w;
   w.put(static_cast<std::uint8_t>(kInput)).put(id_).put_string(input);
-  channel_.send(server_, w.take());
+  channel_.send(server_, w.take_buf());
 }
 
 void ConferenceClient::request_floor() { send_simple(kFloorReq); }
 void ConferenceClient::release_floor() { send_simple(kFloorRel); }
 
-void ConferenceClient::handle(const std::string& payload) {
+void ConferenceClient::handle(std::string_view payload) {
   util::Reader r(payload);
   const auto type = r.get<std::uint8_t>();
   if (r.failed()) return;

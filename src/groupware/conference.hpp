@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "ccontrol/floor.hpp"
 #include "net/fifo_channel.hpp"
@@ -87,10 +88,9 @@ class ConferenceServer {
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
 
  private:
-  void handle(const net::Address& from, const std::string& payload);
+  void handle(const net::Address& from, std::string_view payload);
   void broadcast_display();
   void broadcast_floor();
-  void send_to(const net::Address& addr, const std::string& wire);
 
   net::Network& net_;
   net::FifoChannel channel_;
@@ -128,8 +128,8 @@ class ConferenceClient {
   }
 
  private:
-  void handle(const std::string& payload);
-  void send_simple(std::uint8_t type, const std::string& body = {});
+  void handle(std::string_view payload);
+  void send_simple(std::uint8_t type);
 
   net::FifoChannel channel_;
   net::Address server_;

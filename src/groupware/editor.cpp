@@ -26,14 +26,14 @@ ccontrol::TextOp decode_op(util::Reader& r) {
   return op;
 }
 
-std::string encode_op_message(const ccontrol::OtLink::Message& msg,
-                              ccontrol::SiteId site,
-                              sim::TimePoint originated_at) {
+util::Buf encode_op_message(const ccontrol::OtLink::Message& msg,
+                            ccontrol::SiteId site,
+                            sim::TimePoint originated_at) {
   util::Writer w;
   w.put(kOp).put(site).put(originated_at);
   w.put(msg.sender_generated).put(msg.sender_received);
   encode_op(w, msg.op);
-  return w.take();
+  return w.take_buf();
 }
 
 }  // namespace
@@ -44,13 +44,13 @@ EditorServer::EditorServer(net::Network& net, net::Address self,
                            std::string initial)
     : net_(net), channel_(net, self), ot_(std::move(initial)) {
   channel_.on_receive([this](const net::Address& from,
-                             const std::string& payload) {
+                             std::string_view payload) {
     handle(from, payload);
   });
 }
 
 void EditorServer::handle(const net::Address& from,
-                          const std::string& payload) {
+                          std::string_view payload) {
   util::Reader r(payload);
   const auto type = r.get<std::uint8_t>();
   if (r.failed()) return;
@@ -64,7 +64,7 @@ void EditorServer::handle(const net::Address& from,
     // ordered after the snapshot) applies on top of it.
     util::Writer w;
     w.put(kSnapshot).put_string(ot_.doc());
-    channel_.send(from, w.take());
+    channel_.send(from, w.take_buf());
     return;
   }
   if (type != kOp) return;
@@ -76,8 +76,8 @@ void EditorServer::handle(const net::Address& from,
   msg.op = decode_op(r);
   if (r.failed()) return;
 
-  const auto out = ot_.receive(site, msg);
-  for (const auto& o : out) {
+  ot_.receive(site, msg, fanout_);
+  for (const auto& o : fanout_) {
     auto addr = client_addrs_.find(o.to);
     if (addr == client_addrs_.end()) continue;
     // Relay with the ORIGINAL timestamp so receivers measure end-to-end
@@ -97,7 +97,7 @@ EditorClient::EditorClient(net::Network& net, net::Address self,
       channel_(net, self),
       ot_(site, std::move(initial)) {
   channel_.on_receive([this](const net::Address& from,
-                             const std::string& payload) {
+                             std::string_view payload) {
     handle(from, payload);
   });
 }
@@ -105,7 +105,7 @@ EditorClient::EditorClient(net::Network& net, net::Address self,
 void EditorClient::connect() {
   util::Writer w;
   w.put(kRegister).put(ot_.site());
-  channel_.send(server_, w.take());
+  channel_.send(server_, w.take_buf());
 }
 
 void EditorClient::ship(const ccontrol::OtLink::Message& msg) {
@@ -118,11 +118,13 @@ void EditorClient::insert(std::size_t pos, std::string text) {
 }
 
 void EditorClient::erase(std::size_t pos, std::size_t len) {
-  for (const auto& msg : ot_.local_delete_range(pos, len)) ship(msg);
+  // The wire format is single-character deletes: deleting at the same
+  // position len times removes the range, and each op ships as it is made.
+  for (std::size_t i = 0; i < len; ++i) ship(ot_.local_delete(pos));
 }
 
 void EditorClient::handle(const net::Address& from,
-                          const std::string& payload) {
+                          std::string_view payload) {
   (void)from;
   util::Reader r(payload);
   const auto type = r.get<std::uint8_t>();

@@ -12,6 +12,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ccontrol/ot.hpp"
 #include "net/fifo_channel.hpp"
@@ -34,12 +36,13 @@ class EditorServer {
   }
 
  private:
-  void handle(const net::Address& from, const std::string& payload);
+  void handle(const net::Address& from, std::string_view payload);
 
   net::Network& net_;
   net::FifoChannel channel_;
   ccontrol::OtServer ot_;
   std::map<ccontrol::SiteId, net::Address> client_addrs_;
+  std::vector<ccontrol::OtServer::Outgoing> fanout_;  ///< reused per op
 };
 
 /// A participant's replica.
@@ -81,7 +84,7 @@ class EditorClient {
   }
 
  private:
-  void handle(const net::Address& from, const std::string& payload);
+  void handle(const net::Address& from, std::string_view payload);
   void ship(const ccontrol::OtLink::Message& msg);
 
   net::Network& net_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "util/codec.hpp"
 
@@ -10,10 +9,23 @@ namespace coop::net {
 
 namespace {
 enum WireType : std::uint8_t { kData = 0x71, kAck = 0x72, kHello = 0x73 };
+
+/// The payload of a kData frame that already parsed once (on arrival, or
+/// as this endpoint's own encoding).
+std::string_view frame_payload(std::string_view frame) {
+  util::Reader r(frame);
+  r.get<std::uint8_t>();
+  r.get<std::uint32_t>();
+  r.get<std::uint64_t>();
+  return r.get_string_view();
+}
 }  // namespace
 
 FifoChannel::FifoChannel(Network& net, Address self, FifoConfig config)
-    : net_(net), self_(self), config_(config) {
+    : net_(net),
+      self_(self),
+      config_(config),
+      window_(config.max_unacked > 0 ? config.max_unacked : kDefaultWindow) {
   net_.attach(self_, *this);
 }
 
@@ -33,7 +45,7 @@ FifoChannel::PeerState& FifoChannel::peer_state(const Address& peer) {
   return it->second;
 }
 
-void FifoChannel::send(const Address& peer, std::string payload) {
+void FifoChannel::send(const Address& peer, std::string_view payload) {
   PeerState& state = peer_state(peer);
   // Bounded backlog: while a peer is unreachable the queue must not grow
   // without bound.  Tail-drop keeps the oldest (in-order-next) frames,
@@ -49,7 +61,7 @@ void FifoChannel::send(const Address& peer, std::string payload) {
   // network is carrying, so retransmits cost no further encoding.
   util::Buf wire = encode_frame(state.send_epoch, seq, payload);
   net_.send({.src = self_, .dst = peer, .payload = wire});
-  state.unacked[seq] = Backlog{std::move(payload), std::move(wire)};
+  state.unacked.insert(seq, std::move(wire));
   if (state.timer == sim::kInvalidEvent) arm_timer(peer);
 }
 
@@ -98,7 +110,7 @@ void FifoChannel::arm_timer(const Address& peer) {
     if (config_.max_retransmits >= 0 &&
         st.retries > config_.max_retransmits) {
       stats_.gave_up += st.unacked.size();
-      st.unacked.clear();
+      st.unacked.reset(st.next_send_seq);
       st.hello_pending = false;
       return;
     }
@@ -124,10 +136,10 @@ void FifoChannel::arm_timer(const Address& peer) {
     if (st.hello_pending) send_hello(peer);
     // Go-back-N style: retransmit everything outstanding, re-sending the
     // original wire buffers (shared, not re-encoded).
-    for (const auto& [seq, b] : st.unacked) {
+    st.unacked.for_each([&](std::uint64_t, const util::Buf& wire) {
       ++stats_.retransmits;
-      net_.send({.src = self_, .dst = peer, .payload = b.wire});
-    }
+      net_.send({.src = self_, .dst = peer, .payload = wire});
+    });
     arm_timer(peer);
   });
 }
@@ -150,8 +162,8 @@ bool FifoChannel::observe_epoch(PeerState& state, std::uint32_t epoch) {
     // (remote_epoch == 0 means first contact — count that silently.)
     if (state.remote_epoch != 0) ++stats_.resyncs;
     state.remote_epoch = epoch;
-    state.next_expected = 1;
-    state.holdback.clear();
+    state.holdback.reset(1);
+    state.holdback_far.clear();
   }
   return true;
 }
@@ -160,22 +172,19 @@ void FifoChannel::resync_send(const Address& peer, PeerState& state) {
   // The peer restarted and lost its receive cursor: renumber the whole
   // outstanding backlog from 1 under a fresh epoch (so stragglers of the
   // old numbering are recognizably stale) and retransmit immediately.
+  // The backlog is dense, so renumbering keeps every frame in its slot
+  // and re-encodes it from the payload in its old wire bytes.
   ++state.send_epoch;
-  std::vector<std::string> backlog;
-  backlog.reserve(state.unacked.size());
-  for (auto& [seq, b] : state.unacked) {
-    backlog.push_back(std::move(b.payload));
-  }
-  state.unacked.clear();
-  state.next_send_seq = 1;
+  state.unacked.rebase(1);
+  state.next_send_seq = 1 + state.unacked.size();
   state.retries = 0;
-  for (std::string& payload : backlog) {
-    const std::uint64_t seq = state.next_send_seq++;
+  state.unacked.for_each([&](std::uint64_t seq, util::Buf& slot) {
     ++stats_.retransmits;
-    util::Buf wire = encode_frame(state.send_epoch, seq, payload);
+    util::Buf wire =
+        encode_frame(state.send_epoch, seq, frame_payload(slot));
     net_.send({.src = self_, .dst = peer, .payload = wire});
-    state.unacked[seq] = Backlog{std::move(payload), std::move(wire)};
-  }
+    slot = std::move(wire);
+  });
   if (state.timer != sim::kInvalidEvent) {
     net_.simulator().cancel(state.timer);
     state.timer = sim::kInvalidEvent;
@@ -201,9 +210,11 @@ void FifoChannel::on_message(const Message& msg) {
     }
     // An ack echoing our current epoch proves the peer has reset to it.
     state.hello_pending = false;
+    // Pops only what is in the backlog, whatever cum claims.
     const std::size_t before = state.unacked.size();
-    state.unacked.erase(state.unacked.begin(),
-                        state.unacked.upper_bound(cum));
+    while (!state.unacked.empty() && state.unacked.base() <= cum) {
+      state.unacked.pop_front();
+    }
     if (state.unacked.size() < before) {
       state.retries = 0;
       state.unreachable_reported = false;  // episode over: progress made
@@ -230,43 +241,62 @@ void FifoChannel::on_message(const Message& msg) {
     // mean nothing to it, so renumber the outstanding backlog.  Guarded
     // to actual bumps so duplicate hellos are idempotent.
     if (epoch > previous) resync_send(msg.src, state);
-    send_ack(msg.src, state.remote_epoch, state.next_expected - 1);
+    send_ack(msg.src, state.remote_epoch, state.holdback.base() - 1);
     return;
   }
   if (type != kData) return;
 
   const auto epoch = r.get<std::uint32_t>();
   const auto seq = r.get<std::uint64_t>();
-  std::string payload = r.get_string();
+  const std::string_view payload = r.get_string_view();
   if (r.failed()) return;
   PeerState& state = peer_state(msg.src);
   if (!observe_epoch(state, epoch)) return;
 
-  if (seq < state.next_expected) {
+  const std::uint64_t next_expected = state.holdback.base();
+  if (seq < next_expected) {
     ++stats_.duplicates;
     send_ack(msg.src, state.remote_epoch,
-             state.next_expected - 1);  // re-ack: ack was lost
+             next_expected - 1);  // re-ack: ack was lost
     return;
   }
-  if (seq > state.next_expected) {
-    state.holdback.emplace(seq, std::move(payload));
-    send_ack(msg.src, state.remote_epoch, state.next_expected - 1);
+  if (seq > next_expected) {
+    hold_back(state, seq, msg.payload);
+    send_ack(msg.src, state.remote_epoch, next_expected - 1);
     return;
   }
-  // In-order: deliver, then drain the hold-back run.
+  // In-order: deliver, then drain the hold-back run.  Each held frame is
+  // popped before its callback, so its payload view stays valid even if
+  // the callback re-enters the channel.
+  state.holdback.pop_front();  // the arriving frame's own, vacant slot
+  deliver(msg.src, state, payload);
+  while (state.holdback.find(state.holdback.base()) != nullptr) {
+    const util::Buf frame = state.holdback.pop_front();
+    deliver(msg.src, state, frame_payload(frame));
+  }
+  send_ack(msg.src, state.remote_epoch, state.holdback.base() - 1);
+}
+
+void FifoChannel::hold_back(PeerState& state, std::uint64_t seq,
+                            const util::Buf& frame) {
+  if (seq - state.holdback.base() < window_) {
+    state.holdback.insert(seq, frame);
+  } else {
+    state.holdback_far.try_emplace(seq, frame);
+  }
+}
+
+void FifoChannel::deliver(const Address& peer, PeerState& state,
+                          std::string_view payload) {
   ++stats_.delivered;
-  ++state.next_expected;
-  if (receive_) receive_(msg.src, payload);
-  while (true) {
-    auto hit = state.holdback.find(state.next_expected);
-    if (hit == state.holdback.end()) break;
-    std::string next = std::move(hit->second);
-    state.holdback.erase(hit);
-    ++stats_.delivered;
-    ++state.next_expected;
-    if (receive_) receive_(msg.src, next);
+  // The window slid by one: a far arrival it now covers joins the ring.
+  auto far = state.holdback_far.begin();
+  if (far != state.holdback_far.end() &&
+      far->first - state.holdback.base() < window_) {
+    state.holdback.insert(far->first, std::move(far->second));
+    state.holdback_far.erase(far);
   }
-  send_ack(msg.src, state.remote_epoch, state.next_expected - 1);
+  if (receive_) receive_(peer, payload);
 }
 
 std::size_t FifoChannel::unacked(const Address& peer) const {

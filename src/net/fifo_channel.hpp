@@ -27,11 +27,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
+#include <string_view>
 
 #include "net/network.hpp"
 #include "net/overload.hpp"
 #include "sim/simulator.hpp"
+#include "util/seq_ring.hpp"
 
 namespace coop::net {
 
@@ -50,7 +51,9 @@ struct FifoConfig {
   /// Cap on the per-peer unacknowledged backlog.  Sends beyond it are
   /// tail-dropped (counted in FifoStats::overflow_dropped) instead of
   /// growing the queue without bound while a peer is unreachable.
-  /// 0 = unbounded (the pre-overload-plane behaviour).
+  /// 0 = unbounded (the pre-overload-plane behaviour).  Also the width of
+  /// the receiver's hold-back ring (kDefaultWindow when 0): a peer with
+  /// the same cap never has a frame in flight beyond it.
   std::size_t max_unacked = 256;
   /// Consecutive silent retransmit rounds after which the peer is
   /// reported unreachable via the on_peer_unreachable callback (once per
@@ -87,8 +90,10 @@ struct FifoStats {
 /// One endpoint of (any number of) reliable ordered channels.
 class FifoChannel : public Endpoint {
  public:
+  /// @p payload views the delivered frame and is valid only for the
+  /// duration of the callback; copy it to keep it.
   using ReceiveFn =
-      std::function<void(const Address& from, const std::string& payload)>;
+      std::function<void(const Address& from, std::string_view payload)>;
   /// Fired once per unreachability episode, after
   /// FifoConfig::unreachable_after consecutive silent retransmit rounds
   /// toward @p peer; re-armed by any ack progress.
@@ -100,8 +105,9 @@ class FifoChannel : public Endpoint {
   FifoChannel(const FifoChannel&) = delete;
   FifoChannel& operator=(const FifoChannel&) = delete;
 
-  /// Queues @p payload for in-order delivery at @p peer.
-  void send(const Address& peer, std::string payload);
+  /// Queues @p payload for in-order delivery at @p peer.  The bytes are
+  /// copied into the wire frame before send() returns.
+  void send(const Address& peer, std::string_view payload);
 
   /// Announces this (re)started endpoint to @p peer with a kHello carrying
   /// our epoch.  The hello is retried on the retransmit timer until the
@@ -122,21 +128,21 @@ class FifoChannel : public Endpoint {
   void on_message(const Message& msg) override;
 
  private:
-  /// One unacknowledged frame.  The encoded wire Buf is shared with every
-  /// in-flight (re)transmission of the frame — retransmits re-send the
-  /// same allocation instead of re-encoding — while the raw payload is
-  /// kept for the one case that must re-encode: an epoch resync, which
-  /// renumbers the backlog under new sequence numbers.
-  struct Backlog {
-    std::string payload;
-    util::Buf wire;
-  };
+  /// Hold-back window when FifoConfig::max_unacked is 0 (unbounded).
+  static constexpr std::size_t kDefaultWindow = 256;
 
+  // Both directions keep whole kData frames, shared by reference count
+  // with the network: the sender's backlog holds the very Buf every
+  // (re)transmission carries, and the receiver holds the arrived frame.
+  // The payload is re-read from the frame when it is needed (delivery,
+  // or re-encoding when a resync renumbers the backlog).
   struct PeerState {
     // Sender side.
     std::uint32_t send_epoch = 1;
     std::uint64_t next_send_seq = 1;
-    std::map<std::uint64_t, Backlog> unacked;  // seq -> frame
+    /// Unacked frames [unacked.base(), next_send_seq): dense, because
+    /// sequence numbers are contiguous and acks are cumulative.
+    util::SeqRing unacked;
     sim::EventId timer = sim::kInvalidEvent;
     int retries = 0;
     bool hello_pending = false;
@@ -144,14 +150,24 @@ class FifoChannel : public Endpoint {
     bool unreachable_reported = false;  ///< this episode already reported
     // Receiver side.
     std::uint32_t remote_epoch = 0;  // 0 = nothing seen yet
-    std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, std::string> holdback;  // ooo arrivals
+    /// Out-of-order arrivals; holdback.base() is the next expected seq.
+    /// Only seqs within the window of it are stored here.
+    util::SeqRing holdback;
+    /// Arrivals beyond the window (never from a peer with the same
+    /// max_unacked); they move into the ring as the window reaches them.
+    std::map<std::uint64_t, util::Buf> holdback_far;
   };
 
   PeerState& peer_state(const Address& peer);
   /// Encodes one kData frame into a shareable wire buffer.
   util::Buf encode_frame(std::uint32_t epoch, std::uint64_t seq,
                          std::string_view payload);
+  /// Stores an out-of-order kData frame for later delivery.
+  void hold_back(PeerState& state, std::uint64_t seq, const util::Buf& frame);
+  /// Counts and hands out one in-order payload, after the hold-back
+  /// cursor has advanced past it.
+  void deliver(const Address& peer, PeerState& state,
+               std::string_view payload);
   void send_hello(const Address& peer);
   void arm_timer(const Address& peer);
   void send_ack(const Address& peer, std::uint32_t epoch,
@@ -165,6 +181,7 @@ class FifoChannel : public Endpoint {
   Network& net_;
   Address self_;
   FifoConfig config_;
+  std::size_t window_;  ///< hold-back ring width
   std::map<Address, PeerState> peers_;
   ReceiveFn receive_;
   UnreachableFn unreachable_;

@@ -5,9 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "ccontrol/ot.hpp"
+#include "groupware/editor.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/codec.hpp"
 
 namespace coop::net {
 namespace {
@@ -16,11 +19,11 @@ class FifoTest : public ::testing::Test {
  protected:
   FifoTest()
       : sim(17), net(sim), a(net, {1, 1}), b(net, {2, 1}) {
-    b.on_receive([this](const Address& from, const std::string& p) {
-      from_b.push_back({from, p});
+    b.on_receive([this](const Address& from, std::string_view p) {
+      from_b.emplace_back(from, p);
     });
-    a.on_receive([this](const Address& from, const std::string& p) {
-      from_a.push_back({from, p});
+    a.on_receive([this](const Address& from, std::string_view p) {
+      from_a.emplace_back(from, p);
     });
   }
 
@@ -73,8 +76,8 @@ TEST_F(FifoTest, BidirectionalTrafficIsIndependent) {
 TEST_F(FifoTest, MultiplexesSeveralPeers) {
   FifoChannel c(net, {3, 1});
   std::vector<std::string> at_c;
-  c.on_receive([&](const Address&, const std::string& p) {
-    at_c.push_back(p);
+  c.on_receive([&](const Address&, std::string_view p) {
+    at_c.emplace_back(p);
   });
   a.send({2, 1}, "to-b");
   a.send({3, 1}, "to-c");
@@ -132,7 +135,7 @@ TEST_F(FifoTest, CrashRestartResynchronizesThroughEpochs) {
   auto receiver = std::make_unique<FifoChannel>(net, net::Address{6, 1});
   std::vector<std::string> got;
   receiver->on_receive(
-      [&](const Address&, const std::string& p) { got.push_back(p); });
+      [&](const Address&, std::string_view p) { got.emplace_back(p); });
 
   sender.send({6, 1}, "one");
   sender.send({6, 1}, "two");
@@ -153,7 +156,7 @@ TEST_F(FifoTest, CrashRestartResynchronizesThroughEpochs) {
   receiver = std::make_unique<FifoChannel>(net, net::Address{6, 1},
                                            FifoConfig{.epoch = 2});
   receiver->on_receive(
-      [&](const Address&, const std::string& p) { got.push_back(p); });
+      [&](const Address&, std::string_view p) { got.emplace_back(p); });
   receiver->resync({5, 1});
   sim.run_until(sim::sec(2));
 
@@ -167,7 +170,7 @@ TEST_F(FifoTest, CrashRestartResynchronizesThroughEpochs) {
   // The resynchronized stream keeps working in both directions.
   std::vector<std::string> at_sender;
   sender.on_receive(
-      [&](const Address&, const std::string& p) { at_sender.push_back(p); });
+      [&](const Address&, std::string_view p) { at_sender.emplace_back(p); });
   sender.send({6, 1}, "five");
   receiver->send({5, 1}, "reply");
   sim.run_until(sim::sec(3));
@@ -199,7 +202,7 @@ TEST_F(FifoTest, HelloRetriesThroughAPartition) {
       net, net::Address{6, 1},
       FifoConfig{.retransmit_timeout = sim::msec(20), .epoch = 2});
   receiver->on_receive(
-      [&](const Address&, const std::string& p) { got.push_back(p); });
+      [&](const Address&, std::string_view p) { got.emplace_back(p); });
   receiver->resync({5, 1});
   sim.run_until(sim::msec(400));
   EXPECT_TRUE(got.empty());
@@ -222,8 +225,8 @@ TEST_F(FifoTest, BackoffJitterDecorrelatesButStaysReliable) {
                     .backoff_jitter = jitter});
     FifoChannel rv(n, {2, 1});
     std::string fp;
-    rv.on_receive([&](const Address&, const std::string& p) {
-      fp += p + "@" + std::to_string(s.now()) + ";";
+    rv.on_receive([&](const Address&, std::string_view p) {
+      fp += std::string(p) + "@" + std::to_string(s.now()) + ";";
     });
     for (int i = 0; i < 15; ++i) tx.send({2, 1}, std::to_string(i));
     s.run_until(sim::sec(10));
@@ -238,6 +241,151 @@ TEST_F(FifoTest, BackoffJitterDecorrelatesButStaysReliable) {
   EXPECT_EQ(jittered, delivery_fingerprint(0.3));
   // ...and the knob actually changes the timings (opt-in, not a no-op).
   EXPECT_NE(jittered, delivery_fingerprint(0.0));
+}
+
+// --- hostile but checksum-valid frames ----------------------------------------
+//
+// A raw endpoint forges FIFO frames and sends them through the network, so
+// each one carries a valid checksum and reaches the decoder.
+
+constexpr std::uint8_t kWireData = 0x71;
+constexpr std::uint8_t kWireAck = 0x72;
+
+struct RawPeer : Endpoint {
+  RawPeer(Network& n, Address a) : net(n), self(a) { net.attach(self, *this); }
+  ~RawPeer() override { net.detach(self); }
+
+  void send(const Address& to, util::Writer& w) {
+    net.send({.src = self, .dst = to, .payload = w.take_buf()});
+  }
+  void data(const Address& to, std::uint32_t epoch, std::uint64_t seq,
+            std::string_view payload) {
+    util::Writer w;
+    w.put(kWireData).put(epoch).put(seq).put_string(payload);
+    send(to, w);
+  }
+  void on_message(const Message& msg) override {
+    util::Reader r(msg.payload);
+    const auto type = r.get<std::uint8_t>();
+    const auto epoch = r.get<std::uint32_t>();
+    const auto seq = r.get<std::uint64_t>();
+    if (type == kWireAck) acks.push_back(seq);
+    if (type == kWireData) data_seqs.push_back(seq);
+    (void)epoch;
+  }
+
+  Network& net;
+  Address self;
+  std::vector<std::uint64_t> acks;       ///< cumulative acks received
+  std::vector<std::uint64_t> data_seqs;  ///< seqs of data frames received
+};
+
+class HostileFrames : public ::testing::Test {
+ protected:
+  HostileFrames() : sim(31), net(sim), ch(net, {1, 1}), peer(net, {2, 1}) {
+    net.set_default_link({.latency = sim::msec(1), .jitter = 0,
+                          .bandwidth_bps = 0, .loss = 0});
+    ch.on_receive([this](const Address&, std::string_view p) {
+      got.emplace_back(p);
+    });
+  }
+  sim::Simulator sim;
+  Network net;
+  FifoChannel ch;
+  RawPeer peer;
+  std::vector<std::string> got;
+};
+
+TEST_F(HostileFrames, SeqFarBeyondTheWindowIsHeldSparselyAndOrderSurvives) {
+  // 2^40 lies far outside the hold-back ring's window: sizing the ring to
+  // reach it would need terabytes.  It is parked in the sparse map, and
+  // the in-order stream keeps flowing around it.
+  peer.data({1, 1}, 1, std::uint64_t{1} << 40, "far");
+  peer.data({1, 1}, 1, 2, "two");
+  peer.data({1, 1}, 1, 1, "one");
+  peer.data({1, 1}, 1, 3, "three");
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"one", "two", "three"}));
+  EXPECT_EQ(ch.stats().delivered, 3u);
+  ASSERT_FALSE(peer.acks.empty());
+  EXPECT_EQ(peer.acks.back(), 3u);
+}
+
+TEST_F(HostileFrames, DataLengthPrefixOverrunningTheFrameIsDropped) {
+  util::Writer w;
+  w.put(kWireData).put(std::uint32_t{1}).put(std::uint64_t{1});
+  w.put(std::uint32_t{1000});  // claims 1000 payload bytes...
+  w.put(std::uint32_t{0xabcd});  // ...and carries 4
+  peer.send({1, 1}, w);
+  sim.run();
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(ch.stats().delivered, 0u);
+  EXPECT_TRUE(peer.acks.empty());  // never parsed far enough to ack
+  // The cursor did not move: a well-formed seq 1 still delivers.
+  peer.data({1, 1}, 1, 1, "ok");
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"ok"}));
+}
+
+TEST_F(HostileFrames, AckPastTheLastSentSeqPopsOnlyTheBacklog) {
+  ch.send({2, 1}, "a");
+  ch.send({2, 1}, "b");
+  ch.send({2, 1}, "c");
+  EXPECT_EQ(ch.unacked({2, 1}), 3u);
+  util::Writer w;
+  w.put(kWireAck).put(std::uint32_t{1}).put(std::uint64_t{1} << 50);
+  peer.send({1, 1}, w);
+  sim.run_until(sim::msec(5));
+  EXPECT_EQ(ch.unacked({2, 1}), 0u);
+  // Numbering carries on from the real end of the stream, and the next
+  // frame is tracked (and acked away) as usual.
+  ch.send({2, 1}, "d");
+  EXPECT_EQ(ch.unacked({2, 1}), 1u);
+  sim.run_until(sim::msec(10));
+  ASSERT_EQ(peer.data_seqs.size(), 4u);
+  EXPECT_EQ(peer.data_seqs.back(), 4u);
+  util::Writer ack4;
+  ack4.put(kWireAck).put(std::uint32_t{1}).put(std::uint64_t{4});
+  peer.send({1, 1}, ack4);
+  sim.run_until(sim::msec(15));
+  EXPECT_EQ(ch.unacked({2, 1}), 0u);
+}
+
+TEST_F(HostileFrames, AckCarryingAStaleEpochIsIgnored) {
+  ch.send({2, 1}, "a");
+  ch.send({2, 1}, "b");
+  util::Writer w;
+  w.put(kWireAck).put(std::uint32_t{0}).put(std::uint64_t{2});
+  peer.send({1, 1}, w);
+  sim.run_until(sim::msec(5));
+  EXPECT_EQ(ch.stats().stale, 1u);
+  EXPECT_EQ(ch.unacked({2, 1}), 2u);
+}
+
+TEST_F(HostileFrames, TruncatedEditorOpIsDroppedAndEditingContinues) {
+  groupware::EditorServer server(net, {10, 1}, "doc");
+  groupware::EditorClient alice(net, {3, 1}, {10, 1}, 1, "doc");
+  alice.connect();
+  sim.run_until(sim::msec(50));
+  ASSERT_TRUE(alice.connected());
+  // A kOp (type 2) whose insert text claims more bytes than the frame
+  // holds, delivered over a real FIFO stream to both editor roles.
+  FifoChannel forger(net, {4, 1});
+  util::Writer w;
+  w.put(std::uint8_t{2}).put(ccontrol::SiteId{9}).put(sim::TimePoint{0});
+  w.put(std::uint64_t{0}).put(std::uint64_t{0});
+  w.put(ccontrol::TextOp::Kind::kInsert).put(std::uint64_t{0});
+  w.put(std::uint32_t{64}).put(std::uint8_t{'x'});
+  const util::Buf truncated = w.take_buf();
+  forger.send({10, 1}, truncated);
+  forger.send({3, 1}, truncated);
+  sim.run_until(sim::msec(100));
+  EXPECT_EQ(server.doc(), "doc");
+  EXPECT_EQ(alice.doc(), "doc");
+  EXPECT_EQ(alice.notification_time().count(), 0u);
+  alice.insert(3, "!");
+  sim.run_until(sim::msec(150));
+  EXPECT_EQ(server.doc(), "doc!");
 }
 
 }  // namespace

@@ -191,6 +191,10 @@ TEST_F(EditorTest, RangeDeleteWorksRemotely) {
   EditorServer server(net, {10, 1}, "delete me please");
   EditorClient a(net, {1, 1}, {10, 1}, 1, "delete me please");
   EditorClient b(net, {2, 1}, {10, 1}, 2, "delete me please");
+  std::vector<ccontrol::TextOp> at_b;
+  b.on_remote_change([&](const ccontrol::TextOp& op, sim::Duration) {
+    at_b.push_back(op);
+  });
   a.connect();
   b.connect();
   sim.run();
@@ -198,6 +202,13 @@ TEST_F(EditorTest, RangeDeleteWorksRemotely) {
   EXPECT_EQ(a.doc(), "delete please");
   sim.run();
   EXPECT_EQ(b.doc(), "delete please");
+  // The wire format is single-character deletes: one op per character,
+  // each at the range's start.
+  ASSERT_EQ(at_b.size(), 3u);
+  for (const auto& op : at_b) {
+    EXPECT_EQ(op.kind, ccontrol::TextOp::Kind::kDelete);
+    EXPECT_EQ(op.pos, 6u);
+  }
 }
 
 // ----------------------------------------------------------- conference

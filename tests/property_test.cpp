@@ -133,8 +133,8 @@ TEST_P(FifoChaos, ExactlyOnceInOrderUnderLossJitterAndFlaps) {
   net::FifoChannel a(net, {1, 1});
   net::FifoChannel b(net, {2, 1});
   std::vector<std::string> got;
-  b.on_receive([&](const net::Address&, const std::string& p) {
-    got.push_back(p);
+  b.on_receive([&](const net::Address&, std::string_view p) {
+    got.emplace_back(p);
   });
   const int kMsgs = 120;
   std::vector<std::string> sent_order;
