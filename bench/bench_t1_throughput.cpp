@@ -44,6 +44,7 @@
 #include "awareness/engine.hpp"
 #include "awareness/spatial.hpp"
 #include "core/coop.hpp"
+#include "util/fnv.hpp"
 
 using namespace coop;
 
@@ -106,7 +107,7 @@ Outcome run_group_storm(std::uint64_t seed) {
       fnv_mix(out.hash, static_cast<std::uint64_t>(d.sender));
       fnv_mix(out.hash, d.seq);
       fnv_mix(out.hash, static_cast<std::uint64_t>(sim.now()));
-      fnv_mix(out.hash, net::frame_checksum(d.payload));
+      fnv_mix(out.hash, util::fnv1a32(d.payload));
     });
   }
   for (auto& ch : chans) ch->set_members(addrs);

@@ -4,8 +4,8 @@
 #include <string_view>
 #include <utility>
 
-#include "net/message.hpp"  // frame_checksum (FNV-1a)
 #include "util/codec.hpp"
+#include "util/fnv.hpp"
 
 namespace coop::durable {
 
@@ -77,7 +77,7 @@ std::uint64_t DurableStore::recover(StableMedia& media,
       const auto sum = hdr.get<std::uint32_t>();
       if (len == n - 8) {
         const std::string_view body(base + 8, len);
-        if (net::frame_checksum(body) == sum) {
+        if (util::fnv1a32(body) == sum) {
           util::Reader r(body);
           const auto base_lsn = r.get<std::uint64_t>();
           ccontrol::ObjectStore loaded;
@@ -228,7 +228,7 @@ void DurableStore::checkpoint() {
   const std::string body = w.take();
   util::Writer hdr;
   hdr.put(static_cast<std::uint32_t>(body.size()))
-      .put(net::frame_checksum(body));
+      .put(util::fnv1a32(body));
   const std::string head = hdr.take();
   media_.checkpoint.assign(head.begin(), head.end());
   media_.checkpoint.insert(media_.checkpoint.end(), body.begin(), body.end());

@@ -4,8 +4,8 @@
 #include <array>
 #include <utility>
 
-#include "net/message.hpp"  // frame_checksum (FNV-1a)
 #include "util/codec.hpp"
+#include "util/fnv.hpp"
 
 namespace coop::durable {
 
@@ -47,7 +47,7 @@ void Wal::encode_frame(std::vector<std::uint8_t>& out, const WalRecord& rec) {
   // appended straight from the pooled encoding.
   const util::Buf body = w.take_buf();
   const std::array<std::uint32_t, 2> head{
-      static_cast<std::uint32_t>(body.size()), net::frame_checksum(body)};
+      static_cast<std::uint32_t>(body.size()), util::fnv1a32(body)};
   const auto* head_bytes = reinterpret_cast<const std::uint8_t*>(head.data());
   out.insert(out.end(), head_bytes, head_bytes + sizeof(head));
   out.insert(out.end(), body.data(), body.data() + body.size());
@@ -75,7 +75,7 @@ bool Wal::Scanner::next(WalRecord& out) {
     return false;
   }
   const std::string_view body(base + pos_ + 8, len);
-  if (net::frame_checksum(body) != sum) {  // corrupt frame: never parsed
+  if (util::fnv1a32(body) != sum) {  // corrupt frame: never parsed
     torn_ = true;
     done_ = true;
     return false;

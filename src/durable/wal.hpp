@@ -20,8 +20,10 @@
 //   u32 body_len | u32 fnv1a(body) | body
 //   body = u8 type | u64 lsn | u64 version | u64 stamp | key | value
 //
-// The per-record checksum (FNV-1a, the same function the NIC uses for
-// frame integrity) is what makes the torn/corrupt tail detectable: the
+// The per-record checksum is util::fnv1a32.  It is stored on the medium,
+// so it stays bit-for-bit FNV-1a; the NIC's word-at-a-time frame checksum
+// (net::frame_checksum) is a different function that is never persisted.
+// The checksum is what makes the torn/corrupt tail detectable: the
 // scanner stops at the first frame whose length overruns the medium or
 // whose body hashes wrong, counts the truncated bytes, and the replayer
 // proceeds with the intact prefix.  Acknowledgements are gated on sync

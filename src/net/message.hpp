@@ -1,7 +1,9 @@
 // Wire-level message and addressing types for the simulated network.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -57,17 +59,33 @@ struct Address {
   auto operator<=>(const Address&) const = default;
 };
 
-/// Frame checksum over a payload (FNV-1a, 32-bit).  Deterministic and
-/// platform-stable; strong enough to catch the single-byte corruptions the
-/// fault plane injects (this is an integrity check, not cryptography).
-[[nodiscard]] inline std::uint32_t frame_checksum(
+/// Frame checksum over a payload, one 8-byte word per step: a 64-bit
+/// state seeded with the length, `h = (h ^ word) * odd` for each
+/// little-endian word, the tail zero-padded to a last word.  With the word
+/// fixed a step is a bijection in h (odd multipliers are invertible mod
+/// 2^64), and with h fixed it is a bijection in the word, so a corruption
+/// confined to one word — every single-byte flip the fault plane injects
+/// among them — always changes the result.  The length seed separates
+/// payloads that differ only by trailing zero bytes.  Deterministic and
+/// platform-stable; an integrity check, not cryptography.  Never persisted
+/// (the WAL keeps util::fnv1a32), so it may change between versions.
+[[nodiscard]] inline std::uint64_t frame_checksum(
     std::string_view payload) noexcept {
-  std::uint32_t h = 0x811c9dc5u;
-  for (const char c : payload) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x01000193u;
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;  // odd
+  const char* p = payload.data();
+  std::size_t n = payload.size();
+  std::uint64_t h = n;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    if constexpr (std::endian::native == std::endian::big)
+      w = __builtin_bswap64(w);
+    h = (h ^ w) * kMul;
   }
-  return h;
+  std::uint64_t tail = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    tail |= std::uint64_t{static_cast<std::uint8_t>(p[i])} << (8 * i);
+  return (h ^ tail) * kMul;
 }
 
 /// One datagram in flight.  `payload` carries the application encoding
@@ -94,7 +112,7 @@ struct Message {
   /// and dropped — corrupt bytes never reach an Endpoint (and so are
   /// never parsed by util::Reader).  Part of the simulated 32-byte
   /// header, not charged separately to wire_size.
-  std::uint32_t checksum = 0;
+  std::uint64_t checksum = 0;
   /// Absolute deadline (virtual time) after which this work is worthless,
   /// 0 = none.  Stamped by the sending protocol layer next to the causal
   /// context and carried as part of the simulated header: servers and the

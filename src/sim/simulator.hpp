@@ -162,15 +162,22 @@ class Simulator {
 
   /// Strict total order (seq is unique), so the pop sequence — and with it
   /// every virtual-time artifact — is independent of the heap's internal
-  /// arrangement.
+  /// arrangement.  Compared as one signed 128-bit number, when * 2^64 +
+  /// seq (seq never carries into when), which compiles to a
+  /// compare-and-borrow pair with no branch.
   static bool before(const Entry& a, const Entry& b) noexcept {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    return order_key(a) < order_key(b);
+  }
+  static __int128 order_key(const Entry& e) noexcept {
+    return static_cast<__int128>(
+        (static_cast<unsigned __int128>(e.when) << 64) | e.seq);
   }
 
   // Hand-rolled 4-ary min-heap.  Versus std::priority_queue's binary heap
   // this halves the sift depth and keeps all four children of a node in
   // one or two cache lines (4 x 24 bytes), which measurably matters at
-  // millions of push/pop pairs per simulated second.
+  // millions of push/pop pairs per simulated second.  heap_pop() is
+  // Floyd's bottom-up variant (see simulator.cpp).
   void heap_push(const Entry& e);
   void heap_pop();
 

@@ -24,6 +24,7 @@
 #include "sim/small_fn.hpp"
 #include "util/buf.hpp"
 #include "util/codec.hpp"
+#include "util/fnv.hpp"
 #include "util/pool.hpp"
 
 // --- allocation counting hook ----------------------------------------------
@@ -665,7 +666,7 @@ TEST(DeterminismTest, IdenticalSeedsProduceIdenticalDeliverySequences) {
       sinks[i].fn = [&mix, &sim](const net::Message& m) {
         mix(static_cast<std::uint64_t>(sim.now()));
         mix(m.id);
-        mix(net::frame_checksum(m.payload));
+        mix(util::fnv1a32(m.payload));
       };
       net.attach({i + 1, 5}, sinks[i]);
     }

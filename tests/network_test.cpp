@@ -2,6 +2,9 @@
 // multicast and congestion.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/network.hpp"
@@ -198,6 +201,33 @@ TEST_F(NetworkTest, ChecksumIsStampedAndVerified) {
   sim.run();
   ASSERT_EQ(rx.arrivals.size(), 1u);
   EXPECT_EQ(rx.arrivals[0].msg.checksum, frame_checksum("payload"));
+}
+
+// The word-at-a-time checksum's one-word guarantee, exhaustively for every
+// single-byte corruption: each position, each nonzero XOR mask, over
+// lengths that cross several word boundaries and end on every tail size.
+TEST(FrameChecksum, DetectsEverySingleByteCorruption) {
+  std::string payload;
+  for (std::size_t len = 0; len <= 72; ++len) {
+    const std::uint64_t clean = frame_checksum(payload);
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      for (unsigned mask = 1; mask < 256; ++mask) {
+        payload[pos] = static_cast<char>(payload[pos] ^ mask);
+        ASSERT_NE(frame_checksum(payload), clean)
+            << "len=" << len << " pos=" << pos << " mask=" << mask;
+        payload[pos] = static_cast<char>(payload[pos] ^ mask);
+      }
+    }
+    payload.push_back(static_cast<char>(len * 37 + 11));
+  }
+}
+
+TEST(FrameChecksum, TrailingZeroBytesChangeTheChecksum) {
+  using namespace std::string_view_literals;
+  EXPECT_NE(frame_checksum(""sv), frame_checksum("\0"sv));
+  EXPECT_NE(frame_checksum("a"sv), frame_checksum("a\0"sv));
+  EXPECT_NE(frame_checksum("abcdefgh"sv), frame_checksum("abcdefgh\0"sv));
+  EXPECT_NE(frame_checksum("abcdefg"sv), frame_checksum("abcdefg\0"sv));
 }
 
 TEST_F(NetworkTest, CorruptedFrameIsDroppedBeforeTheEndpoint) {

@@ -96,7 +96,13 @@ struct StormLog {
 template <typename Kernel>
 class Storm {
  public:
-  Storm(Kernel& k, std::uint64_t seed) : k_(k), rng_(seed) {}
+  /// With @p ties, every event lands on one of four timestamps (kTies)
+  /// and the stops walk through them, so seq alone orders almost every
+  /// pop.
+  Storm(Kernel& k, std::uint64_t seed, bool ties = false)
+      : k_(k), rng_(seed), ties_(ties) {}
+
+  static constexpr TimePoint kTies[] = {100, 200, 300, 400};
 
   /// Rounds of outside schedules and cancels, each ended by a stop at a
   /// random point that run_until must resume from exactly.
@@ -105,7 +111,8 @@ class Storm {
     for (int round = 0; round < n; ++round) {
       for (int i = 0; i < 40; ++i) schedule_one();
       for (int i = 0; i < 10; ++i) cancel_one();
-      stop += static_cast<Duration>(rng_.next() % 3000);
+      stop = ties_ ? kTies[round * 4 / n]
+                   : stop + static_cast<Duration>(rng_.next() % 3000);
       k_.run_until(stop);
       EXPECT_EQ(k_.now(), stop);
       log_.pending.push_back(k_.pending());
@@ -122,7 +129,9 @@ class Storm {
       return static_cast<Duration>(rng_.next() % range);
     };
     TimePoint when;
-    if (r < 5) {
+    if (ties_) {
+      when = kTies[r % 4];  // past ties clamp to now, itself a tie
+    } else if (r < 5) {
       when = kTimeMax;  // "never" sentinel
     } else if (r < 15) {
       when = now - within(500);  // in the past: clamps to now
@@ -165,6 +174,7 @@ class Storm {
 
   Kernel& k_;
   Rng rng_;
+  bool ties_;
   std::vector<EventId> ids_;
   StormLog log_;
 };
@@ -177,21 +187,42 @@ StormLog storm(Kernel& k, std::uint64_t seed) {
 }
 
 TEST(KernelOrder, SerialKernelMatchesSortedReferenceUnderCancelStorms) {
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+  // Three mixed-timestamp storms, then a tie-heavy one: at most four
+  // distinct timestamps, with hundreds of entries queued at once.  Its
+  // heap drains through every size, so pops end on partial last sibling
+  // groups (the bottom-up walk's tail path) and `last` sifts up through
+  // runs of equal timestamps ordered by seq alone.
+  struct Input {
+    std::uint64_t seed;
+    bool ties;
+  };
+  for (const Input in : {Input{1, false}, Input{2, false}, Input{3, false},
+                         Input{4, true}}) {
     Simulator sim;
     SortedReference ref;
-    Storm<Simulator> a(sim, seed);
-    Storm<SortedReference> b(ref, seed);
+    Storm<Simulator> a(sim, in.seed, in.ties);
+    Storm<SortedReference> b(ref, in.seed, in.ties);
     a.rounds(40);
     b.rounds(40);
-    ASSERT_EQ(a.log(), b.log()) << "seed=" << seed;
+    ASSERT_EQ(a.log(), b.log()) << "seed=" << in.seed;
     ASSERT_GT(a.log().fired.size(), 1000u);
     // Drain everything, "never" sentinels included (FIFO at kTimeMax).
     sim.run_until(kTimeMax);
     ref.run_until(kTimeMax);
-    EXPECT_EQ(a.log().fired, b.log().fired) << "seed=" << seed;
-    EXPECT_EQ(a.log().fired.back().first, kTimeMax);
+    EXPECT_EQ(a.log().fired, b.log().fired) << "seed=" << in.seed;
     EXPECT_EQ(sim.pending(), 0u);
+    if (!in.ties) {
+      EXPECT_EQ(a.log().fired.back().first, kTimeMax);
+      continue;
+    }
+    std::vector<TimePoint> times;
+    for (const auto& f : a.log().fired) times.push_back(f.first);
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    EXPECT_LE(times.size(), 4u);
+    EXPECT_GT(*std::max_element(a.log().pending.begin(),
+                                a.log().pending.end()),
+              200u);
   }
 }
 

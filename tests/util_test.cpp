@@ -6,6 +6,7 @@
 #include <string>
 
 #include "util/codec.hpp"
+#include "util/fnv.hpp"
 #include "util/stats.hpp"
 
 namespace coop::util {
@@ -119,6 +120,16 @@ TEST(Codec, TruncatedStringViewFails) {
   Reader r(buf);
   EXPECT_TRUE(r.get_string_view().empty());
   EXPECT_TRUE(r.failed());
+}
+
+// fnv1a32 values are stored on the medium (WAL records, checkpoint
+// seals): pin the published FNV-1a test vectors so the format cannot
+// drift silently.
+TEST(Fnv1a32, MatchesTheStandardVectors) {
+  EXPECT_EQ(fnv1a32(""), 0x811c9dc5u);
+  EXPECT_EQ(fnv1a32("a"), 0xe40c292cu);
+  EXPECT_EQ(fnv1a32("foobar"), 0xbf9cf968u);
+  static_assert(fnv1a32("a") == 0xe40c292cu);
 }
 
 TEST(Stats, SummaryBasicMoments) {
