@@ -4,11 +4,11 @@
 # not make T1 slower than <rev> on the same host.
 #
 # Checks <rev> out in a temporary git worktree, builds it and the working
-# tree in Release, runs the E8, T1, R1, R2 and R4 benches in both, and
-# diffs each BENCH_<tag>.json pair once the wall-clock line (wall_ms,
-# alone on its own line) is removed — the filter determinism_gate.sh
-# uses.  Fails if a bench exits non-zero or any pair differs; prints the
-# diff of every pair that does.
+# tree in Release, runs the E8, T1, R1, R2 and R4 benches and E12's
+# awareness parity mode in both, and diffs each BENCH_<tag>.json pair
+# once the wall-clock line (wall_ms, alone on its own line) is removed —
+# the filter determinism_gate.sh uses.  Fails if a bench exits non-zero
+# or any pair differs; prints the diff of every pair that does.
 #
 # Then times T1 on both trees: TIMING_REPS runs per side, interleaved,
 # alternating which side goes first.  Each driver's statistic is its
@@ -52,13 +52,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# binary:artifact pairs; every bench runs with its default arguments.
+# "binary:artifact [argument...]": the bench, the tag of the
+# BENCH_<tag>.json it writes, and the arguments both sides run it with.
 BENCHES=(
   bench_e8_group_scaling:e8
   bench_t1_throughput:t1_throughput
   bench_r1_chaos:r1_chaos
   bench_r2_overload:r2_overload
   bench_r4_failover:r4_failover
+  "bench_e12_awareness_scaling:e12_awareness --benchmark_filter=Parity"
 )
 TARGETS=()
 for b in "${BENCHES[@]}"; do TARGETS+=("${b%%:*}"); done
@@ -129,13 +131,15 @@ build "${ROOT}" "${WORK}/head-build"
 status=0
 for b in "${BENCHES[@]}"; do
   bin="${b%%:*}"
-  json="BENCH_${b##*:}.json"
+  read -r -a words <<<"${b#*:}"
+  json="BENCH_${words[0]}.json"
+  args=("${words[@]:1}")
   for side in base head; do
     dir="${WORK}/${side}-run/${bin}"
     mkdir -p "${dir}"
-    echo "+ ${side} ${bin}"
-    if ! (cd "${dir}" &&
-          "${WORK}/${side}-build/bench/${bin}" >/dev/null 2>stderr.log); then
+    echo "+ ${side} ${bin} ${args[*]}"
+    if ! (cd "${dir}" && "${WORK}/${side}-build/bench/${bin}" \
+            "${args[@]}" >/dev/null 2>stderr.log); then
       cat "${dir}/stderr.log" >&2
       echo "artifact_ab_gate: ${side} ${bin} failed" >&2
       exit 1

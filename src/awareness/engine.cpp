@@ -100,33 +100,47 @@ void AwarenessEngine::subscribe(ClientId observer, DeliverFn fn) {
 void AwarenessEngine::unsubscribe(ClientId observer) {
   if (dispatch_depth_ > 0) {
     deferred_.emplace_back(observer, std::nullopt);
-    dead_.insert(observer);
+    if (dead_.insert(observer).second) dead_order_.push_back(observer);
     return;
   }
   drop_observer(observer);
 }
 
+AwarenessEngine::Observer* AwarenessEngine::find_observer(ClientId id) {
+  const std::uint32_t at = observer_index_.find(id);
+  return at == IdIndex::kNone ? nullptr : &observers_[at];
+}
+
 void AwarenessEngine::add_observer(ClientId observer, DeliverFn fn) {
-  auto [it, fresh] = observers_.try_emplace(observer);
-  if (fresh) {
+  Observer* state = find_observer(observer);
+  if (state == nullptr) {
+    observer_index_.insert(observer,
+                           static_cast<std::uint32_t>(observers_.size()));
+    state = &observers_.emplace_back(Observer{.id = observer});
     // Ids usually arrive ascending, making this an append.
     observer_ids_.insert(std::upper_bound(observer_ids_.begin(),
                                           observer_ids_.end(), observer),
                          observer);
   }
-  it->second.deliver = std::move(fn);
+  state->deliver = std::move(fn);
 }
 
 void AwarenessEngine::drop_observer(ClientId observer) {
-  auto it = observers_.find(observer);
-  if (it == observers_.end()) return;
-  stats_.digests_dropped += it->second.pending.size();
-  if (it->second.queued) {
+  const std::uint32_t at = observer_index_.find(observer);
+  if (at == IdIndex::kNone) return;
+  Observer& state = observers_[at];
+  stats_.digests_dropped += state.pending.size();
+  if (state.queued) {
     // Absent when a flush skipped the (then dead) observer.
     auto q = std::find(digest_queue_.begin(), digest_queue_.end(), observer);
     if (q != digest_queue_.end()) digest_queue_.erase(q);
   }
-  observers_.erase(it);
+  if (at + 1 != observers_.size()) {
+    state = std::move(observers_.back());
+    observer_index_.reassign(state.id, at);
+  }
+  observers_.pop_back();
+  observer_index_.erase(observer);
   observer_ids_.erase(std::lower_bound(observer_ids_.begin(),
                                        observer_ids_.end(), observer));
 }
@@ -140,6 +154,7 @@ void AwarenessEngine::apply_deferred() {
   }
   deferred_.clear();
   dead_.clear();
+  dead_order_.clear();
 }
 
 double AwarenessEngine::decay(sim::TimePoint touched) const {
@@ -224,19 +239,23 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
     // Scratch vectors are moved out so a reentrant publish from a
     // delivery callback grabs fresh (empty) ones instead of clobbering
     // this walk.
-    std::vector<ClientId> candidates = std::move(candidate_scratch_);
+    std::vector<Candidate> candidates = std::move(candidate_scratch_);
     candidates.clear();
     space_.spatial_candidates(event.actor, candidates);
     {
-      // Merge the object's interest ids (sorted) into the grid's.
-      std::vector<ClientId> merged = std::move(merge_scratch_);
+      // Merge the object's interest ids (sorted) into the grid's.  An id
+      // the grid did not return lies outside the actor's nimbus, so its
+      // spatial weight is exactly 0.
+      std::vector<Candidate> merged = std::move(merge_scratch_);
       merged.clear();
       std::size_t i = 0;
       for (const Touch& t : *interested) {
-        while (i < candidates.size() && candidates[i] < t.id)
+        while (i < candidates.size() && candidates[i].id < t.id)
           merged.push_back(candidates[i++]);
-        if (i < candidates.size() && candidates[i] == t.id) ++i;
-        merged.push_back(t.id);
+        if (i < candidates.size() && candidates[i].id == t.id)
+          merged.push_back(candidates[i++]);
+        else
+          merged.push_back({t.id, 0.0});
       }
       merged.insert(merged.end(),
                     candidates.begin() + static_cast<std::ptrdiff_t>(i),
@@ -244,20 +263,28 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
       candidates.swap(merged);
       merge_scratch_ = std::move(merged);
     }
+    // Look every candidate's observer up once before the walk, so the
+    // cache misses on the table and the records overlap instead of
+    // running one at a time.
+    for (const Candidate& c : candidates) {
+      const std::uint32_t at = observer_index_.find(c.id);
+      if (at != IdIndex::kNone) __builtin_prefetch(&observers_[at]);
+    }
+    auto subscribed = [this](ClientId id) {
+      return observer_index_.find(id) != IdIndex::kNone;
+    };
     // Observers already dead when this walk starts (unsubscribed by an
-    // enclosing dispatch) were never eligible; observers that die *during*
-    // the walk need the visited record below to be settled correctly.
-    std::set<ClientId> dead_at_entry;
-    if (!dead_.empty()) dead_at_entry = dead_;
-    std::vector<ClientId> visited_ids = std::move(visited_scratch_);
-    visited_ids.clear();  // stays ascending: candidates are sorted
+    // enclosing dispatch) were never eligible.
+    const std::size_t dead_at_entry = dead_order_.size();
+    // Eligible observers unsubscribed during the walk with ids above its
+    // cursor: the ascending walk skips them with no stat.
+    std::size_t died_ahead = 0;
     const std::uint64_t gc_epoch = gc_epoch_;
-    for (ClientId observer : candidates) {
+    for (const auto [observer, spatial] : candidates) {
       if (observer == event.actor || dead_.count(observer) != 0) continue;
-      auto it = observers_.find(observer);
-      if (it == observers_.end()) continue;
+      Observer* state = find_observer(observer);
+      if (state == nullptr) continue;
       ++visited;
-      visited_ids.push_back(observer);
       // Callbacks may refresh or add entries in the list (read here, at
       // visit time, as weight() would); only a GC run from inside a
       // callback can free it.
@@ -267,30 +294,28 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
       }
       const double temporal =
           interested != nullptr ? interest(*interested, observer) : 0.0;
-      const double w =
-          combine(space_.awareness(observer, event.actor), temporal);
-      if (handle(observer, it->second, event, w)) ++handled;
+      const std::size_t deaths = dead_order_.size();
+      if (handle(observer, *state, event, combine(spatial, temporal)))
+        ++handled;
+      for (std::size_t k = deaths; k < dead_order_.size(); ++k) {
+        const ClientId d = dead_order_[k];
+        if (d > observer && d != event.actor && subscribed(d)) ++died_ahead;
+      }
     }
     // Non-candidates weigh 0 by construction; count them suppressed
     // without visiting so stats match the brute-force walk exactly.
-    // Observers unsubscribed mid-walk split two ways, mirroring the
-    // brute-force scan over the same ascending-id order: one already
-    // visited keeps whatever stat its visit earned (subtracting it again
-    // made `eligible - handled` wrap below zero), one not yet visited is
-    // skipped with no stat at all.
+    // Observers unsubscribed mid-walk split by where the cursor stood
+    // when they died, mirroring the brute-force scan over the same
+    // ascending-id order.  One at or below it keeps the stat the walk
+    // already gave it: its visit's, or for a non-candidate, suppressed
+    // (the scan had passed it).  One above it is skipped with no stat.
     std::size_t eligible = observers_.size();
-    if (observers_.count(event.actor) != 0) --eligible;
-    for (ClientId d : dead_at_entry)
-      if (d != event.actor && observers_.count(d) != 0) --eligible;
-    std::size_t dead_unvisited = 0;
-    for (ClientId d : dead_) {
-      if (d == event.actor || dead_at_entry.count(d) != 0) continue;
-      if (observers_.count(d) == 0) continue;
-      if (!std::binary_search(visited_ids.begin(), visited_ids.end(), d))
-        ++dead_unvisited;
+    if (subscribed(event.actor)) --eligible;
+    for (std::size_t k = 0; k < dead_at_entry; ++k) {
+      const ClientId d = dead_order_[k];
+      if (d != event.actor && subscribed(d)) --eligible;
     }
-    stats_.suppressed += eligible - handled - dead_unvisited;
-    visited_scratch_ = std::move(visited_ids);
+    stats_.suppressed += eligible - handled - died_ahead;
     candidate_scratch_ = std::move(candidates);
   } else {
     // The observer set cannot change during a dispatch, so the id vector
@@ -298,7 +323,7 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
     for (ClientId observer : observer_ids_) {
       if (observer == event.actor || dead_.count(observer) != 0) continue;
       ++visited;
-      if (!handle(observer, observers_.find(observer)->second, event,
+      if (!handle(observer, *find_observer(observer), event,
                   weight(observer, event.actor, event.object)))
         ++stats_.suppressed;
       else
@@ -333,11 +358,11 @@ void AwarenessEngine::flush_digests() {
   ++dispatch_depth_;
   for (std::size_t i = 0; i < pass.size(); ++i) {
     const ClientId observer = pass[i];
-    auto oit = observers_.find(observer);
+    Observer* found = find_observer(observer);
     // A dead observer keeps its entries (and its queued mark) until
     // apply_deferred drops and counts them.
-    if (oit == observers_.end() || dead_.count(observer) != 0) continue;
-    Observer& state = oit->second;
+    if (found == nullptr || dead_.count(observer) != 0) continue;
+    Observer& state = *found;
     state.queued = false;
     auto pending = std::move(state.pending);
     state.pending = {};

@@ -19,16 +19,19 @@
 //
 // Scale: publish() does not walk every observer.  An event can only carry
 // non-zero weight for (a) observers inside the actor's nimbus — served by
-// the SpatialModel's uniform grid — and (b) observers with a live
-// temporal-interest entry for the object.  Interest lives in one hashed
-// table, object -> (id, last touch) records sorted by id, so a publish
-// finds the object once and that one list serves both the merge with the
-// grid candidates and every candidate's temporal term.  The merged ids
-// are visited in ascending order, which is exactly the order a
-// brute-force scan of the (sorted) observer ids visits the non-zero-weight
-// subset, so deliveries and stats are byte-identical to the O(N) walk
-// (config.use_index = false keeps the brute-force path alive as the
-// differential baseline).
+// the SpatialModel's uniform grid, which returns each with its exact
+// spatial weight — and (b) observers with a live temporal-interest entry
+// for the object, whose spatial weight is 0 unless the grid returned
+// them.  Interest lives in one hashed table, object -> (id, last touch)
+// records sorted by id, so a publish finds the object once and that one
+// list serves both the merge with the grid candidates and every
+// candidate's temporal term.  The merged ids are visited in ascending
+// order, which is exactly the order a brute-force scan of the (sorted)
+// observer ids visits the non-zero-weight subset, so deliveries and stats
+// are byte-identical to the O(N) walk (config.use_index = false keeps the
+// brute-force path alive as the differential baseline).  Observers sit in
+// one dense vector found through an open-addressing id table
+// (id_index.hpp).
 //
 // Periodic work is proportional to what is pending, not to the
 // population: observers holding a digest are queued once, and a flush
@@ -41,7 +44,10 @@
 // receives no further deliveries (its remaining digest entries are
 // dropped and counted in stats().digests_dropped) and a freshly
 // subscribed observer starts receiving only after the dispatch.
-// publish() and mark_interest() from inside a DeliverFn are safe.
+// publish() and mark_interest() from inside a DeliverFn are safe.  The
+// indexed walk takes its spatial weights when it starts, so a callback
+// that moves a participant or changes an aura changes the weights of
+// later publishes, not of the rest of the running one.
 #pragma once
 
 #include <cmath>
@@ -55,6 +61,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "awareness/id_index.hpp"
 #include "awareness/spatial.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
@@ -158,6 +165,7 @@ class AwarenessEngine {
 
  private:
   struct Observer {
+    ClientId id;
     DeliverFn deliver;
     /// Pending digest: object -> latest event (+ its weight).
     std::map<std::string, std::pair<ActivityEvent, double>> pending;
@@ -194,6 +202,8 @@ class AwarenessEngine {
               double w);
   void flush_digests();
   void gc_interest();
+  /// @p id's entry in observers_, or nullptr if not subscribed.
+  [[nodiscard]] Observer* find_observer(ClientId id);
   void add_observer(ClientId observer, DeliverFn fn);
   void drop_observer(ClientId observer);
   void apply_deferred();
@@ -201,8 +211,12 @@ class AwarenessEngine {
   sim::Simulator& sim_;
   SpatialModel& space_;
   EngineConfig config_;
-  std::unordered_map<ClientId, Observer> observers_;
-  /// observers_' keys, ascending: the brute-force walk's order.
+  /// Every subscribed observer, densely and in no particular order;
+  /// unsubscribe swaps the last one into the hole.
+  std::vector<Observer> observers_;
+  /// Observer id -> its index in observers_.
+  IdIndex observer_index_;
+  /// observers_' ids, ascending: the brute-force walk's order.
   std::vector<ClientId> observer_ids_;
   /// Observers whose digest is waiting for the next flush, unsorted.
   std::vector<ClientId> digest_queue_;
@@ -225,11 +239,12 @@ class AwarenessEngine {
   std::vector<std::pair<ClientId, std::optional<DeliverFn>>> deferred_;
   /// Unsubscribed during the current dispatch: squelched immediately.
   std::set<ClientId> dead_;
+  /// dead_'s ids in the order they were unsubscribed.
+  std::vector<ClientId> dead_order_;
   /// Scratch storage recycled across publishes (moved out during use so
   /// reentrant publishes never clobber an in-flight candidate walk).
-  std::vector<ClientId> candidate_scratch_;
-  std::vector<ClientId> merge_scratch_;
-  std::vector<ClientId> visited_scratch_;
+  std::vector<Candidate> candidate_scratch_;
+  std::vector<Candidate> merge_scratch_;
   std::vector<ClientId> flush_scratch_;
 
   // --- observability ------------------------------------------------------

@@ -10,21 +10,21 @@
 // space is an abstraction: coordinates can be a virtual room, a document's
 // section layout, or a media-space floor plan.
 //
-// Participants are mirrored into a UniformGridIndex (spatial_index.hpp),
-// updated incrementally on place/set_focus/set_nimbus/remove, so engines
-// can ask for the *candidate set* of an actor — everyone inside the
-// actor's nimbus, the exact superset of observers with non-zero spatial
-// awareness of the actor — without walking the whole space.  The grid's
-// cell size tracks the largest aura radius seen (growth rebuilds in
-// O(N); shrinking radii keep the larger cells, which stays correct and
-// avoids rebuild thrash).
+// Participants live in a UniformGridIndex (spatial_index.hpp), which is
+// both the participant store and the spatial index, so engines can ask
+// for the *candidate set* of an actor — everyone inside the actor's
+// nimbus, the exact superset of observers with non-zero spatial
+// awareness of the actor, each with that awareness — without walking
+// the whole space.  The grid's cell side stays at least twice the
+// largest aura radius seen (growth rebuilds in O(N); shrinking radii
+// keep the larger cells, which stays correct and avoids rebuild
+// thrash), so a candidate query reads at most 2x2 cells.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "awareness/spatial_index.hpp"
@@ -41,55 +41,46 @@ enum class AwarenessLevel : std::uint8_t {
 /// The space and everyone's auras.
 class SpatialModel {
  public:
-  struct Participant {
-    Point position;
-    double focus_radius = 10.0;
-    double nimbus_radius = 10.0;
-  };
-
   // Non-finite input is rejected: a NaN or infinite position or radius
   // leaves the model unchanged and the call returns false.  Such a value
   // has no meaningful distance to anyone, and one infinite radius would
   // grow the grid's cells without bound.  A negative radius is clamped
-  // to 0 (the aura reaches nobody).
+  // to 0 (the aura reaches nobody).  A participant first named by
+  // set_focus or set_nimbus stands at the origin.
 
   /// Adds or moves a participant.
   bool place(ClientId who, Point where) {
     if (!std::isfinite(where.x) || !std::isfinite(where.y)) return false;
-    participants_[who].position = where;
-    grid_.upsert(who, where);
+    Participant p = record(who);
+    p.position = where;
+    store(who, p);
     return true;
   }
 
   /// Sets how far @p who's attention reaches.
   bool set_focus(ClientId who, double radius) {
     if (!std::isfinite(radius)) return false;
-    Participant& p = participants_[who];
+    Participant p = record(who);
     p.focus_radius = std::max(0.0, radius);
-    grid_.upsert(who, p.position);  // may be a fresh default-placed entry
-    grow_cells(p.focus_radius);
+    store(who, p);
     return true;
   }
 
   /// Sets how far @p who's activity projects.
   bool set_nimbus(ClientId who, double radius) {
     if (!std::isfinite(radius)) return false;
-    Participant& p = participants_[who];
+    Participant p = record(who);
     p.nimbus_radius = std::max(0.0, radius);
-    grid_.upsert(who, p.position);
-    grow_cells(p.nimbus_radius);
+    store(who, p);
     return true;
   }
 
-  void remove(ClientId who) {
-    participants_.erase(who);
-    grid_.erase(who);
-  }
+  void remove(ClientId who) { grid_.erase(who); }
 
   [[nodiscard]] std::optional<Point> position(ClientId who) const {
-    auto it = participants_.find(who);
-    if (it == participants_.end()) return std::nullopt;
-    return it->second.position;
+    const Participant* p = grid_.find(who);
+    if (p == nullptr) return std::nullopt;
+    return p->position;
   }
 
   /// Awareness of @p observer about @p observed in [0,1]: the product of
@@ -98,12 +89,12 @@ class SpatialModel {
   /// linear falloff.  Unknown participants yield 0.
   [[nodiscard]] double awareness(ClientId observer, ClientId observed) const {
     if (observer == observed) return 1.0;
-    auto a = participants_.find(observer);
-    auto b = participants_.find(observed);
-    if (a == participants_.end() || b == participants_.end()) return 0.0;
-    const double d = distance(a->second.position, b->second.position);
-    const double focus = falloff(d, a->second.focus_radius);
-    const double nimbus = falloff(d, b->second.nimbus_radius);
+    const Participant* a = grid_.find(observer);
+    const Participant* b = grid_.find(observed);
+    if (a == nullptr || b == nullptr) return 0.0;
+    const double d = distance(a->position, b->position);
+    const double focus = falloff(d, a->focus_radius);
+    const double nimbus = falloff(d, b->nimbus_radius);
     return focus * nimbus;
   }
 
@@ -117,43 +108,54 @@ class SpatialModel {
     return AwarenessLevel::kNone;
   }
 
-  /// Appends, in ascending id order, every participant who could have
-  /// non-zero spatial awareness of @p actor: awareness(x, actor) > 0
-  /// requires distance(x, actor) < actor's nimbus radius, so the grid
-  /// query over that radius is an exact superset.  Unknown actors yield
-  /// nothing (their nimbus reaches nobody).
-  void spatial_candidates(ClientId actor, std::vector<ClientId>& out) const {
-    auto it = participants_.find(actor);
-    if (it == participants_.end()) return;
+  /// Appends, in ascending id order, every participant x within @p actor's
+  /// nimbus radius with its weight awareness(x, actor), bit for bit.
+  /// awareness(x, actor) > 0 requires distance(x, actor) < that radius,
+  /// so everyone left out has spatial weight 0; someone exactly on the
+  /// radius is included with weight 0.  Unknown actors yield nothing
+  /// (their nimbus reaches nobody).
+  void spatial_candidates(ClientId actor, std::vector<Candidate>& out) const {
+    const Participant* a = grid_.find(actor);
+    if (a == nullptr) return;
     const std::size_t base = out.size();
-    grid_.query(it->second.position, it->second.nimbus_radius, actor, out);
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
+    grid_.query(a->position, a->nimbus_radius, actor, out);
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
+              [](const Candidate& x, const Candidate& y) {
+                return x.id < y.id;
+              });
   }
 
   [[nodiscard]] std::size_t participant_count() const noexcept {
-    return participants_.size();
+    return grid_.size();
   }
 
   /// The backing index (tests and gauges).
   [[nodiscard]] const UniformGridIndex& grid() const noexcept { return grid_; }
 
  private:
-  static double falloff(double dist, double radius) {
-    if (radius <= 0.0) return 0.0;
-    return std::max(0.0, 1.0 - dist / radius);
+  /// @p who's record, or a fresh default one.
+  [[nodiscard]] Participant record(ClientId who) const {
+    const Participant* p = grid_.find(who);
+    return p != nullptr ? *p : Participant{};
   }
 
-  /// Cell size must stay >= the largest aura radius so any nimbus query
-  /// touches at most a 3x3 cell block.  Doubling amortizes rebuilds when
-  /// a session keeps nudging radii upward.
+  void store(ClientId who, const Participant& p) {
+    grow_cells(std::max(p.focus_radius, p.nimbus_radius));
+    grid_.upsert(who, p);
+  }
+
+  /// Cell size must stay >= twice the largest aura radius, so any query
+  /// of a radius r no larger spans 2r <= one cell side per axis: at most
+  /// a 2x2 cell block.  Doubling amortizes rebuilds when a session keeps
+  /// nudging radii upward.
   void grow_cells(double radius) {
-    if (radius <= grid_.cell_size()) return;
+    const double need = 2 * radius;
+    if (need <= grid_.cell_size()) return;
     double next = grid_.cell_size();
-    while (next < radius) next *= 2;
+    while (next < need) next *= 2;
     grid_.set_cell_size(next);
   }
 
-  std::unordered_map<ClientId, Participant> participants_;
   UniformGridIndex grid_;
 };
 

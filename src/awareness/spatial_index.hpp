@@ -3,20 +3,27 @@
 // The spatial model (Benford & Fahlén) was designed for "cooperation in
 // large unbounded space"; at the ROADMAP's target scale a brute-force
 // all-pairs walk per published event is O(N²) per broadcast-heavy
-// session.  This index hashes participants into square cells whose side
-// is at least the largest aura radius in the space, so the exact superset
-// of participants within any query radius <= cell size lives in at most
-// the 3x3 block of cells around the query point.
+// session.  This index hashes participants into square cells; when the
+// cell side is at least twice a query's radius (SpatialModel keeps it at
+// twice the largest aura), the exact superset of participants within
+// that radius lives in at most the 2x2 block of cells around the query
+// point.
+//
+// The index is also the participant store: one id -> record map holds
+// each participant's position, both aura radii and its cell slot, and
+// each cell entry carries a copy of the position and focus radius, so a
+// query computes every hit's spatial weight from the cell it scans.
 //
 // Determinism contract: query() appends matches in unspecified order
 // (cells are hashed, in-cell order depends on move history); callers that
 // need run-to-run stable iteration sort the result.  The index itself is
 // exact — a participant is returned iff its distance from the centre is
-// <= radius — so an engine that sorts the candidate ids visits the same
-// observers in the same order a brute-force scan would, minus the
+// <= radius — so an engine that sorts the candidates by id visits the
+// same observers in the same order a brute-force scan would, minus the
 // guaranteed-zero-weight ones.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -42,6 +49,27 @@ struct Point {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+/// Linear aura falloff: 1 at the centre, 0 at and beyond @p radius, and
+/// 0 everywhere for a radius <= 0.
+[[nodiscard]] inline double falloff(double dist, double radius) {
+  if (radius <= 0.0) return 0.0;
+  return std::max(0.0, 1.0 - dist / radius);
+}
+
+/// Where a participant stands and how far its two auras reach.
+struct Participant {
+  Point position;
+  double focus_radius = 10.0;
+  double nimbus_radius = 10.0;
+};
+
+/// One participant found by a query, with its spatial awareness of the
+/// query's actor.
+struct Candidate {
+  ClientId id;
+  double weight;
+};
+
 /// Fixed-cell spatial hash.  Cell size only affects cost, never results;
 /// set_cell_size() rebuilds in O(N) when the owning model learns of a
 /// larger aura radius.
@@ -53,40 +81,41 @@ class UniformGridIndex {
       : cell_(cell_size > kMinCellSize ? cell_size : kMinCellSize) {}
 
   [[nodiscard]] double cell_size() const noexcept { return cell_; }
-  [[nodiscard]] std::size_t size() const noexcept { return where_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] std::size_t cell_count() const noexcept {
     return cells_.size();
   }
 
-  /// Inserts @p id at @p p, or moves it if already present.  Moves within
-  /// one cell are O(1); cell crossings are O(occupancy of the old cell).
-  void upsert(ClientId id, Point p) {
-    const std::int64_t key = key_of(p);
-    auto it = where_.find(id);
-    if (it == where_.end()) {
-      where_.emplace(id, Slot{key, p});
-      cells_[key].push_back({id, p});
-      return;
+  /// @p id's record, or nullptr if absent.
+  [[nodiscard]] const Participant* find(ClientId id) const {
+    auto it = records_.find(id);
+    return it == records_.end() ? nullptr : &it->second.p;
+  }
+
+  /// Inserts @p id with record @p p, or replaces its record.  O(1): a
+  /// record knows its slot in its cell, so neither a same-cell update nor
+  /// a cell crossing scans a bucket.
+  void upsert(ClientId id, const Participant& p) {
+    const std::int64_t key = key_of(p.position);
+    auto [it, fresh] = records_.try_emplace(id);
+    Record& r = it->second;
+    if (!fresh && r.key == key) {
+      Entry& e = cells_.find(key)->second[r.slot];
+      e.at = p.position;
+      e.focus = p.focus_radius;
+    } else {
+      if (!fresh) detach(r);
+      r.key = key;
+      attach(id, r, p);
     }
-    if (it->second.key == key) {
-      it->second.at = p;
-      for (Entry& e : cells_[key])
-        if (e.id == id) {
-          e.at = p;
-          return;
-        }
-      return;  // unreachable if invariants hold
-    }
-    detach(id, it->second.key);
-    it->second = Slot{key, p};
-    cells_[key].push_back({id, p});
+    r.p = p;
   }
 
   void erase(ClientId id) {
-    auto it = where_.find(id);
-    if (it == where_.end()) return;
-    detach(id, it->second.key);
-    where_.erase(it);
+    auto it = records_.find(id);
+    if (it == records_.end()) return;
+    detach(it->second);
+    records_.erase(it);
   }
 
   /// Grows (or shrinks) the cell side and rebuilds.  The caller decides
@@ -96,31 +125,37 @@ class UniformGridIndex {
     if (s == cell_) return;
     cell_ = s;
     cells_.clear();
-    for (auto& [id, slot] : where_) {
-      slot.key = key_of(slot.at);
-      cells_[slot.key].push_back({id, slot.at});
+    for (auto& [id, r] : records_) {
+      r.key = key_of(r.p.position);
+      attach(id, r, r.p);
     }
   }
 
-  /// Appends every participant (except @p exclude) whose distance from
-  /// @p centre is <= @p radius.  Exact: callers need no re-check.  A block
-  /// of cells larger than the number of occupied cells (a huge radius, or
-  /// coordinates saturated at the int32 edge) walks the occupied cells
-  /// instead, so the cost never exceeds one pass over the index.
-  void query(Point centre, double radius, ClientId exclude,
-             std::vector<ClientId>& out) const {
-    if (!(radius >= 0)) return;  // negative or NaN reaches nobody
-    const std::int64_t cx_lo = cell_coord(centre.x - radius);
-    const std::int64_t cx_hi = cell_coord(centre.x + radius);
-    const std::int64_t cy_lo = cell_coord(centre.y - radius);
-    const std::int64_t cy_hi = cell_coord(centre.y + radius);
+  /// Appends every participant (except @p exclude) whose distance d from
+  /// @p centre is <= @p nimbus, each with the weight
+  /// falloff(d, its focus) * falloff(d, nimbus): its spatial awareness of
+  /// an actor at @p centre whose nimbus radius is @p nimbus, computed as
+  /// SpatialModel::awareness() computes it, bit for bit.  Exact: callers
+  /// need no re-check.  A block of cells larger than the number of
+  /// occupied cells (a huge radius, or coordinates saturated at the int32
+  /// edge) walks the occupied cells instead, so the cost never exceeds
+  /// one pass over the index.
+  void query(Point centre, double nimbus, ClientId exclude,
+             std::vector<Candidate>& out) const {
+    if (!(nimbus >= 0)) return;  // negative or NaN reaches nobody
+    const std::int64_t cx_lo = cell_coord(centre.x - nimbus);
+    const std::int64_t cx_hi = cell_coord(centre.x + nimbus);
+    const std::int64_t cy_lo = cell_coord(centre.y - nimbus);
+    const std::int64_t cy_hi = cell_coord(centre.y + nimbus);
     const auto width = static_cast<std::uint64_t>(cx_hi - cx_lo + 1);
     const auto height = static_cast<std::uint64_t>(cy_hi - cy_lo + 1);
     const std::uint64_t occupied = cells_.size();
     auto scan = [&](const std::vector<Entry>& bucket) {
       for (const Entry& e : bucket) {
         if (e.id == exclude) continue;
-        if (distance(e.at, centre) <= radius) out.push_back(e.id);
+        const double d = distance(e.at, centre);
+        if (d <= nimbus)
+          out.push_back({e.id, falloff(d, e.focus) * falloff(d, nimbus)});
       }
     };
     if (width > occupied || height > occupied || width * height > occupied) {
@@ -137,13 +172,16 @@ class UniformGridIndex {
   }
 
  private:
+  /// A cell's copy of what a query reads.
   struct Entry {
     ClientId id;
     Point at;
+    double focus;
   };
-  struct Slot {
-    std::int64_t key;
-    Point at;
+  struct Record {
+    Participant p;
+    std::int64_t key = 0;
+    std::uint32_t slot = 0;  ///< index of the entry in cells_[key]
   };
 
   /// The cell column (or row) of coordinate @p v, saturated into the
@@ -168,23 +206,29 @@ class UniformGridIndex {
     return pack(cell_coord(p.x), cell_coord(p.y));
   }
 
-  void detach(ClientId id, std::int64_t key) {
-    auto cit = cells_.find(key);
-    if (cit == cells_.end()) return;
-    auto& bucket = cit->second;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].id == id) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        break;
-      }
+  /// Appends @p id's entry to the cell of @p r.key.
+  void attach(ClientId id, Record& r, const Participant& p) {
+    std::vector<Entry>& bucket = cells_[r.key];
+    r.slot = static_cast<std::uint32_t>(bucket.size());
+    bucket.push_back({id, p.position, p.focus_radius});
+  }
+
+  /// Swap-removes @p r's entry from its cell; the entry moved into the
+  /// hole gets its record's slot fixed.
+  void detach(const Record& r) {
+    auto cit = cells_.find(r.key);
+    std::vector<Entry>& bucket = cit->second;
+    if (r.slot + 1 != bucket.size()) {
+      bucket[r.slot] = bucket.back();
+      records_.find(bucket[r.slot].id)->second.slot = r.slot;
     }
+    bucket.pop_back();
     if (bucket.empty()) cells_.erase(cit);
   }
 
   double cell_;
   std::unordered_map<std::int64_t, std::vector<Entry>> cells_;
-  std::unordered_map<ClientId, Slot> where_;
+  std::unordered_map<ClientId, Record> records_;
 };
 
 }  // namespace coop::awareness

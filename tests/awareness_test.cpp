@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,18 +111,40 @@ TEST(Spatial, RemoveErasesParticipant) {
 
 // ------------------------------------------------------- spatial index
 
+/// Candidate order by id, the order SpatialModel::spatial_candidates
+/// returns.
+constexpr auto by_id = [](const Candidate& a, const Candidate& b) {
+  return a.id < b.id;
+};
+
+/// The ids of a candidate list, ascending.
+std::vector<ClientId> ids_of(const std::vector<Candidate>& cands) {
+  std::vector<ClientId> ids;
+  for (const Candidate& c : cands) ids.push_back(c.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// A participant at @p where with the default auras.
+Participant standing_at(Point where) {
+  return Participant{.position = where};
+}
+
 TEST(SpatialIndex, QueryMatchesLinearScan) {
   // The grid must be exact under a seeded churn of inserts, moves,
   // removals and cell-size rebuilds: every query equals the brute-force
-  // distance filter.
+  // distance filter, and every weight the falloff product at that
+  // distance.
   sim::Rng rng(7);
   UniformGridIndex grid(8.0);
-  std::map<ClientId, Point> truth;
+  std::map<ClientId, Participant> truth;
   for (int step = 0; step < 600; ++step) {
     const auto id = static_cast<ClientId>(rng.uniform_int(1, 60));
     const double roll = rng.uniform();
     if (roll < 0.70 || truth.find(id) == truth.end()) {
-      const Point p{rng.uniform(-150, 150), rng.uniform(-150, 150)};
+      const Participant p{
+          .position = {rng.uniform(-150, 150), rng.uniform(-150, 150)},
+          .focus_radius = rng.uniform(0.0, 40.0)};
       grid.upsert(id, p);
       truth[id] = p;
     } else if (roll < 0.85) {
@@ -130,68 +155,137 @@ TEST(SpatialIndex, QueryMatchesLinearScan) {
     }
     const Point centre{rng.uniform(-150, 150), rng.uniform(-150, 150)};
     const double radius = rng.uniform(0.0, 60.0);
-    std::vector<ClientId> got;
+    std::vector<Candidate> got;
     grid.query(centre, radius, /*exclude=*/id, got);
-    std::sort(got.begin(), got.end());
     std::vector<ClientId> want;
     for (const auto& [other, p] : truth) {
       if (other == id) continue;
-      if (distance(p, centre) <= radius) want.push_back(other);
+      if (distance(p.position, centre) <= radius) want.push_back(other);
     }
-    ASSERT_EQ(got, want) << "step " << step;
+    ASSERT_EQ(ids_of(got), want) << "step " << step;
+    for (const Candidate& c : got) {
+      const Participant& p = truth[c.id];
+      const double d = distance(p.position, centre);
+      ASSERT_EQ(c.weight, falloff(d, p.focus_radius) * falloff(d, radius))
+          << "step " << step << " id " << c.id;
+    }
   }
 }
 
 TEST(SpatialIndex, CandidatesCoverEveryNonZeroSpatialWeight) {
+  // Every actor's candidates are exactly the participants within its
+  // nimbus radius, in ascending id order, each carrying awareness(x,
+  // actor) bit for bit — through auras of 0, an observer exactly on the
+  // nimbus edge, focus changes on placed participants, moves and a
+  // cell-size regrow in the middle of the sequence.
   sim::Rng rng(11);
   SpatialModel m;
+  ClientId last = 0;
+  auto check_all = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    for (ClientId actor = 1; actor <= last; ++actor) {
+      std::vector<Candidate> cand;
+      m.spatial_candidates(actor, cand);
+      ASSERT_TRUE(std::is_sorted(cand.begin(), cand.end(), by_id));
+      for (const Candidate& c : cand) {
+        ASSERT_NE(c.id, actor);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(c.weight),
+                  std::bit_cast<std::uint64_t>(m.awareness(c.id, actor)))
+            << "observer " << c.id << " of actor " << actor;
+      }
+      const Participant& a = *m.grid().find(actor);
+      for (ClientId obs = 1; obs <= last; ++obs) {
+        if (obs == actor) continue;
+        const bool inside =
+            distance(*m.position(obs), a.position) <= a.nimbus_radius;
+        const bool found = std::binary_search(
+            cand.begin(), cand.end(), Candidate{obs, 0}, by_id);
+        EXPECT_EQ(found, inside) << "observer " << obs << " of actor "
+                                 << actor;
+        if (m.awareness(obs, actor) > 0.0) {
+          EXPECT_TRUE(found) << "observer " << obs << " of actor " << actor
+                             << " missing from candidate set";
+        }
+      }
+    }
+  };
   for (ClientId id = 1; id <= 50; ++id) {
     m.place(id, {rng.uniform(0, 300), rng.uniform(0, 300)});
     m.set_focus(id, rng.uniform(5, 30));
     m.set_nimbus(id, rng.uniform(5, 30));
   }
-  for (ClientId actor = 1; actor <= 50; ++actor) {
-    std::vector<ClientId> cand;
-    m.spatial_candidates(actor, cand);
-    EXPECT_TRUE(std::is_sorted(cand.begin(), cand.end()));
-    for (ClientId obs = 1; obs <= 50; ++obs) {
-      if (obs == actor) continue;
-      if (m.awareness(obs, actor) > 0.0) {
-        EXPECT_TRUE(std::binary_search(cand.begin(), cand.end(), obs))
-            << "observer " << obs << " of actor " << actor
-            << " missing from candidate set";
-      }
-    }
+  last = 50;
+  check_all("random auras");
+
+  m.set_focus(1, 0.0);   // sees nobody, but stays findable
+  m.set_nimbus(2, 0.0);  // reaches only someone on the very same spot
+  m.place(2, *m.position(1));
+  check_all("zero auras");
+
+  // Exactly on 3's nimbus edge: a candidate of weight 0.
+  ASSERT_TRUE(m.place(3, {100, 100}));
+  ASSERT_TRUE(m.set_nimbus(3, 8.0));
+  ASSERT_TRUE(m.place(51, {108, 100}));
+  ASSERT_TRUE(m.set_focus(51, 20.0));
+  last = 51;
+  {
+    std::vector<Candidate> cand;
+    m.spatial_candidates(3, cand);
+    auto edge = std::find_if(cand.begin(), cand.end(),
+                             [](const Candidate& c) { return c.id == 51; });
+    ASSERT_NE(edge, cand.end());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(edge->weight),
+              std::bit_cast<std::uint64_t>(0.0));
   }
+  check_all("nimbus edge");
+
+  // Focus changes on placed participants: their cell entries follow.
+  for (ClientId id = 4; id <= 20; ++id) m.set_focus(id, rng.uniform(1, 35));
+  check_all("refocused");
+
+  // A nimbus wider than half the cell side regrows the grid.
+  const double cell = m.grid().cell_size();
+  ASSERT_TRUE(m.set_nimbus(5, cell));
+  EXPECT_GE(m.grid().cell_size(), 2 * cell);
+  check_all("regrown");
+
+  for (int step = 0; step < 200; ++step) {
+    const auto id = static_cast<ClientId>(rng.uniform_int(1, last));
+    const Point p = *m.position(id);
+    m.place(id, {p.x + rng.uniform(-20, 20), p.y + rng.uniform(-20, 20)});
+    if (step % 7 == 0) m.set_focus(id, rng.uniform(0, 30));
+  }
+  check_all("after moves");
 }
 
 TEST(SpatialIndex, CellSizeGrowsWithLargestAura) {
   SpatialModel m;
   m.place(kAlice, {0, 0});
   const double before = m.grid().cell_size();
+  EXPECT_GE(before, 2 * 10.0);  // twice the default auras
   m.set_nimbus(kAlice, 500.0);
-  EXPECT_GE(m.grid().cell_size(), 500.0);
+  EXPECT_GE(m.grid().cell_size(), 2 * 500.0);
   EXPECT_GT(m.grid().cell_size(), before);
   // Everyone inside that huge nimbus is still found after the rebuild.
   m.place(kBob, {400, 0});
-  std::vector<ClientId> cand;
+  std::vector<Candidate> cand;
   m.spatial_candidates(kAlice, cand);
-  EXPECT_EQ(cand, std::vector<ClientId>{kBob});
+  EXPECT_EQ(ids_of(cand), std::vector<ClientId>{kBob});
 }
 
 TEST(SpatialIndex, FarAwayPointsSaturateIntoEdgeCellsAndStayExact) {
   // |x / cell| far beyond 2^31: the cell coordinate saturates instead of
   // overflowing, and the distance filter keeps the answer exact.
   UniformGridIndex grid(16.0);
-  grid.upsert(kAlice, {1e12, 0});
-  grid.upsert(kBob, {1e12 + 3, 0});
-  grid.upsert(kCarol, {0, -1e15});
-  std::vector<ClientId> got;
+  grid.upsert(kAlice, standing_at({1e12, 0}));
+  grid.upsert(kBob, standing_at({1e12 + 3, 0}));
+  grid.upsert(kCarol, standing_at({0, -1e15}));
+  std::vector<Candidate> got;
   grid.query({1e12, 0}, 5.0, kAlice, got);
-  EXPECT_EQ(got, std::vector<ClientId>{kBob});
+  EXPECT_EQ(ids_of(got), std::vector<ClientId>{kBob});
   got.clear();
   grid.query({0, -1e15}, 1.0, 0, got);
-  EXPECT_EQ(got, std::vector<ClientId>{kCarol});
+  EXPECT_EQ(ids_of(got), std::vector<ClientId>{kCarol});
   got.clear();
   grid.query({0, 0}, 1.0, 0, got);
   EXPECT_TRUE(got.empty());
@@ -201,26 +295,26 @@ TEST(SpatialIndex, HugeRadiusWalksOccupiedCellsOnly) {
   // A block of ~2^64 cells must cost one pass over the occupied cells.
   UniformGridIndex grid(1.0);
   for (ClientId id = 1; id <= 20; ++id)
-    grid.upsert(id, {static_cast<double>(id) * 1e6, -1e9});
+    grid.upsert(id, standing_at({static_cast<double>(id) * 1e6, -1e9}));
   for (double radius : {1e12, 1e300, std::numeric_limits<double>::max(),
                         std::numeric_limits<double>::infinity()}) {
-    std::vector<ClientId> got;
+    std::vector<Candidate> got;
     grid.query({0, 0}, radius, /*exclude=*/7, got);
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got.size(), 19u) << "radius " << radius;
-    EXPECT_EQ(got.front(), 1u);
-    EXPECT_EQ(got.back(), 20u);
+    const std::vector<ClientId> ids = ids_of(got);
+    ASSERT_EQ(ids.size(), 19u) << "radius " << radius;
+    EXPECT_EQ(ids.front(), 1u);
+    EXPECT_EQ(ids.back(), 20u);
   }
 }
 
 TEST(SpatialIndex, NaNNeverMatches) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   UniformGridIndex grid(8.0);
-  grid.upsert(kAlice, {nan, 0});
-  grid.upsert(kBob, {1, 1});
-  std::vector<ClientId> got;
+  grid.upsert(kAlice, standing_at({nan, 0}));
+  grid.upsert(kBob, standing_at({1, 1}));
+  std::vector<Candidate> got;
   grid.query({0, 0}, std::numeric_limits<double>::infinity(), 0, got);
-  EXPECT_EQ(got, std::vector<ClientId>{kBob});  // never the NaN point
+  EXPECT_EQ(ids_of(got), std::vector<ClientId>{kBob});  // never NaN's
   got.clear();
   grid.query({0, 0}, nan, 0, got);  // a NaN radius reaches nobody
   EXPECT_TRUE(got.empty());
@@ -250,9 +344,9 @@ TEST(Spatial, NonFiniteInputIsRejectedAndLeavesTheModelUnchanged) {
   EXPECT_FALSE(m.position(kCarol).has_value());  // never created
   EXPECT_EQ(m.participant_count(), 2u);
   EXPECT_EQ(m.grid().cell_size(), cell);
-  std::vector<ClientId> cand;
+  std::vector<Candidate> cand;
   m.spatial_candidates(kAlice, cand);
-  EXPECT_EQ(cand, std::vector<ClientId>{kBob});
+  EXPECT_EQ(ids_of(cand), std::vector<ClientId>{kBob});
 }
 
 // ------------------------------------------------------------ engine
@@ -494,6 +588,22 @@ TEST_P(ReentrancyTest, UnsubscribingAnotherObserverMidDispatchSquelchesThem) {
   EXPECT_EQ(engine.stats().immediate, 1u);  // Bob only
   EXPECT_EQ(engine.stats().suppressed, 0u);
   EXPECT_EQ(engine.stats().digests_dropped, 0u);
+}
+
+TEST_P(ReentrancyTest, UnsubscribingAnObserverTheWalkHasPassedKeepsItsStat) {
+  // Bob (lower id, far away) weighs zero, so the ascending walk has
+  // counted him suppressed by the time Carol's delivery pulls his
+  // subscription.  The indexed walk never visits him and must count him
+  // all the same.
+  space.place(kBob, {500, 0});
+  space.place(kCarol, {2, 0});  // close enough for immediate delivery
+  engine.subscribe(kCarol, [&](const ActivityEvent&, double, bool) {
+    engine.unsubscribe(kBob);
+  });
+  engine.publish(edit(kAlice, "doc"));
+  EXPECT_TRUE(received[kBob].empty());
+  EXPECT_EQ(engine.stats().immediate, 1u);   // Carol
+  EXPECT_EQ(engine.stats().suppressed, 1u);  // Bob, passed before he left
 }
 
 TEST_P(ReentrancyTest, SubscribeDuringDispatchTakesEffectAfterwards) {
@@ -762,70 +872,233 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b) {
   EXPECT_EQ(a.notification_time.count(), b.notification_time.count());
 }
 
+/// One engine of a parity pair, with its delivery log and the ids it has
+/// been asked to keep subscribed.  With churn on, every 5th delivery
+/// unsubscribes the observer itself or toggles another id — the same
+/// decisions on both sides as long as their deliveries agree.
+struct ParitySide {
+  ParitySide(sim::Simulator& s, SpatialModel& space, EngineConfig cfg,
+             const std::vector<ClientId>& all, bool churn)
+      : sim(s), engine(s, space, cfg), ids(all), churn_in_callbacks(churn) {}
+
+  void subscribe(ClientId id) {
+    engine.subscribe(id, tap(id));
+    live.insert(id);
+  }
+  void unsubscribe(ClientId id) {
+    engine.unsubscribe(id);
+    live.erase(id);
+  }
+
+  AwarenessEngine::DeliverFn tap(ClientId observer) {
+    return [this, observer, write = log.tap(sim, observer)](
+               const ActivityEvent& e, double w, bool d) {
+      write(e, w, d);
+      const std::size_t n = log.lines.size();
+      if (!churn_in_callbacks || n % 5 != 0) return;
+      const ClientId other = ids[(n / 5 * 7919) % ids.size()];
+      if (n % 10 == 0)
+        unsubscribe(observer);
+      else if (live.count(other) != 0)
+        unsubscribe(other);
+      else
+        subscribe(other);
+    };
+  }
+
+  sim::Simulator& sim;
+  AwarenessEngine engine;
+  DeliveryLog log;
+  const std::vector<ClientId>& ids;
+  const bool churn_in_callbacks;
+  std::set<ClientId> live;
+};
+
+/// Replays one seeded workload — random walks, edit storms, interest
+/// marks and digest tides — through an indexed and a brute-force engine
+/// sharing one simulator and one space, and expects identical delivery
+/// logs and stats.  With @p churn, subscriptions also change: from the
+/// test between steps (in the first half two leave per step, down to a
+/// few observers; in the second half up to one rejoins per step) and from
+/// inside delivery callbacks.
+void expect_parity(std::uint64_t seed, const std::vector<ClientId>& ids,
+                   bool churn) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << ids.size()
+                                  << " ids, churn " << churn);
+  sim::Simulator sim;
+  SpatialModel space;
+  EngineConfig base{.full_threshold = 0.4,
+                    .digest_period = sim::sec(5),
+                    .interest_decay = sim::sec(30),
+                    .interest_gc_factor = 10.0};
+  EngineConfig brute_cfg = base;
+  brute_cfg.use_index = false;
+  ParitySide indexed(sim, space, base, ids, churn);
+  ParitySide brute(sim, space, brute_cfg, ids, churn);
+
+  // Constant density: 40 participants on a 250 x 250 floor.
+  const double side =
+      250.0 * std::sqrt(static_cast<double>(ids.size()) / 40.0);
+  sim::Rng rng(seed);
+  for (ClientId id : ids) {
+    space.place(id, {rng.uniform(0, side), rng.uniform(0, side)});
+    space.set_focus(id, rng.uniform(5, 30));
+    space.set_nimbus(id, rng.uniform(5, 30));
+    indexed.subscribe(id);
+    brute.subscribe(id);
+  }
+  auto pick = [&] {
+    return ids[static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(ids.size())) - 1)];
+  };
+
+  constexpr int kSteps = 400;
+  std::size_t fewest = ids.size();
+  std::size_t most_after = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const ClientId id = pick();
+    const double roll = rng.uniform();
+    if (roll < 0.5) {
+      // Random walk: drift within the space.
+      if (auto at = space.position(id)) {
+        space.place(id, {at->x + rng.uniform(-15, 15),
+                         at->y + rng.uniform(-15, 15)});
+      }
+    } else if (roll < 0.9) {
+      // Edit storm: bursts against a small hot set of objects.
+      const std::string object =
+          "doc/" + std::to_string(rng.uniform_int(0, 12));
+      const int burst = static_cast<int>(rng.uniform_int(1, 4));
+      for (int b = 0; b < burst; ++b) {
+        const ActivityEvent e{id, object, "edit", sim.now()};
+        indexed.engine.publish(e);
+        brute.engine.publish(e);
+      }
+    } else if (roll < 0.95) {
+      const std::string object =
+          "doc/" + std::to_string(rng.uniform_int(0, 12));
+      indexed.engine.mark_interest(id, object);
+      brute.engine.mark_interest(id, object);
+    } else {
+      sim.run_for(sim::sec(static_cast<sim::Duration>(
+          rng.uniform_int(1, 7))));
+    }
+    if (!churn) continue;
+    ASSERT_EQ(indexed.live, brute.live) << "step " << step;
+    if (step < kSteps / 2) {
+      for (int k = 0; k < 2 && indexed.live.size() > 8; ++k) {
+        const ClientId who = *std::next(
+            indexed.live.begin(),
+            rng.uniform_int(
+                0, static_cast<std::int64_t>(indexed.live.size()) - 1));
+        indexed.unsubscribe(who);
+        brute.unsubscribe(who);
+      }
+    } else if (const ClientId who = pick(); indexed.live.count(who) == 0) {
+      indexed.subscribe(who);
+      brute.subscribe(who);
+    }
+    if (step < kSteps / 2)
+      fewest = std::min(fewest, indexed.live.size());
+    else
+      most_after = std::max(most_after, indexed.live.size());
+  }
+  sim.run_for(sim::sec(10));  // final digest flushes
+
+  EXPECT_EQ(indexed.log.lines, brute.log.lines);
+  expect_stats_equal(indexed.engine.stats(), brute.engine.stats());
+  if (churn) {
+    // The observer table grew past 256 entries, shrank below 1/8 load of
+    // that and grew again.
+    EXPECT_GT(ids.size(), 256u);
+    EXPECT_LT(fewest * 8, 256u);
+    EXPECT_GT(most_after, 2 * fewest);
+  }
+}
+
+/// Ids whose multiplicative hashes are consecutive, so they share a home
+/// slot in every observer table of up to 2^16 slots.
+std::vector<ClientId> colliding_ids(std::uint32_t hash_high, int count) {
+  // The inverse of the hash multiplier modulo 2^32, by Newton's method.
+  const std::uint32_t k = IdIndex::hash(1);
+  std::uint32_t inverse = k;
+  for (int i = 0; i < 5; ++i) inverse *= 2u - k * inverse;
+  std::vector<ClientId> ids;
+  for (int j = 0; j < count; ++j)
+    ids.push_back(((hash_high << 16) + static_cast<std::uint32_t>(j)) *
+                  inverse);
+  return ids;
+}
+
 }  // namespace
+
+TEST(IdIndex, MatchesAMapUnderChurnWithCollidingIds) {
+  std::vector<ClientId> pool = colliding_ids(0x5a5a, 40);
+  for (ClientId id : pool) ASSERT_EQ(IdIndex::hash(id) >> 16, 0x5a5au);
+  for (ClientId id : {0u, 1u, 0x80000000u, 0xfffffffeu, 0xffffffffu})
+    pool.push_back(id);
+  sim::Rng rng(5);
+  for (int i = 0; i < 300; ++i)
+    pool.push_back(static_cast<ClientId>(rng.uniform_int(0, 0xffffffffLL)));
+
+  IdIndex table;
+  std::map<ClientId, std::uint32_t> model;
+  std::size_t largest = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const ClientId id = pool[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(pool.size()) - 1))];
+    // Fill up for the first half, drain for the second.
+    const bool add = rng.uniform() < (step < 10000 ? 0.7 : 0.3);
+    auto it = model.find(id);
+    if (it == model.end()) {
+      if (add) {
+        const auto index = static_cast<std::uint32_t>(step);
+        table.insert(id, index);
+        model[id] = index;
+      }
+    } else if (add) {
+      table.reassign(id, it->second + 1);
+      ++it->second;
+    } else {
+      table.erase(id);
+      model.erase(it);
+    }
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    ASSERT_LE(table.size() * 2, table.capacity()) << "step " << step;
+    largest = std::max(largest, table.capacity());
+    if (step % 97 == 0 || step > 19900) {
+      for (ClientId probe : pool) {
+        auto m = model.find(probe);
+        ASSERT_EQ(table.find(probe),
+                  m == model.end() ? IdIndex::kNone : m->second)
+            << "step " << step << " id " << probe;
+      }
+    }
+  }
+  EXPECT_GE(largest, 256u);
+  EXPECT_LT(table.capacity(), largest);  // it shrank as it drained
+}
 
 TEST(EngineParity, IndexedEngineMatchesBruteForceExactly) {
   // Same seed, same spatial churn, same publishes: the indexed engine
   // must produce the identical delivery sequence (observer, time, event,
   // weight, path) and identical stats as the brute-force walk.
-  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    sim::Simulator sim;
-    SpatialModel space;
-    EngineConfig base{.full_threshold = 0.4,
-                      .digest_period = sim::sec(5),
-                      .interest_decay = sim::sec(30),
-                      .interest_gc_factor = 10.0};
-    EngineConfig brute_cfg = base;
-    brute_cfg.use_index = false;
-    AwarenessEngine indexed(sim, space, base);
-    AwarenessEngine brute(sim, space, brute_cfg);
+  std::vector<ClientId> dense;
+  for (ClientId id = 1; id <= 40; ++id) dense.push_back(id);
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL})
+    expect_parity(seed, dense, /*churn=*/false);
 
-    constexpr int kParticipants = 40;
-    sim::Rng rng(seed);
-    DeliveryLog log_indexed, log_brute;
-    for (ClientId id = 1; id <= kParticipants; ++id) {
-      space.place(id, {rng.uniform(0, 250), rng.uniform(0, 250)});
-      space.set_focus(id, rng.uniform(5, 30));
-      space.set_nimbus(id, rng.uniform(5, 30));
-      indexed.subscribe(id, log_indexed.tap(sim, id));
-      brute.subscribe(id, log_brute.tap(sim, id));
-    }
-
-    for (int step = 0; step < 400; ++step) {
-      const auto id = static_cast<ClientId>(
-          rng.uniform_int(1, kParticipants));
-      const double roll = rng.uniform();
-      if (roll < 0.5) {
-        // Random walk: drift within the space.
-        if (auto at = space.position(id)) {
-          space.place(id, {at->x + rng.uniform(-15, 15),
-                           at->y + rng.uniform(-15, 15)});
-        }
-      } else if (roll < 0.9) {
-        // Edit storm: bursts against a small hot set of objects.
-        const std::string object =
-            "doc/" + std::to_string(rng.uniform_int(0, 12));
-        const int burst = static_cast<int>(rng.uniform_int(1, 4));
-        for (int b = 0; b < burst; ++b) {
-          const ActivityEvent e{id, object, "edit", sim.now()};
-          indexed.publish(e);
-          brute.publish(e);
-        }
-      } else if (roll < 0.95) {
-        const std::string object =
-            "doc/" + std::to_string(rng.uniform_int(0, 12));
-        indexed.mark_interest(id, object);
-        brute.mark_interest(id, object);
-      } else {
-        sim.run_for(sim::sec(static_cast<sim::Duration>(
-            rng.uniform_int(1, 7))));
-      }
-    }
-    sim.run_for(sim::sec(10));  // final digest flushes
-
-    EXPECT_EQ(log_indexed.lines, log_brute.lines) << "seed " << seed;
-    expect_stats_equal(indexed.stats(), brute.stats());
-  }
+  // Sparse ids across the whole range, the table's edge cases among
+  // them, with subscriptions churning from outside and inside dispatch.
+  std::vector<ClientId> sparse = colliding_ids(0x1234, 24);
+  for (ClientId id : {0u, 0x80000000u, 0xfffffffeu}) sparse.push_back(id);
+  sim::Rng rng(17);
+  while (sparse.size() < 300)
+    sparse.push_back(static_cast<ClientId>(rng.uniform_int(2, 0x7fffffffLL)) *
+                     2);
+  std::sort(sparse.begin(), sparse.end());
+  sparse.erase(std::unique(sparse.begin(), sparse.end()), sparse.end());
+  expect_parity(4, sparse, /*churn=*/true);
 }
 
 }  // namespace
