@@ -108,7 +108,7 @@ void AwarenessEngine::unsubscribe(ClientId observer) {
 
 AwarenessEngine::Observer* AwarenessEngine::find_observer(ClientId id) {
   const std::uint32_t at = observer_index_.find(id);
-  return at == IdIndex::kNone ? nullptr : &observers_[at];
+  return at == ObserverIndex::kNone ? nullptr : &observers_[at];
 }
 
 void AwarenessEngine::add_observer(ClientId observer, DeliverFn fn) {
@@ -127,7 +127,7 @@ void AwarenessEngine::add_observer(ClientId observer, DeliverFn fn) {
 
 void AwarenessEngine::drop_observer(ClientId observer) {
   const std::uint32_t at = observer_index_.find(observer);
-  if (at == IdIndex::kNone) return;
+  if (at == ObserverIndex::kNone) return;
   Observer& state = observers_[at];
   stats_.digests_dropped += state.pending.size();
   if (state.queued) {
@@ -268,10 +268,10 @@ void AwarenessEngine::publish(const ActivityEvent& event) {
     // running one at a time.
     for (const Candidate& c : candidates) {
       const std::uint32_t at = observer_index_.find(c.id);
-      if (at != IdIndex::kNone) __builtin_prefetch(&observers_[at]);
+      if (at != ObserverIndex::kNone) __builtin_prefetch(&observers_[at]);
     }
     auto subscribed = [this](ClientId id) {
-      return observer_index_.find(id) != IdIndex::kNone;
+      return observer_index_.find(id) != ObserverIndex::kNone;
     };
     // Observers already dead when this walk starts (unsubscribed by an
     // enclosing dispatch) were never eligible.

@@ -31,7 +31,7 @@
 // are byte-identical to the O(N) walk (config.use_index = false keeps the
 // brute-force path alive as the differential baseline).  Observers sit in
 // one dense vector found through an open-addressing id table
-// (id_index.hpp).
+// (util/flat_index.hpp).
 //
 // Periodic work is proportional to what is pending, not to the
 // population: observers holding a digest are queued once, and a flush
@@ -61,10 +61,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "awareness/id_index.hpp"
 #include "awareness/spatial.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_index.hpp"
 #include "util/stats.hpp"
 
 namespace coop::awareness {
@@ -164,6 +164,8 @@ class AwarenessEngine {
   }
 
  private:
+  using ObserverIndex = util::FlatIndex<ClientId>;
+
   struct Observer {
     ClientId id;
     DeliverFn deliver;
@@ -215,7 +217,7 @@ class AwarenessEngine {
   /// unsubscribe swaps the last one into the hole.
   std::vector<Observer> observers_;
   /// Observer id -> its index in observers_.
-  IdIndex observer_index_;
+  ObserverIndex observer_index_;
   /// observers_' ids, ascending: the brute-force walk's order.
   std::vector<ClientId> observer_ids_;
   /// Observers whose digest is waiting for the next flush, unsorted.

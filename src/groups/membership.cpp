@@ -101,7 +101,7 @@ MembershipCoordinator::MembershipCoordinator(net::Network& net,
   banned_ = {takeover.baseline.banned.begin(), takeover.baseline.banned.end()};
   view_.id = takeover.id_floor;  // bump_view publishes id_floor + 1
   for (const auto& a : takeover.rejoined) {
-    if (banned_.count(a) == 0) states_[a] = {now, 0};
+    if (banned_.count(a) == 0) admit(a, now);
   }
   activations_->inc();
   net_.obs().tracer.event(
@@ -132,7 +132,7 @@ void MembershipCoordinator::bump_view() {
   ++view_changes_;
   view_.members.clear();
   view_.members.reserve(states_.size());
-  for (const auto& [addr, st] : states_) view_.members.push_back(addr);
+  for (const MemberState& m : states_) view_.members.push_back(m.addr);
   view_.banned.assign(banned_.begin(), banned_.end());
   views_->inc();
   net_.obs().tracer.event(
@@ -140,7 +140,21 @@ void MembershipCoordinator::bump_view() {
       {{"id", static_cast<double>(view_.id)},
        {"members", static_cast<double>(view_.members.size())}});
   if (observer_) observer_(view_);
-  for (const auto& [addr, st] : states_) send_view(addr);
+  for (const MemberState& m : states_) send_view(m.addr);
+}
+
+std::pair<MembershipCoordinator::MemberState*, bool>
+MembershipCoordinator::admit(const net::Address& addr, sim::TimePoint now) {
+  auto it = slot(addr);
+  if (it != states_.end() && it->addr == addr) return {&*it, false};
+  return {&*states_.insert(it, {addr, now, 0}), true};
+}
+
+bool MembershipCoordinator::drop_member(const net::Address& addr) {
+  auto it = slot(addr);
+  if (it == states_.end() || it->addr != addr) return false;
+  states_.erase(it);
+  return true;
 }
 
 void MembershipCoordinator::send_view(const net::Address& to) {
@@ -152,7 +166,7 @@ void MembershipCoordinator::send_view(const net::Address& to) {
 
 void MembershipCoordinator::evict(const net::Address& member) {
   banned_.insert(member);
-  if (states_.erase(member) > 0) {
+  if (drop_member(member)) {
     evictions_->inc();
     net_.obs().tracer.event(net_.simulator().now(), obs::Category::kGroup,
                             "evict",
@@ -164,8 +178,8 @@ void MembershipCoordinator::evict(const net::Address& member) {
 std::size_t MembershipCoordinator::fresh_member_count(
     sim::TimePoint now) const {
   std::size_t fresh = 0;
-  for (const auto& [addr, st] : states_) {
-    if (now - st.last_heartbeat <= config_.failure_timeout) ++fresh;
+  for (const MemberState& m : states_) {
+    if (now - m.last_heartbeat <= config_.failure_timeout) ++fresh;
   }
   return fresh;
 }
@@ -220,14 +234,11 @@ void MembershipCoordinator::sweep() {
   }
 
   std::vector<net::Address> removed;
-  for (auto it = states_.begin(); it != states_.end();) {
-    if (now - it->second.last_heartbeat > config_.failure_timeout) {
-      removed.push_back(it->first);
-      it = states_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(states_, [&](const MemberState& m) {
+    if (now - m.last_heartbeat <= config_.failure_timeout) return false;
+    removed.push_back(m.addr);
+    return true;
+  });
   if (!removed.empty()) {
     failures_->inc(removed.size());
     for (const auto& addr : removed)
@@ -242,8 +253,8 @@ void MembershipCoordinator::sweep() {
   }
   // Re-send the current view to any member that has not acked it (repairs
   // lost VIEW datagrams).
-  for (const auto& [addr, st] : states_) {
-    if (st.acked_view < view_.id) send_view(addr);
+  for (const MemberState& m : states_) {
+    if (m.acked_view < view_.id) send_view(m.addr);
   }
 }
 
@@ -282,7 +293,7 @@ void MembershipCoordinator::maybe_activate_from_rejoins() {
   view_.id = floor;
   states_.clear();
   for (const auto& [addr, v] : rejoins_) {
-    if (banned_.count(addr) == 0) states_[addr] = {now, 0};
+    if (banned_.count(addr) == 0) admit(addr, now);
   }
   rejoins_.clear();
   activations_->inc();
@@ -321,8 +332,8 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
         send_view(msg.src);  // show the banned member it is out
         break;
       }
-      auto [it, inserted] = states_.try_emplace(msg.src);
-      it->second.last_heartbeat = now;
+      auto [member, inserted] = admit(msg.src, now);
+      member->last_heartbeat = now;
       if (inserted) {
         joins_->inc();
         net_.obs().tracer.event(now, obs::Category::kGroup, "join",
@@ -334,7 +345,7 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
       break;
     }
     case kLeave:
-      if (role_ == Role::kActive && states_.erase(msg.src) > 0) {
+      if (role_ == Role::kActive && drop_member(msg.src)) {
         leaves_->inc();
         bump_view();
       }
@@ -346,16 +357,16 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
         net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
         break;
       }
-      auto it = states_.find(msg.src);
+      MemberState* member = find_member(msg.src);
       if (role_ == Role::kSuspended) {
         // Track liveness so a short blip can resume, but renew no lease:
         // if the suspension outlasts the leases, members must be free to
         // elect a successor.
-        if (it != states_.end()) it->second.last_heartbeat = now;
+        if (member != nullptr) member->last_heartbeat = now;
         break;
       }
-      if (it != states_.end()) {
-        it->second.last_heartbeat = now;
+      if (member != nullptr) {
+        member->last_heartbeat = now;
         if (config_.enable_failover) {
           util::Writer w;
           w.put(kHeartbeatAck).put(view_.id);
@@ -374,9 +385,9 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
     case kViewAck: {
       if (role_ != Role::kActive) break;
       const auto id = r.get<std::uint64_t>();
-      auto it = states_.find(msg.src);
-      if (it != states_.end() && !r.failed())
-        it->second.acked_view = std::max(it->second.acked_view, id);
+      MemberState* member = find_member(msg.src);
+      if (member != nullptr && !r.failed())
+        member->acked_view = std::max(member->acked_view, id);
       break;
     }
     case kCoordAlive:

@@ -31,6 +31,7 @@
 // returns before member leases ran out, and permanently retires otherwise.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -38,6 +39,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -186,9 +188,25 @@ class MembershipCoordinator : public net::Endpoint {
 
  private:
   struct MemberState {
+    net::Address addr;
     sim::TimePoint last_heartbeat = 0;
     std::uint64_t acked_view = 0;
   };
+
+  /// @p addr's entry in states_, or where it would go.
+  std::vector<MemberState>::iterator slot(const net::Address& addr) {
+    return std::ranges::lower_bound(states_, addr, {}, &MemberState::addr);
+  }
+  [[nodiscard]] MemberState* find_member(const net::Address& addr) {
+    auto it = slot(addr);
+    return it != states_.end() && it->addr == addr ? &*it : nullptr;
+  }
+  /// @p addr's entry, inserted fresh at @p now if absent; the flag says
+  /// whether it was inserted.
+  std::pair<MemberState*, bool> admit(const net::Address& addr,
+                                      sim::TimePoint now);
+  /// Removes @p addr's entry; false if there was none.
+  bool drop_member(const net::Address& addr);
 
   void bump_view();
   void send_view(const net::Address& to);
@@ -201,7 +219,8 @@ class MembershipCoordinator : public net::Endpoint {
   MembershipConfig config_;
   Role role_ = Role::kActive;
   View view_;
-  std::map<net::Address, MemberState> states_;
+  /// Members in ascending address order: the order views list them in.
+  std::vector<MemberState> states_;
   std::set<net::Address> banned_;
   std::function<void(const View&)> observer_;
   std::uint64_t view_changes_ = 0;

@@ -30,19 +30,25 @@ FifoChannel::FifoChannel(Network& net, Address self, FifoConfig config)
 }
 
 FifoChannel::~FifoChannel() {
-  for (auto& [peer, state] : peers_) {
+  for (PeerState& state : peers_) {
     if (state.timer != sim::kInvalidEvent) net_.simulator().cancel(state.timer);
   }
   net_.detach(self_);
 }
 
 FifoChannel::PeerState& FifoChannel::peer_state(const Address& peer) {
-  auto [it, inserted] = peers_.try_emplace(peer);
-  if (inserted) {
-    it->second.send_epoch = config_.epoch;
-    it->second.budget = RetryBudget(config_.retry_budget);
-  }
-  return it->second;
+  if (PeerState* state = find_peer(peer)) return *state;
+  peer_index_.insert(address_key(peer),
+                     static_cast<std::uint32_t>(peers_.size()));
+  PeerState& state = peers_.emplace_back();
+  state.send_epoch = config_.epoch;
+  state.budget = RetryBudget(config_.retry_budget);
+  return state;
+}
+
+FifoChannel::PeerState* FifoChannel::find_peer(const Address& peer) {
+  const std::uint32_t at = peer_index_.find(address_key(peer));
+  return at == PeerIndex::kNone ? nullptr : &peers_[at];
 }
 
 void FifoChannel::send(const Address& peer, std::string_view payload) {
@@ -62,14 +68,14 @@ void FifoChannel::send(const Address& peer, std::string_view payload) {
   util::Buf wire = encode_frame(state.send_epoch, seq, payload);
   net_.send({.src = self_, .dst = peer, .payload = wire});
   state.unacked.insert(seq, std::move(wire));
-  if (state.timer == sim::kInvalidEvent) arm_timer(peer);
+  if (state.timer == sim::kInvalidEvent) arm_timer(peer, state);
 }
 
 void FifoChannel::resync(const Address& peer) {
   PeerState& state = peer_state(peer);
   state.hello_pending = true;
-  send_hello(peer);
-  if (state.timer == sim::kInvalidEvent) arm_timer(peer);
+  send_hello(peer, state.send_epoch);
+  if (state.timer == sim::kInvalidEvent) arm_timer(peer, state);
 }
 
 util::Buf FifoChannel::encode_frame(std::uint32_t epoch, std::uint64_t seq,
@@ -79,14 +85,13 @@ util::Buf FifoChannel::encode_frame(std::uint32_t epoch, std::uint64_t seq,
   return w.take_buf();
 }
 
-void FifoChannel::send_hello(const Address& peer) {
+void FifoChannel::send_hello(const Address& peer, std::uint32_t epoch) {
   util::Writer w;
-  w.put(kHello).put(peer_state(peer).send_epoch);
+  w.put(kHello).put(epoch);
   net_.send({.src = self_, .dst = peer, .payload = w.take_buf()});
 }
 
-void FifoChannel::arm_timer(const Address& peer) {
-  PeerState& state = peer_state(peer);
+void FifoChannel::arm_timer(const Address& peer, PeerState& state) {
   // Exponential backoff capped at max_retransmit_timeout.
   sim::Duration timeout = config_.retransmit_timeout;
   for (int i = 0; i < state.retries && timeout < config_.max_retransmit_timeout;
@@ -100,10 +105,10 @@ void FifoChannel::arm_timer(const Address& peer) {
     timeout = std::max<sim::Duration>(
         1, static_cast<sim::Duration>(static_cast<double>(timeout) * scale));
   }
-  state.timer = net_.simulator().schedule_after(timeout, [this, peer] {
-    auto it = peers_.find(peer);
-    if (it == peers_.end()) return;
-    PeerState& st = it->second;
+  // Peers are never dropped and the destructor cancels their timers, so
+  // the timer may hold on to the state itself.
+  state.timer = net_.simulator().schedule_after(timeout, [this, peer,
+                                                         &st = state] {
     st.timer = sim::kInvalidEvent;
     if (st.unacked.empty() && !st.hello_pending) return;
     ++st.retries;
@@ -130,17 +135,17 @@ void FifoChannel::arm_timer(const Address& peer) {
     // has spread the load).
     if (!st.budget.try_spend()) {
       ++stats_.budget_denied;
-      arm_timer(peer);
+      arm_timer(peer, st);
       return;
     }
-    if (st.hello_pending) send_hello(peer);
+    if (st.hello_pending) send_hello(peer, st.send_epoch);
     // Go-back-N style: retransmit everything outstanding, re-sending the
     // original wire buffers (shared, not re-encoded).
     st.unacked.for_each([&](std::uint64_t, const util::Buf& wire) {
       ++stats_.retransmits;
       net_.send({.src = self_, .dst = peer, .payload = wire});
     });
-    arm_timer(peer);
+    arm_timer(peer, st);
   });
 }
 
@@ -189,7 +194,7 @@ void FifoChannel::resync_send(const Address& peer, PeerState& state) {
     net_.simulator().cancel(state.timer);
     state.timer = sim::kInvalidEvent;
   }
-  if (!state.unacked.empty() || state.hello_pending) arm_timer(peer);
+  if (!state.unacked.empty() || state.hello_pending) arm_timer(peer, state);
 }
 
 void FifoChannel::on_message(const Message& msg) {
@@ -201,9 +206,9 @@ void FifoChannel::on_message(const Message& msg) {
     const auto epoch = r.get<std::uint32_t>();
     const auto cum = r.get<std::uint64_t>();
     if (r.failed()) return;
-    auto it = peers_.find(msg.src);
-    if (it == peers_.end()) return;
-    PeerState& state = it->second;
+    PeerState* found = find_peer(msg.src);
+    if (found == nullptr) return;
+    PeerState& state = *found;
     if (epoch != state.send_epoch) {
       ++stats_.stale;  // ack for a renumbered-away stream
       return;
@@ -300,8 +305,8 @@ void FifoChannel::deliver(const Address& peer, PeerState& state,
 }
 
 std::size_t FifoChannel::unacked(const Address& peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.unacked.size();
+  const std::uint32_t at = peer_index_.find(address_key(peer));
+  return at == PeerIndex::kNone ? 0 : peers_[at].unacked.size();
 }
 
 }  // namespace coop::net

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string_view>
@@ -32,6 +33,7 @@
 #include "net/network.hpp"
 #include "net/overload.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_index.hpp"
 #include "util/seq_ring.hpp"
 
 namespace coop::net {
@@ -158,7 +160,12 @@ class FifoChannel : public Endpoint {
     std::map<std::uint64_t, util::Buf> holdback_far;
   };
 
+  using PeerIndex = util::FlatIndex<std::uint64_t>;
+
+  /// @p peer's state, created on first contact.
   PeerState& peer_state(const Address& peer);
+  /// @p peer's state, or nullptr before first contact.
+  PeerState* find_peer(const Address& peer);
   /// Encodes one kData frame into a shareable wire buffer.
   util::Buf encode_frame(std::uint32_t epoch, std::uint64_t seq,
                          std::string_view payload);
@@ -168,8 +175,9 @@ class FifoChannel : public Endpoint {
   /// cursor has advanced past it.
   void deliver(const Address& peer, PeerState& state,
                std::string_view payload);
-  void send_hello(const Address& peer);
-  void arm_timer(const Address& peer);
+  void send_hello(const Address& peer, std::uint32_t epoch);
+  /// Schedules @p state's retransmit round toward @p peer.
+  void arm_timer(const Address& peer, PeerState& state);
   void send_ack(const Address& peer, std::uint32_t epoch,
                 std::uint64_t cumulative);
   /// Receive-side epoch handling; returns false if the frame is stale.
@@ -182,7 +190,11 @@ class FifoChannel : public Endpoint {
   Address self_;
   FifoConfig config_;
   std::size_t window_;  ///< hold-back ring width
-  std::map<Address, PeerState> peers_;
+  /// Per-peer state in first-contact order, found through peer_index_
+  /// (keyed by address_key()).  A deque, so a PeerState& stays valid while
+  /// a callback it is held across contacts new peers.
+  std::deque<PeerState> peers_;
+  PeerIndex peer_index_;
   ReceiveFn receive_;
   UnreachableFn unreachable_;
   FifoStats stats_;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -58,6 +57,12 @@ struct Address {
   bool operator==(const Address&) const = default;
   auto operator<=>(const Address&) const = default;
 };
+
+/// All 48 address bits in one integer: the key util::FlatIndex tables
+/// find endpoints and peers by.
+[[nodiscard]] constexpr std::uint64_t address_key(const Address& a) noexcept {
+  return (static_cast<std::uint64_t>(a.node) << 16) | a.port;
+}
 
 /// Frame checksum over a payload, one 8-byte word per step: a 64-bit
 /// state seeded with the length, `h = (h ^ word) * odd` for each
@@ -142,22 +147,3 @@ class Endpoint {
 };
 
 }  // namespace coop::net
-
-template <>
-struct std::hash<coop::net::Address> {
-  std::size_t operator()(const coop::net::Address& a) const noexcept {
-    // Multiply-mix (murmur3 finalizer) over all 48 address bits.  The old
-    // `(node << 16) ^ port` discarded the high node bits on 32-bit size_t
-    // and kept sequential node ids in consecutive buckets — pessimal for
-    // the hot endpoints_ lookup where experiments allocate node ids
-    // densely from 0.
-    std::uint64_t k =
-        (static_cast<std::uint64_t>(a.node) << 16) | a.port;
-    k ^= k >> 33;
-    k *= 0xff51afd7ed558ccdull;
-    k ^= k >> 33;
-    k *= 0xc4ceb9fe1a85ec53ull;
-    k ^= k >> 33;
-    return static_cast<std::size_t>(k);
-  }
-};

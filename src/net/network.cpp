@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <cassert>
+#include <optional>
 #include <utility>
 
 namespace coop::net {
@@ -29,9 +30,45 @@ void Network::restart(NodeId node) {
   crashed_.erase(node);
   // The rebooted node's outbound serializers hold no backlog: whatever was
   // queued on its NICs died with the process.
-  for (auto& [k, state] : link_states_) {
-    if (static_cast<NodeId>(k >> 32) == node) state.busy_until = 0;
+  for (Route& r : routes_) {
+    if (r.from == node) r.state.busy_until = 0;
   }
+}
+
+void Network::attach(const Address& addr, Endpoint& ep) {
+  const std::uint64_t key = address_key(addr);
+  std::uint32_t at = endpoint_index_.find(key);
+  if (at == Index::kNone) {
+    if (free_endpoints_.empty()) {
+      at = static_cast<std::uint32_t>(endpoints_.size());
+      endpoints_.push_back(nullptr);
+    } else {
+      at = free_endpoints_.back();
+      free_endpoints_.pop_back();
+    }
+    endpoint_index_.insert(key, at);
+  }
+  endpoints_[at] = &ep;
+}
+
+void Network::detach(const Address& addr) {
+  const std::uint64_t key = address_key(addr);
+  const std::uint32_t at = endpoint_index_.find(key);
+  if (at == Index::kNone) return;
+  endpoint_index_.erase(key);
+  endpoints_[at] = nullptr;
+  free_endpoints_.push_back(at);
+}
+
+std::uint32_t Network::route(NodeId from, NodeId to) {
+  const std::uint64_t key = pair_key(from, to);
+  std::uint32_t at = route_index_.find(key);
+  if (at == Index::kNone) {
+    at = static_cast<std::uint32_t>(routes_.size());
+    routes_.push_back(Route{.from = from});
+    route_index_.insert(key, at);
+  }
+  return at;
 }
 
 NetworkStats Network::stats() const noexcept {
@@ -66,15 +103,15 @@ bool Network::partition_blocks(NodeId a, NodeId b) const {
   return (a_in_a && b_in_b) || (a_in_b && b_in_a);
 }
 
-std::optional<LinkModel> Network::effective_link(NodeId from,
-                                                 NodeId to) const {
+const LinkModel* Network::effective_link(NodeId from, NodeId to,
+                                         const Route& r) const {
   const Connectivity cf = connectivity(from);
   const Connectivity ct = connectivity(to);
   if (cf == Connectivity::kDisconnected || ct == Connectivity::kDisconnected)
-    return std::nullopt;
+    return nullptr;
   if (cf == Connectivity::kPartial || ct == Connectivity::kPartial)
-    return radio_model_;
-  return link(from, to);
+    return &radio_model_;
+  return r.has_link ? &r.link : &default_link_;
 }
 
 std::uint64_t Network::send(Message msg) {
@@ -115,6 +152,15 @@ std::uint64_t Network::multicast(McastId group, Message msg) {
   return id;
 }
 
+void Network::drop(util::Counter& counter, const char* event,
+                   const Message& msg) {
+  counter.inc();
+  obs_->series.count(ts_dropped_, sim_.now());
+  obs_->tracer.event(sim_.now(), obs::Category::kNet, event, msg.ctx,
+                     {{"src", static_cast<double>(msg.src.node)},
+                      {"dst", static_cast<double>(msg.dst.node)}});
+}
+
 void Network::transmit(Message msg, bool injectable) {
   sent_->inc();
   bytes_sent_->inc(msg.wire_size);
@@ -130,37 +176,26 @@ void Network::transmit(Message msg, bool injectable) {
                 {"dst", static_cast<double>(to)},
                 {"bytes", static_cast<double>(msg.wire_size)}});
 
-  if (is_crashed(from) || is_crashed(to) || partition_blocks(from, to)) {
-    dropped_partition_->inc();
-    obs_->series.count(ts_dropped_, sim_.now());
-    tracer.event(sim_.now(), obs::Category::kNet, "drop_partition", msg.ctx,
-                 {{"src", static_cast<double>(from)},
-                  {"dst", static_cast<double>(to)}});
-    return;
+  // One lookup resolves the pair: its explicit link and its state.
+  std::uint32_t at = 0;
+  const LinkModel* link = nullptr;
+  if (!is_crashed(from) && !is_crashed(to) && !partition_blocks(from, to)) {
+    at = route(from, to);
+    link = effective_link(from, to, routes_[at]);
   }
-  const std::optional<LinkModel> model = effective_link(from, to);
-  if (!model) {
-    dropped_partition_->inc();
-    obs_->series.count(ts_dropped_, sim_.now());
-    tracer.event(sim_.now(), obs::Category::kNet, "drop_partition", msg.ctx,
-                 {{"src", static_cast<double>(from)},
-                  {"dst", static_cast<double>(to)}});
-    return;
-  }
-  // The link-state entry is materialized only past the crash/partition
-  // checks: a frame a dead or partitioned source never put on the wire
-  // must not grow link_states_ or perturb that link's counters.  (Loss
-  // below still counts per-link — the frame did occupy the link.)
-  auto& state = link_states_[key(from, to)];
-  const double loss = model->loss + disturbance_.extra_loss;
+  if (link == nullptr) return drop(*dropped_partition_, "drop_partition", msg);
+  // A copy: the inject hook below may reconfigure links, and that must
+  // take effect from the next frame, not halfway through this one.
+  const LinkModel model = *link;
+  // The link state becomes visible only past the crash/partition checks:
+  // a frame a dead or partitioned source never put on the wire must not
+  // perturb that link's counters.  (Loss below still counts per-link —
+  // the frame did occupy the link.)
+  routes_[at].has_state = true;
+  const double loss = model.loss + disturbance_.extra_loss;
   if (loss > 0 && sim_.rng().bernoulli(loss)) {
-    dropped_loss_->inc();
-    obs_->series.count(ts_dropped_, sim_.now());
-    ++state.dropped;
-    tracer.event(sim_.now(), obs::Category::kNet, "drop_loss", msg.ctx,
-                 {{"src", static_cast<double>(from)},
-                  {"dst", static_cast<double>(to)}});
-    return;
+    ++routes_[at].state.dropped;
+    return drop(*dropped_loss_, "drop_loss", msg);
   }
 
   // Per-datagram fault injection.  The duplicate copy is snapshot before
@@ -171,18 +206,19 @@ void Network::transmit(Message msg, bool injectable) {
   if (injectable && inject_) inject = inject_(msg);
   std::optional<Message> dup;
   if (inject.duplicate) dup = msg;
+  LinkState& state = routes_[at].state;  // after the hook: it may add routes
 
   // Serialization/queueing: the sender's serializer for this directed link
   // is busy until `busy_until`; a new datagram queues behind it.  This is
   // the mechanism that lets cross-traffic congest a stream (experiment E6).
   const sim::TimePoint start = std::max(sim_.now(), state.busy_until);
   const sim::Duration queue_wait = start - sim_.now();
-  const sim::Duration ser = model->serialize_time(msg.wire_size);
+  const sim::Duration ser = model.serialize_time(msg.wire_size);
   state.busy_until = start + ser;
   ++state.sent;
   state.bytes += msg.wire_size;
 
-  sim::TimePoint arrival = state.busy_until + model->propagation(sim_.rng());
+  sim::TimePoint arrival = state.busy_until + model.propagation(sim_.rng());
   if (disturbance_.active()) {
     sim::Duration extra = disturbance_.extra_latency;
     if (disturbance_.extra_jitter > 0) {
@@ -248,29 +284,15 @@ void Network::deliver(Message& msg, sim::Duration queue_wait) {
   // happened while the datagram was in flight still loses it.
   if (is_crashed(msg.dst.node) ||
       connectivity(msg.dst.node) == Connectivity::kDisconnected ||
-      partition_blocks(msg.src.node, msg.dst.node)) {
-    dropped_partition_->inc();
-    obs_->series.count(ts_dropped_, sim_.now());
-    obs_->tracer.event(sim_.now(), obs::Category::kNet, "drop_partition",
-                       msg.ctx,
-                       {{"src", static_cast<double>(msg.src.node)},
-                        {"dst", static_cast<double>(msg.dst.node)}});
-    return;
-  }
+      partition_blocks(msg.src.node, msg.dst.node))
+    return drop(*dropped_partition_, "drop_partition", msg);
   // Integrity verification at the receiving NIC, before demux: a frame
   // whose payload no longer matches its stamped checksum is dropped
   // here — corrupt bytes never reach an Endpoint handler.
-  if (msg.checksum != frame_checksum(msg.payload)) {
-    dropped_corrupt_->inc();
-    obs_->series.count(ts_dropped_, sim_.now());
-    obs_->tracer.event(sim_.now(), obs::Category::kNet, "drop_corrupt",
-                       msg.ctx,
-                       {{"src", static_cast<double>(msg.src.node)},
-                        {"dst", static_cast<double>(msg.dst.node)}});
-    return;
-  }
-  auto it = endpoints_.find(msg.dst);
-  if (it == endpoints_.end()) {
+  if (msg.checksum != frame_checksum(msg.payload))
+    return drop(*dropped_corrupt_, "drop_corrupt", msg);
+  const std::uint32_t at = endpoint_index_.find(address_key(msg.dst));
+  if (at == Index::kNone) {
     dropped_no_endpoint_->inc();
     obs_->series.count(ts_dropped_, sim_.now());
     obs_->tracer.event(sim_.now(), obs::Category::kNet, "drop_no_endpoint",
@@ -289,8 +311,9 @@ void Network::deliver(Message& msg, sim::Duration queue_wait) {
                      {"dst", static_cast<double>(msg.dst.node)},
                      {"bytes", static_cast<double>(msg.wire_size)},
                      {"queue", static_cast<double>(queue_wait)}});
+  Endpoint* ep = endpoints_[at];
   obs::ProfScope prof(obs_->profiler, prof_deliver_);
-  it->second->on_message(msg);
+  ep->on_message(msg);
 }
 
 }  // namespace coop::net

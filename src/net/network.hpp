@@ -12,9 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +23,7 @@
 #include "net/message.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_index.hpp"
 
 namespace coop::net {
 
@@ -74,7 +75,9 @@ class Network {
   /// Sets the directed link @p from -> @p to.  Call twice (or use
   /// set_symmetric_link) for a bidirectional path.
   void set_link(NodeId from, NodeId to, const LinkModel& model) {
-    links_[key(from, to)] = model;
+    Route& r = routes_[route(from, to)];
+    r.link = model;
+    r.has_link = true;
   }
 
   /// Sets both directions between @p a and @p b.
@@ -86,8 +89,8 @@ class Network {
   /// Effective model for a directed pair (explicit link or default),
   /// before mobile-connectivity overrides.
   [[nodiscard]] const LinkModel& link(NodeId from, NodeId to) const {
-    auto it = links_.find(key(from, to));
-    return it != links_.end() ? it->second : default_link_;
+    const Route* r = find_route(from, to);
+    return r != nullptr && r->has_link ? r->link : default_link_;
   }
 
   /// Conservative lookahead for the sharded kernel: the smallest
@@ -99,7 +102,8 @@ class Network {
   /// tells ShardedEngine to fall back to barrier-synchronized epochs.
   [[nodiscard]] sim::Duration lookahead() const noexcept {
     sim::Duration la = default_link_.min_latency();
-    for (const auto& [k, m] : links_) la = std::min(la, m.min_latency());
+    for (const Route& r : routes_)
+      if (r.has_link) la = std::min(la, r.link.min_latency());
     if (!connectivity_.empty())
       la = std::min(la, radio_model_.min_latency());
     return la;
@@ -107,12 +111,13 @@ class Network {
 
   // --- endpoints -----------------------------------------------------------
 
-  /// Registers @p ep to receive datagrams addressed to @p addr.  The caller
-  /// keeps ownership and must detach (or outlive the network's last event).
-  void attach(const Address& addr, Endpoint& ep) { endpoints_[addr] = &ep; }
+  /// Registers @p ep to receive datagrams addressed to @p addr, replacing
+  /// any endpoint already there.  The caller keeps ownership and must
+  /// detach (or outlive the network's last event).
+  void attach(const Address& addr, Endpoint& ep);
 
   /// Removes the endpoint registration, if any.
-  void detach(const Address& addr) { endpoints_.erase(addr); }
+  void detach(const Address& addr);
 
   // --- faults & mobility ---------------------------------------------------
 
@@ -165,6 +170,7 @@ class Network {
   }
 
   [[nodiscard]] Connectivity connectivity(NodeId node) const {
+    if (connectivity_.empty()) return Connectivity::kFull;
     auto it = connectivity_.find(node);
     return it != connectivity_.end() ? it->second : Connectivity::kFull;
   }
@@ -206,9 +212,11 @@ class Network {
   [[nodiscard]] NetworkStats stats() const noexcept;
 
   /// Per-directed-link dynamic counters (congestion inspection in tests).
+  /// nullptr until a frame on the pair passed the crash and partition
+  /// checks.
   [[nodiscard]] const LinkState* link_state(NodeId from, NodeId to) const {
-    auto it = link_states_.find(key(from, to));
-    return it != link_states_.end() ? &it->second : nullptr;
+    const Route* r = find_route(from, to);
+    return r != nullptr && r->has_state ? &r->state : nullptr;
   }
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
@@ -217,15 +225,41 @@ class Network {
   [[nodiscard]] obs::Obs& obs() noexcept { return *obs_; }
 
  private:
-  static std::uint64_t key(NodeId from, NodeId to) noexcept {
+  using Index = util::FlatIndex<std::uint64_t>;
+
+  /// Everything kept per directed node pair, so a frame resolves its
+  /// pair once.
+  struct Route {
+    NodeId from = 0;
+    bool has_link = false;   ///< set_link() was called; `link` applies
+    bool has_state = false;  ///< a frame passed the crash/partition checks
+    LinkModel link;
+    LinkState state;
+  };
+
+  static std::uint64_t pair_key(NodeId from, NodeId to) noexcept {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  /// Applies connectivity overrides; nullopt means "no path".
-  [[nodiscard]] std::optional<LinkModel> effective_link(NodeId from,
-                                                        NodeId to) const;
+  /// The pair's route, or nullptr if neither set_link() nor a frame has
+  /// touched it.
+  [[nodiscard]] const Route* find_route(NodeId from, NodeId to) const {
+    const std::uint32_t at = route_index_.find(pair_key(from, to));
+    return at == Index::kNone ? nullptr : &routes_[at];
+  }
+
+  /// Index of the pair's route in routes_, created on first use.
+  std::uint32_t route(NodeId from, NodeId to);
+
+  /// Applies connectivity overrides to @p r's link; nullptr means "no
+  /// path".  May point into routes_, so it dangles once a route is added.
+  [[nodiscard]] const LinkModel* effective_link(NodeId from, NodeId to,
+                                                const Route& r) const;
 
   [[nodiscard]] bool partition_blocks(NodeId a, NodeId b) const;
+
+  /// Counts and traces a dropped frame.
+  void drop(util::Counter& counter, const char* event, const Message& msg);
 
   void transmit(Message msg, bool injectable = true);
 
@@ -268,9 +302,15 @@ class Network {
   LinkDisturbance disturbance_;
   LinkModel default_link_ = LinkModel::lan();
   LinkModel radio_model_ = LinkModel::radio();
-  std::unordered_map<std::uint64_t, LinkModel> links_;
-  std::unordered_map<std::uint64_t, LinkState> link_states_;
-  std::unordered_map<Address, Endpoint*> endpoints_;
+  // Routes and endpoints sit in dense vectors found through flat indices
+  // keyed by pair_key() and net::address_key().  Code that calls out (the
+  // inject hook, an endpoint) holds indices across the call, never
+  // references: the callee may grow either vector.
+  Index route_index_;
+  std::vector<Route> routes_;
+  Index endpoint_index_;
+  std::vector<Endpoint*> endpoints_;  ///< nullptr marks a free slot
+  std::vector<std::uint32_t> free_endpoints_;
   std::map<McastId, std::set<Address>> mcast_groups_;
   std::vector<Address> mcast_snapshot_;  // multicast()'s reused member copy
   bool in_multicast_ = false;

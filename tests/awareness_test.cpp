@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_index.hpp"
 
 namespace coop::awareness {
 namespace {
@@ -1020,7 +1021,7 @@ void expect_parity(std::uint64_t seed, const std::vector<ClientId>& ids,
 /// slot in every observer table of up to 2^16 slots.
 std::vector<ClientId> colliding_ids(std::uint32_t hash_high, int count) {
   // The inverse of the hash multiplier modulo 2^32, by Newton's method.
-  const std::uint32_t k = IdIndex::hash(1);
+  const std::uint32_t k = util::FlatIndex<ClientId>::hash(1);
   std::uint32_t inverse = k;
   for (int i = 0; i < 5; ++i) inverse *= 2u - k * inverse;
   std::vector<ClientId> ids;
@@ -1031,53 +1032,6 @@ std::vector<ClientId> colliding_ids(std::uint32_t hash_high, int count) {
 }
 
 }  // namespace
-
-TEST(IdIndex, MatchesAMapUnderChurnWithCollidingIds) {
-  std::vector<ClientId> pool = colliding_ids(0x5a5a, 40);
-  for (ClientId id : pool) ASSERT_EQ(IdIndex::hash(id) >> 16, 0x5a5au);
-  for (ClientId id : {0u, 1u, 0x80000000u, 0xfffffffeu, 0xffffffffu})
-    pool.push_back(id);
-  sim::Rng rng(5);
-  for (int i = 0; i < 300; ++i)
-    pool.push_back(static_cast<ClientId>(rng.uniform_int(0, 0xffffffffLL)));
-
-  IdIndex table;
-  std::map<ClientId, std::uint32_t> model;
-  std::size_t largest = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const ClientId id = pool[static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(pool.size()) - 1))];
-    // Fill up for the first half, drain for the second.
-    const bool add = rng.uniform() < (step < 10000 ? 0.7 : 0.3);
-    auto it = model.find(id);
-    if (it == model.end()) {
-      if (add) {
-        const auto index = static_cast<std::uint32_t>(step);
-        table.insert(id, index);
-        model[id] = index;
-      }
-    } else if (add) {
-      table.reassign(id, it->second + 1);
-      ++it->second;
-    } else {
-      table.erase(id);
-      model.erase(it);
-    }
-    ASSERT_EQ(table.size(), model.size()) << "step " << step;
-    ASSERT_LE(table.size() * 2, table.capacity()) << "step " << step;
-    largest = std::max(largest, table.capacity());
-    if (step % 97 == 0 || step > 19900) {
-      for (ClientId probe : pool) {
-        auto m = model.find(probe);
-        ASSERT_EQ(table.find(probe),
-                  m == model.end() ? IdIndex::kNone : m->second)
-            << "step " << step << " id " << probe;
-      }
-    }
-  }
-  EXPECT_GE(largest, 256u);
-  EXPECT_LT(table.capacity(), largest);  // it shrank as it drained
-}
 
 TEST(EngineParity, IndexedEngineMatchesBruteForceExactly) {
   // Same seed, same spatial churn, same publishes: the indexed engine

@@ -10,7 +10,6 @@
 #include <memory>
 #include <new>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -343,30 +342,6 @@ TEST(CodecBoundsTest, ReaderGetVectorAcceptsExactFit) {
   EXPECT_FALSE(r.failed());
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[2], 3u);
-}
-
-// --- Address hash spread ---------------------------------------------------
-
-TEST(AddressHashTest, DenseIdsSpreadAcrossLowBits) {
-  // Experiments allocate node ids densely from 0 with a handful of ports;
-  // the hash must spread them across the low bits an unordered_map
-  // actually uses.  The old (node<<16)^port kept sequential nodes in
-  // sequential buckets.
-  constexpr std::size_t kBuckets = 2048;
-  std::set<std::size_t> hashes;
-  std::set<std::size_t> buckets;
-  const std::hash<net::Address> h;
-  for (std::uint32_t node = 0; node < 200; ++node) {
-    for (std::uint16_t port = 1; port <= 50; ++port) {
-      const std::size_t v = h(net::Address{node, port});
-      hashes.insert(v);
-      buckets.insert(v & (kBuckets - 1));
-    }
-  }
-  EXPECT_EQ(hashes.size(), 200u * 50u);  // no full collisions at all
-  // 10000 keys into 2048 buckets: expect near-full occupancy (the old
-  // hash filled well under half).
-  EXPECT_GT(buckets.size(), kBuckets * 9 / 10);
 }
 
 // --- link-state bookkeeping ------------------------------------------------

@@ -1,11 +1,18 @@
-// Unit tests for serialization and statistics utilities.
+// Unit tests for serialization, statistics and the flat index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "net/message.hpp"
+#include "sim/rng.hpp"
 #include "util/codec.hpp"
+#include "util/flat_index.hpp"
 #include "util/fnv.hpp"
 #include "util/stats.hpp"
 
@@ -261,6 +268,120 @@ TEST(Codec, TakeEmptiesTheWriter) {
   // The storage moved out: a stale Writer can no longer silently
   // re-serialize its old bytes.
   EXPECT_EQ(w.size(), 0u);
+}
+
+// --- FlatIndex -------------------------------------------------------------
+
+template <class Key>
+constexpr int kKeyBits = static_cast<int>(sizeof(Key)) * 8;
+
+/// Keys whose hashes agree in their top 16 bits and differ only in the
+/// lowest ones, so they share a home slot in every table of up to 2^16
+/// slots.
+template <class Key>
+std::vector<Key> colliding_keys(Key hash_high, int count) {
+  // The inverse of the hash multiplier modulo 2^bits, by Newton's method.
+  const Key k = FlatIndex<Key>::hash(1);
+  Key inverse = k;
+  for (int i = 0; i < 6; ++i) inverse *= Key{2} - k * inverse;
+  std::vector<Key> keys;
+  for (int j = 0; j < count; ++j)
+    keys.push_back(static_cast<Key>(
+        ((hash_high << (kKeyBits<Key> - 16)) + static_cast<Key>(j)) *
+        inverse));
+  return keys;
+}
+
+/// Random inserts, reassigns and erases over a pool of colliding, extreme
+/// and random keys, checked step by step against a std::map.
+template <class Key>
+void expect_matches_map_model(Key hash_high, std::vector<Key> extremes) {
+  std::vector<Key> pool = colliding_keys<Key>(hash_high, 40);
+  for (Key key : pool)
+    ASSERT_EQ(FlatIndex<Key>::hash(key) >> (kKeyBits<Key> - 16), hash_high);
+  pool.insert(pool.end(), extremes.begin(), extremes.end());
+  sim::Rng rng(5);
+  for (int i = 0; i < 300; ++i) pool.push_back(static_cast<Key>(rng.next()));
+
+  FlatIndex<Key> table;
+  std::map<Key, std::uint32_t> model;
+  std::size_t largest = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const Key key = pool[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(pool.size()) - 1))];
+    // Fill up for the first half, drain for the second.
+    const bool add = rng.uniform() < (step < 10000 ? 0.7 : 0.3);
+    auto it = model.find(key);
+    if (it == model.end()) {
+      if (add) {
+        const auto index = static_cast<std::uint32_t>(step);
+        table.insert(key, index);
+        model[key] = index;
+      }
+    } else if (add) {
+      table.reassign(key, it->second + 1);
+      ++it->second;
+    } else {
+      table.erase(key);
+      model.erase(it);
+    }
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    ASSERT_LE(table.size() * 2, table.capacity()) << "step " << step;
+    largest = std::max(largest, table.capacity());
+    if (step % 97 == 0 || step > 19900) {
+      for (Key probe : pool) {
+        auto m = model.find(probe);
+        ASSERT_EQ(table.find(probe),
+                  m == model.end() ? FlatIndex<Key>::kNone : m->second)
+            << "step " << step << " key " << probe;
+      }
+    }
+  }
+  EXPECT_GE(largest, 256u);
+  EXPECT_LT(table.capacity(), largest);  // it shrank as it drained
+}
+
+TEST(FlatIndex, MatchesAMapUnderChurnWithCollidingIds) {
+  expect_matches_map_model<std::uint32_t>(
+      0x5a5a, {0u, 1u, 0x80000000u, 0xfffffffeu, 0xffffffffu});
+}
+
+TEST(FlatIndex, MatchesAMapUnderChurnWith64BitKeys) {
+  expect_matches_map_model<std::uint64_t>(
+      0xa5a5, {0ull, 1ull, 0xffffffffull, 0x100000000ull, 1ull << 63,
+               ~0ull - 1, ~0ull});
+}
+
+TEST(FlatIndex, DenseAddressesKeepProbeRunsShort) {
+  // Experiments allocate node ids densely from 0 with a handful of ports.
+  // A key's home slot is the top log2(capacity) bits of its hash; replay
+  // linear probing from there to measure each key's probe run.
+  FlatIndex<std::uint64_t> table;
+  std::vector<std::uint64_t> keys;
+  for (std::uint32_t node = 0; node < 200; ++node) {
+    for (std::uint16_t port = 1; port <= 50; ++port) {
+      keys.push_back(net::address_key({node, port}));
+      table.insert(keys.back(), static_cast<std::uint32_t>(keys.size() - 1));
+    }
+  }
+  const std::size_t capacity = table.capacity();
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<bool> taken(capacity);
+  std::size_t longest = 0;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(table.find(keys[i]), i);
+    std::size_t slot = FlatIndex<std::uint64_t>::hash(keys[i]) >> shift;
+    std::size_t run = 1;
+    for (; taken[slot]; ++run) slot = (slot + 1) & (capacity - 1);
+    taken[slot] = true;
+    total += run;
+    longest = std::max(longest, run);
+  }
+  // Fibonacci hashing maps this grid of keys to distinct home slots;
+  // random hashing at this load (0.31) would average about 1.2 probes.
+  EXPECT_LE(longest, 4u);
+  EXPECT_LE(static_cast<double>(total) / keys.size(), 1.1);
 }
 
 }  // namespace
