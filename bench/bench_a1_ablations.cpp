@@ -37,8 +37,7 @@ void BM_RetransmitTimeout(benchmark::State& state) {
     const std::vector<net::Address> members = {{1, 10}, {2, 10}, {3, 10}};
     groups::ChannelConfig config{.ordering = groups::Ordering::kFifo,
                                  .retransmit_timeout = timeout,
-                                 .max_retransmits = 30,
-                                 .local_echo = true};
+                                 .max_retransmits = 30};
     std::vector<std::unique_ptr<groups::GroupChannel>> chans;
     for (const auto& a : members)
       chans.push_back(

@@ -42,8 +42,7 @@ McastResult run_mcast(groups::Ordering ordering, int n_members) {
     addrs.push_back({static_cast<net::NodeId>(i + 1), 10});
   groups::ChannelConfig config{.ordering = ordering,
                                .retransmit_timeout = sim::msec(30),
-                               .max_retransmits = 20,
-                               .local_echo = true};
+                               .max_retransmits = 20};
   std::vector<std::unique_ptr<groups::GroupChannel>> members;
   McastResult result;
   for (int i = 0; i < n_members; ++i) {

@@ -378,7 +378,6 @@ RunOutcome run_durable_chaos(int scenario, std::uint64_t seed) {
     dc.sync_interval = sim::msec(5);
     dc.checkpoint_log_bytes = 2048;  // several compactions per run
     dc.tombstone_ttl = sim::sec(60);  // outlives the run: no GC races
-    dc.tombstone_cap = 1024;
     return dc;
   };
   struct Replica {
@@ -399,8 +398,9 @@ RunOutcome run_durable_chaos(int scenario, std::uint64_t seed) {
     r.store.reset();  // old endpoints/timers down before recovery
     r.store = std::make_unique<durable::DurableStore>(
         sim, local, media[static_cast<std::size_t>(s)], durable_cfg(s));
-    out.recovery_us.push_back(0.05 * static_cast<double>(
-                                         r.store->recovery().scanned_bytes));
+    out.recovery_us.push_back(
+        durable::kReplayUsPerByte *
+        static_cast<double>(r.store->recovery().scanned_bytes));
     durable::DurableStore* st = r.store.get();
     r.server = std::make_unique<rpc::RpcServer>(
         net, net::Address{static_cast<net::NodeId>(s + 1), 2});

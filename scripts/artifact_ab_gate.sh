@@ -10,6 +10,9 @@
 # the filter determinism_gate.sh uses.  Fails if a bench exits non-zero
 # or any pair differs; prints the diff of every pair that does.
 #
+# It also prints the line count of src/ (*.cpp and *.hpp) in both trees,
+# for the log only: the size never fails the gate.
+#
 # Then times T1 on both trees: TIMING_REPS runs per side, interleaved,
 # alternating which side goes first.  Each driver's statistic is its
 # fastest repeat of events_per_sec (read from the Google Benchmark JSON);
@@ -64,6 +67,12 @@ BENCHES=(
 )
 TARGETS=()
 for b in "${BENCHES[@]}"; do TARGETS+=("${b%%:*}"); done
+
+# src_lines <tree>: lines of C++ source under <tree>/src.
+src_lines() {
+  find "$1/src" \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
+    xargs -0 cat | wc -l
+}
 
 # build <src> <build-dir>
 build() {
@@ -124,6 +133,10 @@ EOF
 
 echo "artifact_ab_gate: base ${REV}"
 git -C "${ROOT}" worktree add --detach "${BASE_SRC}" "${REV}" >/dev/null
+base_lines="$(src_lines "${BASE_SRC}")"
+head_lines="$(src_lines "${ROOT}")"
+printf 'src/ lines: base %d, head %d (%+d)\n' "${base_lines}" \
+    "${head_lines}" "$(( head_lines - base_lines ))"
 
 build "${BASE_SRC}" "${WORK}/base-build"
 build "${ROOT}" "${WORK}/head-build"

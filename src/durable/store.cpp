@@ -46,7 +46,7 @@ DurableStore::DurableStore(sim::Simulator& sim, obs::Obs& obs,
   // restart after a long un-checkpointed run scans the whole history —
   // the series makes that difference a visible trajectory.
   const double recovery_us =
-      cfg_.replay_us_per_byte * static_cast<double>(recovery_.scanned_bytes);
+      kReplayUsPerByte * static_cast<double>(recovery_.scanned_bytes);
   if (ts_recovery_ != obs::Timeseries::kInvalidSeries) {
     obs_.series.observe(ts_recovery_, sim_.now(), recovery_us);
   }
@@ -210,7 +210,7 @@ void DurableStore::checkpoint() {
       now >= cfg_.tombstone_ttl
           ? static_cast<std::uint64_t>(now - cfg_.tombstone_ttl)
           : 0;
-  const std::size_t gc = mem_.gc_tombstones(min_stamp, cfg_.tombstone_cap);
+  const std::size_t gc = mem_.gc_tombstones(min_stamp, kTombstoneCap);
   tombstones_gc_->inc(gc);
 
   const std::size_t log_before = wal_.log_bytes();

@@ -40,6 +40,14 @@
 
 namespace coop::durable {
 
+/// Most tombstones a checkpoint keeps (ObjectStore::gc_tombstones).
+inline constexpr std::size_t kTombstoneCap = 1024;
+/// Modeled virtual-time cost of replaying one recovered byte, reported
+/// as the durable.recovery_us series (recovery itself is instantaneous
+/// in the discrete-event world; the model makes recovery *latency* a
+/// measurable trajectory).
+inline constexpr double kReplayUsPerByte = 0.05;
+
 struct DurableConfig {
   std::string name = "store";  ///< metrics key component: durable.<name>.*
   /// Group-commit interval (0 = sync on every append).
@@ -48,13 +56,7 @@ struct DurableConfig {
   /// bytes (0 = manual checkpoints only).  The durable log is then bounded
   /// by this threshold plus one group-commit batch.
   std::size_t checkpoint_log_bytes = 64 * 1024;
-  std::size_t tombstone_cap = 1024;           ///< max tombstones kept
   sim::Duration tombstone_ttl = sim::minutes(10);  ///< GC'd at checkpoint
-  /// Modeled virtual-time cost of replaying one recovered byte, reported
-  /// as the durable.recovery_us series (recovery itself is instantaneous
-  /// in the discrete-event world; the model makes recovery *latency* a
-  /// measurable trajectory).
-  double replay_us_per_byte = 0.05;
 };
 
 /// What recovery found on the medium (per-instance view; the registry

@@ -113,6 +113,20 @@ void Invariants::check_acked_broadcasts_delivered() {
   }
 }
 
+std::size_t Invariants::lost_acked_broadcasts() const {
+  std::size_t lost = 0;
+  for (const auto& [key, acked] : acked_broadcasts_) {
+    if (!acked) continue;
+    for (const auto& [member, delivered] : delivered_broadcasts_) {
+      if (delivered.count(key) == 0) {
+        ++lost;
+        break;
+      }
+    }
+  }
+  return lost;
+}
+
 void Invariants::check_single_active_coordinator() {
   if (coordinators_.empty()) return;
   std::vector<std::string> active;

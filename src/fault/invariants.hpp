@@ -116,9 +116,11 @@ class Invariants {
 
   /// Zero acked-broadcast loss: every broadcast the group committed must
   /// be present in every surviving member's delivered set — the failover
-  /// replay contract.  (With replay disabled, stats().failover_lost
-  /// quantifies exactly the messages that trip this.)
+  /// replay contract.
   void check_acked_broadcasts_delivered();
+  /// The acked broadcasts some surviving member never delivered, each
+  /// counted once however many members miss it.
+  [[nodiscard]] std::size_t lost_acked_broadcasts() const;
 
   /// Exactly one active coordinator: among the recorded coordinator
   /// instances, precisely one may end the run active — two means a split

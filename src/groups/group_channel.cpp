@@ -39,14 +39,8 @@ GroupChannel::GroupChannel(net::Network& net, net::Address self,
            [this] { return static_cast<double>(stats_.gave_up); });
   m.expose(metric_prefix_ + "held_back_max",
            [this] { return static_cast<double>(stats_.held_back_max); });
-  m.expose(metric_prefix_ + "held_back_shed",
-           [this] { return static_cast<double>(stats_.held_back_shed); });
-  m.expose(metric_prefix_ + "stash_shed",
-           [this] { return static_cast<double>(stats_.stash_shed); });
   m.expose(metric_prefix_ + "expired_drops",
            [this] { return static_cast<double>(stats_.expired_drops); });
-  m.expose(metric_prefix_ + "failover_lost",
-           [this] { return static_cast<double>(stats_.failover_lost); });
   m.expose(metric_prefix_ + "failover_replayed",
            [this] { return static_cast<double>(stats_.failover_replayed); });
   m.expose(metric_prefix_ + "phantom_commits",
@@ -105,16 +99,16 @@ void GroupChannel::take_over_sequencing() {
     while (seen_[s].count(next) != 0) ++next;
     next_req_[s] = next;
   }
-  if (total_replay()) begin_recovery();
+  begin_recovery();
 }
 
 void GroupChannel::tail_push(std::uint32_t sender, std::uint64_t seq,
                              std::uint32_t epoch, std::uint64_t total,
                              sim::TimePoint sent_at,
                              std::string_view payload) {
-  if (!total_replay() || config_.recovery_tail == 0) return;
+  if (config_.ordering != Ordering::kTotal) return;
   TailEntry* e = nullptr;
-  if (delivered_tail_.size() < config_.recovery_tail) {
+  if (delivered_tail_.size() < kRecoveryTail) {
     e = &delivered_tail_.emplace_back();
   } else {
     e = &delivered_tail_[tail_next_];
@@ -171,8 +165,7 @@ void GroupChannel::send_solicits() {
       config_.retransmit_timeout, [this] {
         recover_timer_ = sim::kInvalidEvent;
         if (!recovering_) return;
-        if (net_.simulator().now() - recover_started_ >=
-            config_.recovery_timeout) {
+        if (net_.simulator().now() - recover_started_ >= kRecoveryTimeout) {
           // Some solicited member never answered (it likely died without
           // a view change reaching us yet): recover from what we have.
           net_.obs().tracer.event(
@@ -187,7 +180,7 @@ void GroupChannel::send_solicits() {
 }
 
 void GroupChannel::handle_solicit(const net::Message& msg) {
-  if (!total_replay()) return;
+  if (config_.ordering != Ordering::kTotal) return;
   util::Reader r(msg.payload);
   r.get<MsgType>();
   const auto their_epoch = r.get<std::uint32_t>();
@@ -229,36 +222,33 @@ void GroupChannel::handle_recover(const net::Message& msg) {
   const auto responder = r.get<std::uint32_t>();
   const auto their_epoch = r.get<std::uint32_t>();
   const auto their_total = r.get<std::uint64_t>();
-  const auto n_tail = r.get<std::uint32_t>();
   if (r.failed() || responder >= members_.size()) return;
-  for (std::uint32_t i = 0; i < n_tail && !r.failed(); ++i) {
-    TailEntry e;
+  // The whole summary is decoded before any of it is adopted: a truncated
+  // or malformed one is dropped outright, so it can neither seed the
+  // replay nor stand in for the responder's real answer.
+  std::vector<TailEntry> tail;
+  for (auto n = r.get<std::uint32_t>(); n > 0 && !r.failed(); --n) {
+    TailEntry& e = tail.emplace_back();
     e.sender = r.get<std::uint32_t>();
     e.seq = r.get<std::uint64_t>();
     e.epoch = r.get<std::uint32_t>();
     e.total = r.get<std::uint64_t>();
     e.sent_at = r.get<sim::TimePoint>();
     e.payload = r.get_string();
-    if (r.failed() || e.sender >= members_.size()) break;
-    // Keep the highest-position copy: after chained failovers the latest
-    // epoch's slot is the binding one.
-    auto [it, inserted] =
-        recovered_.try_emplace(pending_key(e.sender, e.seq), e);
-    if (!inserted &&
-        std::pair(e.epoch, e.total) >
-            std::pair(it->second.epoch, it->second.total)) {
-      it->second = std::move(e);
-    }
+    if (e.sender >= members_.size()) return;
   }
-  const auto n_relay = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n_relay && !r.failed(); ++i) {
-    ReplayReq rep;
+  std::vector<ReplayReq> relays;
+  for (auto n = r.get<std::uint32_t>(); n > 0 && !r.failed(); --n) {
+    ReplayReq& rep = relays.emplace_back();
     rep.sender = responder;
     rep.seq = r.get<std::uint64_t>();
     rep.sent_at = r.get<sim::TimePoint>();
     rep.deadline = r.get<sim::TimePoint>();
     rep.payload = r.get_string();
-    if (r.failed()) break;
+  }
+  if (r.failed()) return;
+  for (const TailEntry& e : tail) adopt_recovered(e);
+  for (ReplayReq& rep : relays) {
     relay_replays_.try_emplace(pending_key(responder, rep.seq),
                                std::move(rep));
   }
@@ -266,6 +256,16 @@ void GroupChannel::handle_recover(const net::Message& msg) {
   recover_min_pos_ =
       std::min(recover_min_pos_, std::pair(their_epoch, their_total));
   if (recover_await_.empty()) finish_recovery();
+}
+
+void GroupChannel::adopt_recovered(const TailEntry& e) {
+  // Keep the highest-position copy: after chained failovers the latest
+  // epoch's slot is the binding one.
+  auto [it, inserted] = recovered_.try_emplace(pending_key(e.sender, e.seq), e);
+  if (!inserted && std::pair(e.epoch, e.total) >
+                       std::pair(it->second.epoch, it->second.total)) {
+    it->second = e;
+  }
 }
 
 void GroupChannel::finish_recovery() {
@@ -276,15 +276,7 @@ void GroupChannel::finish_recovery() {
   }
   // Our own tail is a summary like any other (merged late so deliveries
   // that landed during the solicit round are included).
-  for_each_tail([&](const TailEntry& e) {
-    auto [it, inserted] =
-        recovered_.try_emplace(pending_key(e.sender, e.seq), e);
-    if (!inserted &&
-        std::pair(e.epoch, e.total) >
-            std::pair(it->second.epoch, it->second.total)) {
-      it->second = e;
-    }
-  });
+  for_each_tail([this](const TailEntry& e) { adopt_recovered(e); });
   // Phase 1: re-sequence the recovered suffix — everything some survivor
   // delivered beyond the *minimum* live prefix — in the old global order,
   // so the new epoch's order extends every survivor's delivered prefix.
@@ -411,8 +403,7 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
     // us (and everyone) inside the sequencer's totally ordered stream.
     // Retain the payload until we deliver it ourselves: if the sequencer
     // dies after acking but before relaying, the promoted sequencer
-    // replays it from this buffer (with replay disabled the buffer only
-    // quantifies the loss window).
+    // replays it from this buffer.
     relay_wait_[seq] = {now, deadline, util::Buf(payload), bctx};
     util::Writer w;
     w.put(MsgType::kTotalReq)
@@ -460,7 +451,7 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
                  .payload = std::move(payload),
                  .sent_at = now,
                  .ctx = bctx.child(tracer.mint_id())});
-  } else if (config_.local_echo) {
+  } else {
     seen_[self_index_].insert(seq);
     if (config_.ordering == Ordering::kFifo)
       next_expected_[self_index_] = seq + 1;
@@ -589,26 +580,6 @@ void GroupChannel::mark_failed(const net::Address& member) {
     }
   }
 
-  if (config_.ordering == Ordering::kTotal && was_sequencer &&
-      !config_.failover_replay) {
-    // Legacy failover: an own broadcast the dead sequencer acked (no
-    // pending left) but that never came back to us is gone for good —
-    // nobody replays it.  Quantify the loss window.
-    for (auto it = relay_wait_.begin(); it != relay_wait_.end();) {
-      if (pending_.count(pending_key(self_index_, it->first)) == 0) {
-        ++stats_.failover_lost;
-        net_.obs().tracer.event(net_.simulator().now(),
-                                obs::Category::kGroup, "failover_lost",
-                                {{"sender",
-                                  static_cast<double>(self_index_)},
-                                 {"seq", static_cast<double>(it->first)}});
-        it = relay_wait_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
   // A member dying mid-recovery will never answer the solicit.
   if (recovering_ && recover_await_.erase(slot) > 0 &&
       recover_await_.empty()) {
@@ -620,8 +591,8 @@ void GroupChannel::mark_failed(const net::Address& member) {
       is_sequencer()) {
     take_over_sequencing();
     // Requests that reached us before the promotion may be stashed
-    // already: sequence whatever is now eligible (with replay enabled the
-    // recovery round sequences them when it finishes instead).
+    // already.  The recovery round sequences them when it finishes; if it
+    // finished at once (no survivor to solicit), sequence them here.
     if (!recovering_) {
       for (std::size_t s = 0; s < members_.size(); ++s)
         sequence_ready_reqs(s);
@@ -694,22 +665,8 @@ void GroupChannel::handle_total_req(const net::Message& msg) {
     return;
   }
 
-  // Admission control at the sequencer: a new request that would grow the
-  // stash past its cap is dropped *before* the ack, so the originator's
-  // retransmission redelivers it later — backpressure instead of an
-  // unbounded queue at the ordering bottleneck.
   const bool fresh = seq >= next_req_[sender] &&
                      stashed_reqs_[sender].count(seq) == 0;
-  if (fresh && config_.sequencer_stash_cap > 0 &&
-      stashed_reqs_[sender].size() >= config_.sequencer_stash_cap) {
-    ++stats_.stash_shed;
-    net_.obs().tracer.event(net_.simulator().now(), obs::Category::kGroup,
-                            "stash_shed", msg.ctx,
-                            {{"sender", static_cast<double>(sender)},
-                             {"seq", static_cast<double>(seq)}});
-    return;
-  }
-
   // Ack the request so the originator stops retransmitting.  The ack rides
   // the request's context so it links back to the attempt that arrived.
   util::Writer w;
@@ -831,10 +788,14 @@ void GroupChannel::handle_data(const net::Message& msg) {
     r.skip_vector<std::uint64_t>();
   }
   const std::string_view payload = r.get_string_view();
-  if (r.failed() || sender >= members_.size()) return;
+  // A clock wider than the group would be merged into vclock_ for good and
+  // widen every later frame, so it is refused before any ack or dedupe.
+  if (r.failed() || sender >= members_.size() ||
+      vc.size() > members_.size())
+    return;
 
   // The payload is copied in only once the message is accepted (see
-  // try_deliver), so the dedupe and shed paths below never touch it.
+  // try_deliver), so the dedupe paths below never touch it.
   HeldBack hb;
   hb.delivery = {.sender = sender,
                  .sender_addr = members_[sender],
@@ -849,21 +810,6 @@ void GroupChannel::handle_data(const net::Message& msg) {
   hb.vclock = std::move(vc);
   hb.epoch = epoch;
 
-  // Hold-back bound: a fresh arrival that cannot be delivered yet while
-  // the queue is at capacity is shed *before* being acked or recorded
-  // seen — the ack would stop the sender retransmitting and the dedupe
-  // would block redelivery, losing the message forever.  Unacked, the
-  // sender's retransmission redelivers it once the queue has drained.
-  if (config_.max_holdback > 0 && holdback_.size() >= config_.max_holdback &&
-      seen_[sender].count(seq) == 0 && !deliverable_now(hb)) {
-    ++stats_.held_back_shed;
-    net_.obs().tracer.event(net_.simulator().now(), obs::Category::kGroup,
-                            "holdback_shed", msg.ctx,
-                            {{"sender", static_cast<double>(sender)},
-                             {"seq", static_cast<double>(seq)}});
-    return;
-  }
-
   // Always ack — the original ack may have been the lost datagram.  The
   // ack goes to whoever (re)transmitted this copy: originator or sequencer.
   util::Writer w;
@@ -872,8 +818,8 @@ void GroupChannel::handle_data(const net::Message& msg) {
   net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf(),
              .ctx = msg.ctx});
 
-  if (total_replay()) {
-    // Replay mode dedupes on *delivery position*, not receipt: a
+  if (config_.ordering == Ordering::kTotal) {
+    // Total order dedupes on *delivery position*, not receipt: a
     // resequenced copy of a message this member already delivered must
     // still occupy its new slot in the total order (so later messages can
     // flush) without reaching the application twice — it commits as a
@@ -906,14 +852,6 @@ void GroupChannel::handle_data(const net::Message& msg) {
     ++stats_.duplicates;
     return;
   }
-
-  // Total order: a message sequenced in an epoch older than the one we
-  // have progressed past can never be delivered consistently — drop it.
-  if (config_.ordering == Ordering::kTotal && epoch < epoch_) {
-    ++stats_.duplicates;
-    return;
-  }
-
   try_deliver(std::move(hb), payload);
 }
 
@@ -943,7 +881,7 @@ void GroupChannel::commit_order(const HeldBack& hb) {
       vclock_.merge(hb.vclock);
       break;
     case Ordering::kTotal:
-      if (total_replay() && hb.epoch != epoch_) {
+      if (hb.epoch != epoch_) {
         // Epoch transition: copies sequenced in superseded epochs can
         // never be delivered consistently any more.
         std::erase_if(holdback_, [&](const HeldBack& h) {
@@ -1010,9 +948,9 @@ void GroupChannel::deliver_now(const Delivery& d) {
     // Our own broadcast came back around the sequencer: the relay is
     // complete and the retained payload can go.
     if (d.sender == self_index_) relay_wait_.erase(d.seq);
-    // Replay mode marks messages seen at *delivery* so a resequenced copy
-    // is recognizable as a phantom rather than silently deduped.
-    if (total_replay()) seen_[d.sender].insert(d.seq);
+    // Messages are marked seen at *delivery* so a resequenced copy is
+    // recognizable as a phantom rather than silently deduped.
+    seen_[d.sender].insert(d.seq);
   }
   ++stats_.delivered;
   net_.obs().series.count(ts_delivered_, net_.simulator().now());

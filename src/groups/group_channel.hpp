@@ -62,14 +62,14 @@ struct Delivery {
   obs::CausalContext ctx{};
 };
 
-/// Channel tuning knobs.
+/// Channel tuning knobs.  Under every ordering but kTotal the sender
+/// delivers its own broadcast locally at once; kTotal waits for the
+/// sequencer.  kTotal always runs the failover replay protocol (see
+/// GroupChannel::mark_failed).
 struct ChannelConfig {
   Ordering ordering = Ordering::kFifo;
   sim::Duration retransmit_timeout = sim::msec(50);
   int max_retransmits = 10;
-  /// Sender delivers its own broadcast locally without a network round
-  /// trip (kTotal ignores this: local delivery waits for the sequencer).
-  bool local_echo = true;
   /// Scheduling class stamped on every frame this channel sends; the
   /// overload plane sheds lowest-priority-first.  Group streams carrying
   /// awareness/media should run kBackground, membership kControl.
@@ -79,35 +79,6 @@ struct ChannelConfig {
   /// the total-order sequencer drops expired requests on dequeue and
   /// retransmission stops once the work is pointless.
   sim::Duration broadcast_deadline = 0;
-  /// Bound on the receive hold-back queue; 0 = unbounded.  An arrival
-  /// that is not yet deliverable while the queue is full is shed *before*
-  /// it is acknowledged or deduped, so the sender's retransmission
-  /// redelivers it once space exists — bounded memory without breaking
-  /// the reliability contract.
-  std::size_t max_holdback = 0;
-  /// Bound on the sequencer's per-sender stash of out-of-order ordering
-  /// requests; 0 = unbounded.  Over the cap the request is dropped
-  /// *unacked* (retransmit backpressure) rather than queued without
-  /// bound.
-  std::size_t sequencer_stash_cap = 0;
-  /// kTotal: close the sequencer-failover loss window.  The promoted
-  /// sequencer solicits every survivor's delivered tail plus each
-  /// sender's buffer of acked-but-not-yet-self-delivered requests, and
-  /// replays them into the new epoch in the old global order — so a
-  /// broadcast the dead sequencer acknowledged but never finished
-  /// relaying is re-sequenced instead of lost.  Off = legacy behavior
-  /// (resume from the new sequencer's own prefix; acked-but-unrelayed
-  /// messages may be lost and are counted in stats().failover_lost).
-  bool failover_replay = true;
-  /// kTotal failover recovery: per-member bound (entries) on the retained
-  /// tail of past deliveries that seeds the replay.  Survivors lagging
-  /// further behind the common prefix than this cannot be caught up by
-  /// recovery alone (retransmission still repairs them pre-failover).
-  std::size_t recovery_tail = 128;
-  /// kTotal failover recovery: the promoted sequencer waits at most this
-  /// long for solicited summaries before proceeding with what arrived
-  /// (covers survivors that die mid-recovery without a view change).
-  sim::Duration recovery_timeout = sim::msec(500);
 };
 
 /// A set of member slots as a bitmask, iterated in ascending slot order.
@@ -167,11 +138,8 @@ struct ChannelStats {
   std::uint64_t retransmits = 0;
   std::uint64_t gave_up = 0;        ///< messages that exhausted retries
   std::uint64_t held_back_max = 0;  ///< high-water mark of hold-back queue
-  std::uint64_t held_back_shed = 0;  ///< arrivals shed: hold-back at cap
-  std::uint64_t stash_shed = 0;      ///< ordering reqs dropped unacked at cap
   std::uint64_t expired_drops = 0;   ///< reqs dropped expired at sequencing
   std::uint64_t expired_abandoned = 0;  ///< retransmissions stopped: expired
-  std::uint64_t failover_lost = 0;   ///< acked broadcasts lost to failover
   std::uint64_t failover_replayed = 0;  ///< broadcasts replayed at failover
   std::uint64_t phantom_commits = 0;  ///< re-sequenced slots committed w/o
                                       ///< redelivery (already delivered)
@@ -214,17 +182,13 @@ class GroupChannel : public net::Endpoint {
   /// the lowest surviving slot takes over in a new *epoch*.  Unacked
   /// ordering requests are re-routed to the new sequencer.
   ///
-  /// With ChannelConfig::failover_replay (default) the new sequencer runs
-  /// a recovery round first: it solicits every survivor's delivered tail
-  /// and un-relayed-but-acked request buffer, re-sequences the recovered
-  /// suffix into the new epoch in the old global order, and replays the
-  /// acked requests the dead sequencer never relayed — so survivors agree
-  /// on one order that *extends* each survivor's delivered prefix and no
-  /// acked broadcast from a surviving sender is lost, even when the
-  /// coordinator dies in the same incident.  With replay disabled the new
-  /// sequencer resumes from its own delivered prefix and messages the old
-  /// sequencer acknowledged but did not finish relaying may be lost
-  /// (counted in stats().failover_lost).
+  /// The new sequencer runs a recovery round first: it solicits every
+  /// survivor's delivered tail and un-relayed-but-acked request buffer,
+  /// re-sequences the recovered suffix into the new epoch in the old
+  /// global order, and replays the acked requests the dead sequencer never
+  /// relayed — so survivors agree on one order that *extends* each
+  /// survivor's delivered prefix and no acked broadcast from a surviving
+  /// sender is lost, even when the coordinator dies in the same incident.
   void mark_failed(const net::Address& member);
 
   [[nodiscard]] std::size_t self_index() const noexcept { return self_index_; }
@@ -235,7 +199,7 @@ class GroupChannel : public net::Endpoint {
   }
   [[nodiscard]] bool is_sequencer() const noexcept;
   /// The per-sender sequence numbers this member has recorded seen (by
-  /// receipt, or by delivery under kTotal failover replay).
+  /// receipt, or under kTotal by delivery).
   [[nodiscard]] const util::WatermarkSet& seen(std::size_t sender) const {
     return seen_[sender];
   }
@@ -280,7 +244,7 @@ class GroupChannel : public net::Endpoint {
   void arm_retransmit(std::uint64_t seq);
   void handle_data(const net::Message& msg);
   /// Ordering-agnostic "could this be delivered right now" predicate,
-  /// shared by try_deliver / flush_holdback / the hold-back bound.
+  /// shared by try_deliver / flush_holdback.
   [[nodiscard]] bool deliverable_now(const HeldBack& hb) const;
   /// Commits the ordering cursors for a delivery about to happen.
   void commit_order(const HeldBack& hb);
@@ -334,7 +298,7 @@ class GroupChannel : public net::Endpoint {
   std::string rx_spare_;   // receiver: an arriving kData payload
   std::string req_spare_;  // sequencer: an arriving request's payload
 
-  // kTotal failover-recovery state (failover_replay).
+  // kTotal failover-recovery state.
   //
   // Every member retains a bounded tail of its past total-order deliveries
   // (delivered_tail_) and every sender keeps the payload of each broadcast
@@ -363,7 +327,7 @@ class GroupChannel : public net::Endpoint {
     sim::TimePoint deadline = 0;
     std::string payload;
   };
-  // Fixed ring of the last recovery_tail deliveries (grown on first use,
+  // Fixed ring of the last kRecoveryTail deliveries (grown on first use,
   // then overwritten in place so each entry reuses its payload capacity).
   std::vector<TailEntry> delivered_tail_;
   std::size_t tail_next_ = 0;  // slot the next push overwrites once full
@@ -376,11 +340,16 @@ class GroupChannel : public net::Endpoint {
   sim::TimePoint recover_started_ = 0;
   sim::EventId recover_timer_ = sim::kInvalidEvent;
 
-  /// kTotal with the replay protocol active (dedupe becomes delivery-based
-  /// so re-sequenced copies of undelivered messages are not swallowed).
-  [[nodiscard]] bool total_replay() const noexcept {
-    return config_.ordering == Ordering::kTotal && config_.failover_replay;
-  }
+  /// kTotal failover recovery: per-member bound (entries) on the retained
+  /// tail of past deliveries that seeds the replay.  Survivors lagging
+  /// further behind the common prefix than this cannot be caught up by
+  /// recovery alone (retransmission still repairs them pre-failover).
+  static constexpr std::size_t kRecoveryTail = 128;
+  /// kTotal failover recovery: the promoted sequencer waits at most this
+  /// long for solicited summaries before proceeding with what arrived
+  /// (covers survivors that die mid-recovery without a view change).
+  static constexpr sim::Duration kRecoveryTimeout = sim::msec(500);
+
   void tail_push(std::uint32_t sender, std::uint64_t seq, std::uint32_t epoch,
                  std::uint64_t total, sim::TimePoint sent_at,
                  std::string_view payload);
@@ -388,7 +357,7 @@ class GroupChannel : public net::Endpoint {
   template <typename Fn>
   void for_each_tail(Fn&& fn) const {
     const std::size_t n = delivered_tail_.size();
-    const std::size_t first = n < config_.recovery_tail ? 0 : tail_next_;
+    const std::size_t first = n < kRecoveryTail ? 0 : tail_next_;
     for (std::size_t i = 0; i < n; ++i)
       fn(delivered_tail_[(first + i) % n]);
   }
@@ -396,6 +365,8 @@ class GroupChannel : public net::Endpoint {
   void send_solicits();
   void handle_solicit(const net::Message& msg);
   void handle_recover(const net::Message& msg);
+  /// Merges one recovered tail entry into recovered_.
+  void adopt_recovered(const TailEntry& e);
   void finish_recovery();
   void resequence(std::uint32_t sender, std::uint64_t seq,
                   sim::TimePoint sent_at, std::string payload);

@@ -75,7 +75,7 @@ MembershipCoordinator::MembershipCoordinator(net::Network& net,
       suspensions_(&net.obs().metrics.counter(coord_key(self, "suspensions"))),
       standdowns_(&net.obs().metrics.counter(coord_key(self, "standdowns"))),
       activations_(&net.obs().metrics.counter(coord_key(self, "activations"))),
-      sweeper_(net.simulator(), config.sweep_period, [this] { sweep(); }) {
+      sweeper_(net.simulator(), kSweepPeriod, [this] { sweep(); }) {
   net_.attach(self_, *this);
   if (config_.timer_jitter > 0.0)
     sweeper_.set_jitter(config_.timer_jitter, &net_.simulator().rng());
@@ -205,14 +205,14 @@ void MembershipCoordinator::sweep() {
     const std::size_t fresh = fresh_member_count(now);
     if (role_ == Role::kSuspended) {
       if (majority > 0 && fresh >= majority &&
-          now - suspended_since_ + 2 * config_.heartbeat_period <
-              config_.coord_lease_timeout) {
+          now - suspended_since_ + 2 * kHeartbeatPeriod <
+              kCoordLeaseTimeout) {
         // Contact returned before any member lease could have expired, so
         // no successor can have been elected: safe to resume.
         role_ = Role::kActive;
         net_.obs().tracer.event(now, obs::Category::kGroup, "coord_resume",
                                 {{"node", static_cast<double>(self_.node)}});
-      } else if (now - suspended_since_ >= config_.coord_lease_timeout) {
+      } else if (now - suspended_since_ >= kCoordLeaseTimeout) {
         // Member leases are gone; survivors may have elected a successor.
         // Never act again rather than risk two active coordinators.
         retire();
@@ -274,7 +274,7 @@ void MembershipCoordinator::maybe_activate_from_rejoins() {
   if (pledged < base->members.size() / 2 + 1) return;
   if (pledged < base->members.size() &&
       net_.simulator().now() - recovery_started_ <
-          2 * config_.heartbeat_period) {
+          2 * kHeartbeatPeriod) {
     // Majority reached, but live laggards may still be a heartbeat away.
     // Activating now would publish a view that transiently excludes them,
     // which downstream consumers (e.g. a group channel) rightly treat as
@@ -413,7 +413,7 @@ MembershipMember::MembershipMember(net::Network& net, net::Address self,
           &net.obs().metrics.counter(coord_key(self, "lease_expiries"))),
       claims_(&net.obs().metrics.counter(coord_key(self, "claims"))),
       takeovers_(&net.obs().metrics.counter(coord_key(self, "takeovers"))),
-      heartbeat_(net.simulator(), config.heartbeat_period,
+      heartbeat_(net.simulator(), kHeartbeatPeriod,
                  [this] {
                    // Once the lease is gone, stop feeding the old
                    // coordinator: a suspended coordinator must not see a
@@ -430,9 +430,9 @@ MembershipMember::MembershipMember(net::Network& net, net::Address self,
                         (!view_ || !view_->contains(self_)))
                       send_simple(kJoin);
                   }),
-      lease_check_(net.simulator(), config.heartbeat_period,
+      lease_check_(net.simulator(), kHeartbeatPeriod,
                    [this] { check_lease(); }),
-      claim_retry_(net.simulator(), config.claim_retry_period, [this] {
+      claim_retry_(net.simulator(), kClaimRetryPeriod, [this] {
         if (!candidate_) {
           claim_retry_.stop();
           return;
@@ -495,7 +495,7 @@ void MembershipMember::set_coordinator(const net::Address& addr) {
 
 bool MembershipMember::lease_expired(sim::TimePoint now) const {
   return config_.enable_failover && joined_ &&
-         now - last_coord_contact_ > config_.coord_lease_timeout;
+         now - last_coord_contact_ > kCoordLeaseTimeout;
 }
 
 std::size_t MembershipMember::view_rank() const {
@@ -551,8 +551,8 @@ void MembershipMember::check_lease() {
   if (!view_ || view_->bans(self_)) return;  // nothing (legitimate) to claim
   const std::size_t rank = view_rank();
   const sim::TimePoint claim_at =
-      last_coord_contact_ + config_.coord_lease_timeout +
-      static_cast<sim::Duration>(rank) * config_.takeover_stagger;
+      last_coord_contact_ + kCoordLeaseTimeout +
+      static_cast<sim::Duration>(rank) * kTakeoverStagger;
   if (now < claim_at) return;
 
   // Lease gone and every lower rank's stagger window has passed without a
@@ -591,7 +591,7 @@ void MembershipMember::maybe_promote() {
   if (pledged < base->members.size() / 2 + 1) return;
   if (pledged < base->members.size() &&
       net_.simulator().now() - candidacy_started_ <
-          2 * config_.heartbeat_period) {
+          2 * kHeartbeatPeriod) {
     // Majority pledged, but live laggards may still answer the next claim
     // round.  Promoting now would publish a view that transiently excludes
     // them — which downstream consumers treat as a failure — so hold the
@@ -677,8 +677,8 @@ void MembershipMember::on_message(const net::Message& msg) {
         net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
         break;
       }
-      if (now - last_coord_contact_ + config_.takeover_stagger <
-          config_.coord_lease_timeout) {
+      if (now - last_coord_contact_ + kTakeoverStagger <
+          kCoordLeaseTimeout) {
         // Our coordinator is alive as far as we know — with a margin: a
         // lease within one stagger of expiry is no grounds to refuse.
         // When the coordinator dies, leases expire within a heartbeat of
@@ -740,8 +740,8 @@ void MembershipMember::on_message(const net::Message& msg) {
         // forever by round-robin refresh.
         last_coord_contact_ =
             std::max(last_coord_contact_,
-                     now - config_.coord_lease_timeout +
-                         2 * config_.heartbeat_period);
+                     now - kCoordLeaseTimeout +
+                         2 * kHeartbeatPeriod);
       }
       if (joined_) send_simple(kJoin);
       break;

@@ -68,13 +68,29 @@ struct View {
   }
 };
 
+/// Member heartbeat cadence (also the member's lease-check cadence).
+inline constexpr sim::Duration kHeartbeatPeriod = sim::msec(100);
+/// Coordinator sweep cadence (failure checks + view re-send).
+inline constexpr sim::Duration kSweepPeriod = sim::msec(100);
+/// Coordinator failover, member side: with no coordinator contact (view
+/// or heartbeat-ack) for this long the lease is expired — the member stops
+/// heartbeating the old coordinator and starts claiming.  Must comfortably
+/// exceed MembershipConfig::failure_timeout so an active coordinator
+/// always notices a lost majority (and suspends) before any member lease
+/// runs out.
+inline constexpr sim::Duration kCoordLeaseTimeout = sim::msec(700);
+/// Claim stagger per rank in the last installed view: rank r claims at
+/// lease expiry + r * this, so the lowest surviving rank wins
+/// deterministically without an election round.
+inline constexpr sim::Duration kTakeoverStagger = sim::msec(150);
+/// A candidate re-sends its claim at this cadence until it activates,
+/// adopts another coordinator, or stands down to a better claimant.
+inline constexpr sim::Duration kClaimRetryPeriod = sim::msec(150);
+
 /// Tuning for both sides of the membership protocol.
 struct MembershipConfig {
-  sim::Duration heartbeat_period = sim::msec(100);
   /// A member is suspected failed after this long without a heartbeat.
   sim::Duration failure_timeout = sim::msec(350);
-  /// Coordinator sweep cadence (failure checks + view re-send).
-  sim::Duration sweep_period = sim::msec(100);
   /// Member re-sends JOIN at this cadence until a view containing it
   /// arrives (repairs a lost JOIN datagram, and re-admits a member that a
   /// lossy link caused the failure detector to evict).
@@ -83,22 +99,10 @@ struct MembershipConfig {
   // --- coordinator failover (opt-in) ---------------------------------------
 
   /// Enables lease-based coordinator failure detection and member-driven
-  /// takeover.  Off by default: a fixed coordinator stays authoritative
-  /// and none of the knobs below apply.
+  /// takeover (kCoordLeaseTimeout, kTakeoverStagger, kClaimRetryPeriod).
+  /// Off by default: a fixed coordinator stays authoritative, and
+  /// coordinator_port_offset and recover_on_start do not apply.
   bool enable_failover = false;
-  /// Member-side coordinator lease: with no coordinator contact (view or
-  /// heartbeat-ack) for this long the lease is expired — the member stops
-  /// heartbeating the old coordinator and starts claiming.  Must comfortably
-  /// exceed failure_timeout so an active coordinator always notices a lost
-  /// majority (and suspends) before any member lease runs out.
-  sim::Duration coord_lease_timeout = sim::msec(700);
-  /// Claim stagger per rank in the last installed view: rank r claims at
-  /// lease expiry + r * this, so the lowest surviving rank wins
-  /// deterministically without an election round.
-  sim::Duration takeover_stagger = sim::msec(150);
-  /// Candidate re-sends its claim at this cadence until it activates,
-  /// adopts another coordinator, or stands down to a better claimant.
-  sim::Duration claim_retry_period = sim::msec(150);
   /// A promoted member hosts its coordinator endpoint at
   /// {node, member port + this offset}.
   net::PortId coordinator_port_offset = 1000;

@@ -1,6 +1,7 @@
 #include "net/fifo_channel.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "util/codec.hpp"
@@ -22,10 +23,8 @@ std::string_view frame_payload(std::string_view frame) {
 }  // namespace
 
 FifoChannel::FifoChannel(Network& net, Address self, FifoConfig config)
-    : net_(net),
-      self_(self),
-      config_(config),
-      window_(config.max_unacked > 0 ? config.max_unacked : kDefaultWindow) {
+    : net_(net), self_(self), config_(config) {
+  assert(config_.max_unacked >= 1 && "the FIFO backlog must be bounded");
   net_.attach(self_, *this);
 }
 
@@ -42,7 +41,6 @@ FifoChannel::PeerState& FifoChannel::peer_state(const Address& peer) {
                      static_cast<std::uint32_t>(peers_.size()));
   PeerState& state = peers_.emplace_back();
   state.send_epoch = config_.epoch;
-  state.budget = RetryBudget(config_.retry_budget);
   return state;
 }
 
@@ -57,7 +55,7 @@ void FifoChannel::send(const Address& peer, std::string_view payload) {
   // without bound.  Tail-drop keeps the oldest (in-order-next) frames,
   // which is the only choice that lets the stream resume seamlessly once
   // the peer heals; dropped sends are visible in overflow_dropped.
-  if (config_.max_unacked > 0 && state.unacked.size() >= config_.max_unacked) {
+  if (state.unacked.size() >= config_.max_unacked) {
     ++stats_.overflow_dropped;
     return;
   }
@@ -128,15 +126,6 @@ void FifoChannel::arm_timer(const Address& peer, PeerState& state) {
       st.unreachable_reported = true;
       ++stats_.unreachable_events;
       if (unreachable_) unreachable_(peer);
-    }
-    // Retransmit rounds draw from the same retry-budget abstraction as
-    // RPC retries: a dry bucket skips this round's wire traffic (the
-    // timer still re-arms, so a later round probes again once backoff
-    // has spread the load).
-    if (!st.budget.try_spend()) {
-      ++stats_.budget_denied;
-      arm_timer(peer, st);
-      return;
     }
     if (st.hello_pending) send_hello(peer, st.send_epoch);
     // Go-back-N style: retransmit everything outstanding, re-sending the
@@ -223,9 +212,6 @@ void FifoChannel::on_message(const Message& msg) {
     if (state.unacked.size() < before) {
       state.retries = 0;
       state.unreachable_reported = false;  // episode over: progress made
-      for (std::size_t i = state.unacked.size(); i < before; ++i) {
-        state.budget.on_success();  // each acked frame earns budget
-      }
     }
     if (state.unacked.empty() && !state.hello_pending &&
         state.timer != sim::kInvalidEvent) {
@@ -284,7 +270,7 @@ void FifoChannel::on_message(const Message& msg) {
 
 void FifoChannel::hold_back(PeerState& state, std::uint64_t seq,
                             const util::Buf& frame) {
-  if (seq - state.holdback.base() < window_) {
+  if (seq - state.holdback.base() < config_.max_unacked) {
     state.holdback.insert(seq, frame);
   } else {
     state.holdback_far.try_emplace(seq, frame);
@@ -297,7 +283,7 @@ void FifoChannel::deliver(const Address& peer, PeerState& state,
   // The window slid by one: a far arrival it now covers joins the ring.
   auto far = state.holdback_far.begin();
   if (far != state.holdback_far.end() &&
-      far->first - state.holdback.base() < window_) {
+      far->first - state.holdback.base() < config_.max_unacked) {
     state.holdback.insert(far->first, std::move(far->second));
     state.holdback_far.erase(far);
   }

@@ -31,7 +31,6 @@
 #include <string_view>
 
 #include "net/network.hpp"
-#include "net/overload.hpp"
 #include "sim/simulator.hpp"
 #include "util/flat_index.hpp"
 #include "util/seq_ring.hpp"
@@ -50,21 +49,16 @@ struct FifoConfig {
   /// unbounded: max_unacked caps memory and on_peer_unreachable surfaces
   /// the condition, so persistence costs bounded state + bounded chatter.
   int max_retransmits = -1;
-  /// Cap on the per-peer unacknowledged backlog.  Sends beyond it are
-  /// tail-dropped (counted in FifoStats::overflow_dropped) instead of
-  /// growing the queue without bound while a peer is unreachable.
-  /// 0 = unbounded (the pre-overload-plane behaviour).  Also the width of
-  /// the receiver's hold-back ring (kDefaultWindow when 0): a peer with
-  /// the same cap never has a frame in flight beyond it.
+  /// Cap on the per-peer unacknowledged backlog (at least 1).  Sends
+  /// beyond it are tail-dropped (counted in FifoStats::overflow_dropped)
+  /// instead of growing the queue without bound while a peer is
+  /// unreachable.  Also the width of the receiver's hold-back ring: a peer
+  /// with the same cap never has a frame in flight beyond it.
   std::size_t max_unacked = 256;
   /// Consecutive silent retransmit rounds after which the peer is
   /// reported unreachable via the on_peer_unreachable callback (once per
   /// episode; any ack progress re-arms it).  0 disables the report.
   int unreachable_after = 8;
-  /// Retry budget gating retransmit *rounds* (the same token-bucket
-  /// abstraction RpcClient uses): each go-back-N round spends a token,
-  /// each acked frame earns `ratio`.  Disabled by default.
-  RetryBudgetConfig retry_budget{};
   /// Deterministic, seeded retransmit jitter: each armed timeout is
   /// scaled by a uniform draw from [1 - jitter, 1 + jitter] out of the
   /// simulator's stream, so peers that heal at the same instant do not
@@ -85,7 +79,6 @@ struct FifoStats {
   std::uint64_t resyncs = 0;  ///< receive cursors reset by an epoch bump
   std::uint64_t stale = 0;    ///< frames of a dead incarnation dropped
   std::uint64_t overflow_dropped = 0;  ///< sends refused: backlog at cap
-  std::uint64_t budget_denied = 0;     ///< retransmit rounds budget-dry
   std::uint64_t unreachable_events = 0;  ///< kPeerUnreachable reports
 };
 
@@ -130,9 +123,6 @@ class FifoChannel : public Endpoint {
   void on_message(const Message& msg) override;
 
  private:
-  /// Hold-back window when FifoConfig::max_unacked is 0 (unbounded).
-  static constexpr std::size_t kDefaultWindow = 256;
-
   // Both directions keep whole kData frames, shared by reference count
   // with the network: the sender's backlog holds the very Buf every
   // (re)transmission carries, and the receiver holds the arrived frame.
@@ -148,7 +138,6 @@ class FifoChannel : public Endpoint {
     sim::EventId timer = sim::kInvalidEvent;
     int retries = 0;
     bool hello_pending = false;
-    RetryBudget budget;  ///< gates retransmit rounds (see FifoConfig)
     bool unreachable_reported = false;  ///< this episode already reported
     // Receiver side.
     std::uint32_t remote_epoch = 0;  // 0 = nothing seen yet
@@ -189,7 +178,6 @@ class FifoChannel : public Endpoint {
   Network& net_;
   Address self_;
   FifoConfig config_;
-  std::size_t window_;  ///< hold-back ring width
   /// Per-peer state in first-contact order, found through peer_index_
   /// (keyed by address_key()).  A deque, so a PeerState& stays valid while
   /// a callback it is held across contacts new peers.

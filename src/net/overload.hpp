@@ -19,10 +19,8 @@
 //     outcome decides between closing and re-opening.
 //
 // RpcClient keeps one of each per destination; GroupInvoker inherits them
-// by issuing through RpcClient; FifoChannel keeps a RetryBudget per peer so
-// go-back-N retransmit storms are bounded by the same abstraction.  Both
-// guards are pure sim-time state machines — deterministic under the seeded
-// kernel, no wall clock anywhere.
+// by issuing through RpcClient.  Both guards are pure sim-time state
+// machines — deterministic under the seeded kernel, no wall clock anywhere.
 #pragma once
 
 #include <algorithm>

@@ -15,7 +15,6 @@ MediaSource::MediaSource(sim::Simulator& sim, std::uint32_t stream_id,
       stream_id_(stream_id),
       spec_(spec),
       fps_(spec.fps),
-      frame_bytes_(spec.frame_bytes),
       timer_(sim, static_cast<sim::Duration>(1e6 / spec.fps),
              [this] { tick(); }) {}
 
@@ -34,7 +33,7 @@ void MediaSource::tick() {
   f.stream_id = stream_id_;
   f.seq = next_seq_++;
   f.captured_at = sim_.now();
-  f.size = frame_bytes_;
+  f.size = spec_.frame_bytes;
   if (emit_) emit_(f);
 }
 

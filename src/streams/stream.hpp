@@ -61,8 +61,6 @@ class MediaSource {
   /// Media scaling: change the frame rate (clamped to [min_fps, spec
   /// fps]).  Takes effect from the next frame.
   void set_fps(double fps);
-  /// Media scaling: change the frame size (e.g. coarser quantization).
-  void set_frame_bytes(std::size_t bytes) { frame_bytes_ = bytes; }
 
   [[nodiscard]] double fps() const noexcept { return fps_; }
   [[nodiscard]] const QosSpec& spec() const noexcept { return spec_; }
@@ -77,7 +75,6 @@ class MediaSource {
   std::uint32_t stream_id_;
   QosSpec spec_;
   double fps_;
-  std::size_t frame_bytes_;
   std::uint64_t next_seq_ = 0;
   EmitFn emit_;
   sim::PeriodicTimer timer_;

@@ -5,12 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "ccontrol/ot.hpp"
-#include "groupware/editor.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/codec.hpp"
 
 namespace coop::net {
 namespace {
@@ -241,151 +238,6 @@ TEST_F(FifoTest, BackoffJitterDecorrelatesButStaysReliable) {
   EXPECT_EQ(jittered, delivery_fingerprint(0.3));
   // ...and the knob actually changes the timings (opt-in, not a no-op).
   EXPECT_NE(jittered, delivery_fingerprint(0.0));
-}
-
-// --- hostile but checksum-valid frames ----------------------------------------
-//
-// A raw endpoint forges FIFO frames and sends them through the network, so
-// each one carries a valid checksum and reaches the decoder.
-
-constexpr std::uint8_t kWireData = 0x71;
-constexpr std::uint8_t kWireAck = 0x72;
-
-struct RawPeer : Endpoint {
-  RawPeer(Network& n, Address a) : net(n), self(a) { net.attach(self, *this); }
-  ~RawPeer() override { net.detach(self); }
-
-  void send(const Address& to, util::Writer& w) {
-    net.send({.src = self, .dst = to, .payload = w.take_buf()});
-  }
-  void data(const Address& to, std::uint32_t epoch, std::uint64_t seq,
-            std::string_view payload) {
-    util::Writer w;
-    w.put(kWireData).put(epoch).put(seq).put_string(payload);
-    send(to, w);
-  }
-  void on_message(const Message& msg) override {
-    util::Reader r(msg.payload);
-    const auto type = r.get<std::uint8_t>();
-    const auto epoch = r.get<std::uint32_t>();
-    const auto seq = r.get<std::uint64_t>();
-    if (type == kWireAck) acks.push_back(seq);
-    if (type == kWireData) data_seqs.push_back(seq);
-    (void)epoch;
-  }
-
-  Network& net;
-  Address self;
-  std::vector<std::uint64_t> acks;       ///< cumulative acks received
-  std::vector<std::uint64_t> data_seqs;  ///< seqs of data frames received
-};
-
-class HostileFrames : public ::testing::Test {
- protected:
-  HostileFrames() : sim(31), net(sim), ch(net, {1, 1}), peer(net, {2, 1}) {
-    net.set_default_link({.latency = sim::msec(1), .jitter = 0,
-                          .bandwidth_bps = 0, .loss = 0});
-    ch.on_receive([this](const Address&, std::string_view p) {
-      got.emplace_back(p);
-    });
-  }
-  sim::Simulator sim;
-  Network net;
-  FifoChannel ch;
-  RawPeer peer;
-  std::vector<std::string> got;
-};
-
-TEST_F(HostileFrames, SeqFarBeyondTheWindowIsHeldSparselyAndOrderSurvives) {
-  // 2^40 lies far outside the hold-back ring's window: sizing the ring to
-  // reach it would need terabytes.  It is parked in the sparse map, and
-  // the in-order stream keeps flowing around it.
-  peer.data({1, 1}, 1, std::uint64_t{1} << 40, "far");
-  peer.data({1, 1}, 1, 2, "two");
-  peer.data({1, 1}, 1, 1, "one");
-  peer.data({1, 1}, 1, 3, "three");
-  sim.run();
-  EXPECT_EQ(got, (std::vector<std::string>{"one", "two", "three"}));
-  EXPECT_EQ(ch.stats().delivered, 3u);
-  ASSERT_FALSE(peer.acks.empty());
-  EXPECT_EQ(peer.acks.back(), 3u);
-}
-
-TEST_F(HostileFrames, DataLengthPrefixOverrunningTheFrameIsDropped) {
-  util::Writer w;
-  w.put(kWireData).put(std::uint32_t{1}).put(std::uint64_t{1});
-  w.put(std::uint32_t{1000});  // claims 1000 payload bytes...
-  w.put(std::uint32_t{0xabcd});  // ...and carries 4
-  peer.send({1, 1}, w);
-  sim.run();
-  EXPECT_TRUE(got.empty());
-  EXPECT_EQ(ch.stats().delivered, 0u);
-  EXPECT_TRUE(peer.acks.empty());  // never parsed far enough to ack
-  // The cursor did not move: a well-formed seq 1 still delivers.
-  peer.data({1, 1}, 1, 1, "ok");
-  sim.run();
-  EXPECT_EQ(got, (std::vector<std::string>{"ok"}));
-}
-
-TEST_F(HostileFrames, AckPastTheLastSentSeqPopsOnlyTheBacklog) {
-  ch.send({2, 1}, "a");
-  ch.send({2, 1}, "b");
-  ch.send({2, 1}, "c");
-  EXPECT_EQ(ch.unacked({2, 1}), 3u);
-  util::Writer w;
-  w.put(kWireAck).put(std::uint32_t{1}).put(std::uint64_t{1} << 50);
-  peer.send({1, 1}, w);
-  sim.run_until(sim::msec(5));
-  EXPECT_EQ(ch.unacked({2, 1}), 0u);
-  // Numbering carries on from the real end of the stream, and the next
-  // frame is tracked (and acked away) as usual.
-  ch.send({2, 1}, "d");
-  EXPECT_EQ(ch.unacked({2, 1}), 1u);
-  sim.run_until(sim::msec(10));
-  ASSERT_EQ(peer.data_seqs.size(), 4u);
-  EXPECT_EQ(peer.data_seqs.back(), 4u);
-  util::Writer ack4;
-  ack4.put(kWireAck).put(std::uint32_t{1}).put(std::uint64_t{4});
-  peer.send({1, 1}, ack4);
-  sim.run_until(sim::msec(15));
-  EXPECT_EQ(ch.unacked({2, 1}), 0u);
-}
-
-TEST_F(HostileFrames, AckCarryingAStaleEpochIsIgnored) {
-  ch.send({2, 1}, "a");
-  ch.send({2, 1}, "b");
-  util::Writer w;
-  w.put(kWireAck).put(std::uint32_t{0}).put(std::uint64_t{2});
-  peer.send({1, 1}, w);
-  sim.run_until(sim::msec(5));
-  EXPECT_EQ(ch.stats().stale, 1u);
-  EXPECT_EQ(ch.unacked({2, 1}), 2u);
-}
-
-TEST_F(HostileFrames, TruncatedEditorOpIsDroppedAndEditingContinues) {
-  groupware::EditorServer server(net, {10, 1}, "doc");
-  groupware::EditorClient alice(net, {3, 1}, {10, 1}, 1, "doc");
-  alice.connect();
-  sim.run_until(sim::msec(50));
-  ASSERT_TRUE(alice.connected());
-  // A kOp (type 2) whose insert text claims more bytes than the frame
-  // holds, delivered over a real FIFO stream to both editor roles.
-  FifoChannel forger(net, {4, 1});
-  util::Writer w;
-  w.put(std::uint8_t{2}).put(ccontrol::SiteId{9}).put(sim::TimePoint{0});
-  w.put(std::uint64_t{0}).put(std::uint64_t{0});
-  w.put(ccontrol::TextOp::Kind::kInsert).put(std::uint64_t{0});
-  w.put(std::uint32_t{64}).put(std::uint8_t{'x'});
-  const util::Buf truncated = w.take_buf();
-  forger.send({10, 1}, truncated);
-  forger.send({3, 1}, truncated);
-  sim.run_until(sim::msec(100));
-  EXPECT_EQ(server.doc(), "doc");
-  EXPECT_EQ(alice.doc(), "doc");
-  EXPECT_EQ(alice.notification_time().count(), 0u);
-  alice.insert(3, "!");
-  sim.run_until(sim::msec(150));
-  EXPECT_EQ(server.doc(), "doc!");
 }
 
 }  // namespace

@@ -300,60 +300,60 @@ TEST(GroupChannel, InFlightRequestRereutesToNewSequencer) {
   EXPECT_EQ(h.payloads(2), h.payloads(1));
 }
 
-// Drives the documented kTotal loss window deterministically: member 2's
+// Drives the kTotal failover loss window deterministically: member 2's
 // second broadcast is acked (stashed out-of-order at the sequencer) while
-// its first is still unacked in flight, then the sequencer dies.  With
-// replay disabled the acked broadcast is lost and counted; with replay the
-// new sequencer recovers it from the sender's retransmit buffer.
-class LossWindowHarness : public Harness {
- public:
-  explicit LossWindowHarness(bool replay)
-      : Harness(3,
-                {.ordering = Ordering::kTotal,
-                 .retransmit_timeout = sim::msec(200),
-                 .max_retransmits = 30,
-                 .failover_replay = replay},
-                /*seed=*/21) {
-    // First request lost on the way to the sequencer...
-    net.set_link(3, 1, {.latency = sim::msec(2), .jitter = 0,
-                        .bandwidth_bps = 10e6, .loss = 1.0});
-    members[2]->chan->broadcast("one");
-    // ...then the link heals and the second request arrives: the
-    // sequencer stashes it out of order and acks it.
-    sim.schedule_at(sim::msec(5), [this] {
-      net.set_link(3, 1, {.latency = sim::msec(2), .jitter = 0,
-                          .bandwidth_bps = 10e6, .loss = 0.0});
-      members[2]->chan->broadcast("two");
-    });
-    // The sequencer crashes before "one"'s retransmission can fill the
-    // gap, with "two" acked but never relayed.
-    sim.schedule_at(sim::msec(50), [this] {
-      net.crash(1);
-      members[1]->chan->mark_failed(members[0]->chan->self());
-      members[2]->chan->mark_failed(members[0]->chan->self());
-    });
-    sim.run();
-  }
-};
-
-TEST(GroupChannel, FailoverLossWindowIsCountedWithoutReplay) {
-  LossWindowHarness h(/*replay=*/false);
-  // "one" was never acked, so its re-route to the new sequencer saves it;
-  // "two" was acked and sits in the window — gone, but accounted for.
-  EXPECT_EQ(h.members[2]->chan->stats().failover_lost, 1u);
-  EXPECT_EQ(h.payloads(1), std::vector<std::string>{"one"});
-  EXPECT_EQ(h.payloads(2), std::vector<std::string>{"one"});
-}
-
+// its first is still unacked in flight, then the sequencer dies.  "one"
+// was never acked, so its re-route to the new sequencer would save it;
+// "two" was acked but never relayed, so only the new sequencer's replay
+// from the sender's buffer of un-relayed broadcasts can bring it back.
 TEST(GroupChannel, FailoverReplayClosesTheLossWindow) {
-  LossWindowHarness h(/*replay=*/true);
+  Harness h(3, {.ordering = Ordering::kTotal,
+                .retransmit_timeout = sim::msec(200),
+                .max_retransmits = 30},
+            /*seed=*/21);
+  // Counts the old sequencer's acks of "two" (kAck: type 2, then the u32
+  // sender slot and the u64 per-sender seq).
+  int two_acked = 0;
+  h.net.set_inject_hook([&two_acked](const net::Message& m) {
+    std::uint32_t sender = 0;
+    std::uint64_t seq = 0;
+    if (m.src.node == 1 && m.dst.node == 3 && m.payload.size() >= 13 &&
+        static_cast<std::uint8_t>(m.payload[0]) == 2) {
+      std::memcpy(&sender, m.payload.data() + 1, sizeof sender);
+      std::memcpy(&seq, m.payload.data() + 5, sizeof seq);
+      if (sender == 2 && seq == 2) ++two_acked;
+    }
+    return net::InjectDecision{};
+  });
+  // First request lost on the way to the sequencer...
+  h.net.set_link(3, 1, {.latency = sim::msec(2), .jitter = 0,
+                        .bandwidth_bps = 10e6, .loss = 1.0});
+  h.members[2]->chan->broadcast("one");
+  // ...then the link heals and the second request arrives: the sequencer
+  // stashes it out of order and acks it.
+  h.sim.schedule_at(sim::msec(5), [&h] {
+    h.net.set_link(3, 1, {.latency = sim::msec(2), .jitter = 0,
+                          .bandwidth_bps = 10e6, .loss = 0.0});
+    h.members[2]->chan->broadcast("two");
+  });
+  // The sequencer crashes before "one"'s retransmission can fill the gap,
+  // with "two" acked but never relayed.
+  h.sim.schedule_at(sim::msec(50), [&h] {
+    h.net.crash(1);
+    h.members[1]->chan->mark_failed(h.members[0]->chan->self());
+    h.members[2]->chan->mark_failed(h.members[0]->chan->self());
+  });
+  h.sim.run();
+  // The window did open: the dead sequencer acked "two" and relayed
+  // nothing, not even to itself.
+  EXPECT_EQ(two_acked, 1);
+  EXPECT_TRUE(h.payloads(0).empty());
   const std::vector<std::string> want{"one", "two"};
   EXPECT_EQ(h.payloads(1), want);
   EXPECT_EQ(h.payloads(2), want);
-  for (std::size_t m = 1; m < 3; ++m) {
-    EXPECT_EQ(h.members[m]->chan->stats().failover_lost, 0u) << m;
-  }
-  EXPECT_GT(h.members[1]->chan->stats().failover_replayed, 0u);
+  // Both of the sender's un-relayed broadcasts came back through the
+  // replay, "two" among them.
+  EXPECT_EQ(h.members[1]->chan->stats().failover_replayed, 2u);
 }
 
 TEST(GroupChannel, ReplayRecoveryExtendsEverySurvivorPrefix) {
@@ -415,8 +415,6 @@ TEST(GroupChannel, SequencerCrashWithConcurrentSendersConverges) {
     EXPECT_EQ(ref.size(), 18u) << "seed " << seed;
     EXPECT_EQ(h.payloads(2), ref) << "seed " << seed;
     EXPECT_EQ(h.payloads(3), ref) << "seed " << seed;
-    for (std::size_t m = 1; m < 4; ++m)
-      EXPECT_EQ(h.members[m]->chan->stats().failover_lost, 0u);
   }
 }
 
@@ -439,44 +437,38 @@ TEST(SlotMask, IteratesAscendingAcrossTheInlineWord) {
 
 // Dedupe state is bounded by the reorder window, not by history: after a
 // long lossy kTotal session quiesces, every member's per-sender seen set is
-// one watermark with nothing above it.  Run with dedupe by delivery
-// (failover replay, the default) and by receipt (replay off), where
-// retransmissions do leave transient values above the watermark.
+// one watermark with nothing above it.
 TEST(GroupChannel, SeenSetsDrainToAWatermarkAfterLongTotalSession) {
-  for (const bool replay : {true, false}) {
-    SCOPED_TRACE(replay ? "replay on" : "replay off");
-    const std::size_t n = 12;
-    const int broadcasts = 10000;
-    Harness h(n,
-              {.ordering = Ordering::kTotal,
-               .retransmit_timeout = sim::msec(20),
-               .max_retransmits = 100,
-               .failover_replay = replay},
-              /*seed=*/77);
-    h.net.set_default_link({.latency = sim::msec(2), .jitter = sim::msec(2),
-                            .bandwidth_bps = 100e6, .loss = 0.02});
-    std::vector<std::uint64_t> sent(n, 0);
-    for (int i = 0; i < broadcasts; ++i) {
-      const auto m = static_cast<std::size_t>(i) % n;
-      ++sent[m];
-      h.sim.schedule_at(sim::usec(300) * i, [&h, m, i] {
-        (void)h.members[m]->chan->broadcast("b" + std::to_string(i));
-      });
-    }
-    h.sim.run();
-    for (std::size_t m = 0; m < n; ++m) {
-      const GroupChannel& c = *h.members[m]->chan;
-      ASSERT_EQ(h.members[m]->log.size(), static_cast<std::size_t>(broadcasts))
-          << "member " << m;
-      for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(c.seen(s).sparse_size(), 0u) << "member " << m << " sender "
-                                               << s;
-        EXPECT_EQ(c.seen(s).watermark(), sent[s] + 1)
-            << "member " << m << " sender " << s;
-      }
-    }
-    for (std::size_t m = 1; m < n; ++m) EXPECT_EQ(h.payloads(m), h.payloads(0));
+  const std::size_t n = 12;
+  const int broadcasts = 10000;
+  Harness h(n,
+            {.ordering = Ordering::kTotal,
+             .retransmit_timeout = sim::msec(20),
+             .max_retransmits = 100},
+            /*seed=*/77);
+  h.net.set_default_link({.latency = sim::msec(2), .jitter = sim::msec(2),
+                          .bandwidth_bps = 100e6, .loss = 0.02});
+  std::vector<std::uint64_t> sent(n, 0);
+  for (int i = 0; i < broadcasts; ++i) {
+    const auto m = static_cast<std::size_t>(i) % n;
+    ++sent[m];
+    h.sim.schedule_at(sim::usec(300) * i, [&h, m, i] {
+      (void)h.members[m]->chan->broadcast("b" + std::to_string(i));
+    });
   }
+  h.sim.run();
+  for (std::size_t m = 0; m < n; ++m) {
+    const GroupChannel& c = *h.members[m]->chan;
+    ASSERT_EQ(h.members[m]->log.size(), static_cast<std::size_t>(broadcasts))
+        << "member " << m;
+    for (std::size_t s = 0; s < n; ++s) {
+      EXPECT_EQ(c.seen(s).sparse_size(), 0u) << "member " << m << " sender "
+                                             << s;
+      EXPECT_EQ(c.seen(s).watermark(), sent[s] + 1)
+          << "member " << m << " sender " << s;
+    }
+  }
+  for (std::size_t m = 1; m < n; ++m) EXPECT_EQ(h.payloads(m), h.payloads(0));
 }
 
 // Sequencer failover over a hole.  The sequencer's relay of one broadcast
@@ -485,69 +477,62 @@ TEST(GroupChannel, SeenSetsDrainToAWatermarkAfterLongTotalSession) {
 // sender still holds both when the sequencer crashes.  The promoted
 // sequencer must resume at the hole: its first new-epoch slot is the
 // missing message, and every survivor ends with the same log holding
-// every broadcast (the R4 agreement and acked-delivery invariants).  With
-// dedupe by receipt (replay off) the survivor's seen set also holds the
-// later message above its watermark, so the prefix scan has to stop at the
-// hole rather than at the top of the set.
+// every broadcast (the R4 agreement and acked-delivery invariants).
 TEST(GroupChannel, PromotedSequencerResumesAtAHoleInItsSeenSet) {
-  for (const bool replay : {true, false}) {
-    SCOPED_TRACE(replay ? "replay on" : "replay off");
-    // Slots: 0 sequencer (node 1), 1 promoted survivor (node 2), 2 sender
-    // (node 3), 3 bystander (node 4).
-    Harness h(4,
-              {.ordering = Ordering::kTotal,
-               .retransmit_timeout = sim::msec(200),
-               .max_retransmits = 30,
-               .failover_replay = replay},
-              /*seed=*/5);
-    h.net.set_default_link({.latency = sim::msec(3), .jitter = 0,
-                            .bandwidth_bps = 10e6, .loss = 0});
-    constexpr std::uint64_t kHole = 4;
-    // Wire layout shared by kData (type 1) and kAck (type 2): type byte,
-    // then the u32 sender slot and the u64 per-sender seq.
-    h.net.set_inject_hook([](const net::Message& m) {
-      net::InjectDecision d;
-      if (m.src.node != 1 || m.payload.size() < 13) return d;
-      const auto type = static_cast<std::uint8_t>(m.payload[0]);
-      std::uint32_t sender = 0;
-      std::uint64_t seq = 0;
-      std::memcpy(&sender, m.payload.data() + 1, sizeof sender);
-      std::memcpy(&seq, m.payload.data() + 5, sizeof seq);
-      if (sender != 2) return d;
-      d.corrupt = (type == 1 && m.dst.node == 2 && seq == kHole) ||
-                  (type == 2 && m.dst.node == 3 && seq >= kHole);
-      return d;
+  // Slots: 0 sequencer (node 1), 1 promoted survivor (node 2), 2 sender
+  // (node 3), 3 bystander (node 4).
+  Harness h(4,
+            {.ordering = Ordering::kTotal,
+             .retransmit_timeout = sim::msec(200),
+             .max_retransmits = 30},
+            /*seed=*/5);
+  h.net.set_default_link({.latency = sim::msec(3), .jitter = 0,
+                          .bandwidth_bps = 10e6, .loss = 0});
+  constexpr std::uint64_t kHole = 4;
+  // Wire layout shared by kData (type 1) and kAck (type 2): type byte,
+  // then the u32 sender slot and the u64 per-sender seq.
+  h.net.set_inject_hook([](const net::Message& m) {
+    net::InjectDecision d;
+    if (m.src.node != 1 || m.payload.size() < 13) return d;
+    const auto type = static_cast<std::uint8_t>(m.payload[0]);
+    std::uint32_t sender = 0;
+    std::uint64_t seq = 0;
+    std::memcpy(&sender, m.payload.data() + 1, sizeof sender);
+    std::memcpy(&seq, m.payload.data() + 5, sizeof seq);
+    if (sender != 2) return d;
+    d.corrupt = (type == 1 && m.dst.node == 2 && seq == kHole) ||
+                (type == 2 && m.dst.node == 3 && seq >= kHole);
+    return d;
+  });
+  for (int i = 1; i <= 5; ++i) {
+    h.sim.schedule_at(sim::msec(5) * i, [&h, i] {
+      (void)h.members[2]->chan->broadcast("m" + std::to_string(i));
     });
-    for (int i = 1; i <= 5; ++i) {
-      h.sim.schedule_at(sim::msec(5) * i, [&h, i] {
-        (void)h.members[2]->chan->broadcast("m" + std::to_string(i));
-      });
-    }
-    const GroupChannel& promoted = *h.members[1]->chan;
-    h.sim.schedule_at(sim::msec(50), [&] {
-      // The hole: the promoted survivor's watermark for the sender stops
-      // at it while the bystander is past both messages.
-      EXPECT_EQ(promoted.seen(2).watermark(), kHole);
-      EXPECT_EQ(promoted.seen(2).sparse_size(), replay ? 0u : 1u);
-      EXPECT_EQ(h.members[3]->chan->seen(2).watermark(), kHole + 2);
-      h.net.crash(1);
-      for (std::size_t m = 1; m < 4; ++m)
-        h.members[m]->chan->mark_failed(h.members[0]->chan->self());
-    });
-    h.sim.run();
-    ASSERT_TRUE(promoted.is_sequencer());
-    const std::vector<std::string> want{"m1", "m2", "m3", "m4", "m5"};
-    for (std::size_t m = 1; m < 4; ++m) {
-      EXPECT_EQ(h.payloads(m), want) << "member " << m;
-      EXPECT_EQ(h.members[m]->chan->seen(2).sparse_size(), 0u) << m;
-    }
-    // The promoted sequencer's new epoch starts with the hole.
-    const auto& log = h.members[1]->log;
-    ASSERT_EQ(log.size(), want.size());
-    EXPECT_EQ(log[kHole - 1].seq, kHole);
-    EXPECT_EQ(log[kHole - 1].total_seq, 1u);
-    EXPECT_EQ(log[kHole].total_seq, 2u);
   }
+  const GroupChannel& promoted = *h.members[1]->chan;
+  h.sim.schedule_at(sim::msec(50), [&] {
+    // The hole: the promoted survivor's watermark for the sender stops at
+    // it while the bystander is past both messages.
+    EXPECT_EQ(promoted.seen(2).watermark(), kHole);
+    EXPECT_EQ(promoted.seen(2).sparse_size(), 0u);
+    EXPECT_EQ(h.members[3]->chan->seen(2).watermark(), kHole + 2);
+    h.net.crash(1);
+    for (std::size_t m = 1; m < 4; ++m)
+      h.members[m]->chan->mark_failed(h.members[0]->chan->self());
+  });
+  h.sim.run();
+  ASSERT_TRUE(promoted.is_sequencer());
+  const std::vector<std::string> want{"m1", "m2", "m3", "m4", "m5"};
+  for (std::size_t m = 1; m < 4; ++m) {
+    EXPECT_EQ(h.payloads(m), want) << "member " << m;
+    EXPECT_EQ(h.members[m]->chan->seen(2).sparse_size(), 0u) << m;
+  }
+  // The promoted sequencer's new epoch starts with the hole.
+  const auto& log = h.members[1]->log;
+  ASSERT_EQ(log.size(), want.size());
+  EXPECT_EQ(log[kHole - 1].seq, kHole);
+  EXPECT_EQ(log[kHole - 1].total_seq, 1u);
+  EXPECT_EQ(log[kHole].total_seq, 2u);
 }
 
 // Property sweep: for every ordering mode and several seeds, all members

@@ -30,8 +30,7 @@ TEST(SessionIntegration, ConferenceSurvivesMemberCrash) {
         net, chan_addrs[n - 1], 7,
         groups::ChannelConfig{.ordering = groups::Ordering::kTotal,
                               .retransmit_timeout = sim::msec(30),
-                              .max_retransmits = 10,
-                              .local_echo = true}));
+                              .max_retransmits = 10}));
   }
   for (auto& c : channels) c->set_members(chan_addrs);
   std::vector<std::vector<std::string>> logs(3);

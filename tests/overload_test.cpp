@@ -248,22 +248,6 @@ TEST(OverloadFifoTest, BacklogCappedAndUnreachableReported) {
   EXPECT_EQ(a.stats().unreachable_events, 1u);
 }
 
-// The FIFO retry budget bounds retransmit rounds: with a dry bucket the
-// round is skipped (counted) rather than hammering a dead peer.
-TEST(OverloadFifoTest, RetransmitRoundsDrawFromBudget) {
-  sim::Simulator sim(12);
-  net::Network net(sim);
-  net.crash(2);
-  net::FifoConfig cfg;
-  cfg.retry_budget = {.enabled = true, .ratio = 0.1, .initial = 2.0};
-  net::FifoChannel a(net, {1, 1}, cfg);
-  a.send({2, 1}, "hello");
-  sim.run_until(sim::sec(30));
-  // Two budgeted rounds went to the wire; everything after was denied.
-  EXPECT_EQ(a.stats().retransmits, 2u);
-  EXPECT_GT(a.stats().budget_denied, 0u);
-}
-
 // The total-order sequencer drops expired ordering requests on dequeue:
 // the request is acked (so the sender stops retransmitting) but assigned
 // no slot in the total order, and nobody stalls waiting for it.

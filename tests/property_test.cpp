@@ -176,8 +176,7 @@ TEST_P(CausalProperty, DeliveryRespectsHappenedBefore) {
 
   groups::ChannelConfig config{.ordering = groups::Ordering::kCausal,
                                .retransmit_timeout = sim::msec(25),
-                               .max_retransmits = 60,
-                               .local_echo = true};
+                               .max_retransmits = 60};
   std::vector<std::unique_ptr<groups::GroupChannel>> chans;
   for (std::size_t i = 0; i < n; ++i)
     chans.push_back(
@@ -206,7 +205,7 @@ TEST_P(CausalProperty, DeliveryRespectsHappenedBefore) {
           sim.rng().uniform_int(0, static_cast<std::int64_t>(n) - 1));
       const std::uint64_t seq =
           chans[who]->broadcast("r" + std::to_string(round));
-      // local_echo already delivered it to `who`; remove self from deps.
+      // The local echo already delivered it to `who`; remove self from deps.
       std::set<MsgId> d = seen_at[who];
       d.erase({who, seq});
       deps[{who, seq}] = std::move(d);
@@ -250,8 +249,7 @@ TEST_P(FailoverProperty, SurvivorsAgreeOnPostFailoverOrder) {
     addrs.push_back({static_cast<net::NodeId>(i + 1), 10});
   groups::ChannelConfig config{.ordering = groups::Ordering::kTotal,
                                .retransmit_timeout = sim::msec(30),
-                               .max_retransmits = 40,
-                               .local_echo = true};
+                               .max_retransmits = 40};
   std::vector<std::unique_ptr<groups::GroupChannel>> chans;
   std::vector<std::vector<std::string>> logs(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -384,8 +382,7 @@ TEST(DeterminismProperty, IdenticalSeedsReplayIdentically) {
           net, a, 1,
           groups::ChannelConfig{.ordering = groups::Ordering::kTotal,
                                 .retransmit_timeout = sim::msec(25),
-                                .max_retransmits = 30,
-                                .local_echo = true}));
+                                .max_retransmits = 30}));
     std::vector<std::pair<sim::TimePoint, std::string>> trace;
     for (auto& c : chans) {
       c->set_members(addrs);

@@ -169,7 +169,7 @@ struct MapModel {
 
   void send(const std::string& p) {
     known = true;
-    if (max_unacked > 0 && unacked.size() >= max_unacked) {
+    if (unacked.size() >= max_unacked) {
       ++stats.overflow_dropped;
       return;
     }
@@ -273,7 +273,6 @@ void expect_same_stats(const net::FifoStats& got, const net::FifoStats& want) {
   EXPECT_EQ(got.resyncs, want.resyncs);
   EXPECT_EQ(got.stale, want.stale);
   EXPECT_EQ(got.overflow_dropped, want.overflow_dropped);
-  EXPECT_EQ(got.budget_denied, 0u);
   EXPECT_EQ(got.unreachable_events, 0u);
 }
 
@@ -303,7 +302,7 @@ void fifo_differential(std::uint64_t seed, std::size_t max_unacked,
     delivered.emplace_back(p);
   });
   MapModel model{.max_unacked = max_unacked};
-  const std::uint64_t window = max_unacked > 0 ? max_unacked : 256;
+  const std::uint64_t window = max_unacked;
 
   auto inject = [&](util::Writer& w) {
     ch.on_message({.src = peer, .dst = self, .payload = w.take_buf()});
@@ -382,14 +381,6 @@ TEST(FifoRings, MatchMapModelOnSeededSequences) {
     // A 16-frame window wraps the rings constantly and sends many
     // arrivals to the sparse map beyond it.
     fifo_differential(seed, 16, 1500);
-    if (HasFatalFailure()) return;
-  }
-}
-
-TEST(FifoRings, UnboundedBacklogMatchesMapModel) {
-  for (std::uint64_t seed = 41; seed <= 50; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    fifo_differential(seed, 0, 1500);
     if (HasFatalFailure()) return;
   }
 }

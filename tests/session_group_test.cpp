@@ -137,8 +137,6 @@ TEST_F(SessionGroupTest, SurvivesCoordinatorAndSequencerCrashingTogether) {
   for (const auto& p : ref)
     if (p.rfind("post", 0) == 0) ++posts;
   EXPECT_EQ(posts, 4);
-  for (std::size_t i = 1; i < parts.size(); ++i)
-    EXPECT_EQ(parts[i]->sg->channel().stats().failover_lost, 0u);
 
   // View ids stayed strictly monotone at every survivor.
   for (std::size_t i = 1; i < parts.size(); ++i) {
