@@ -68,10 +68,12 @@ BENCHES=(
 TARGETS=()
 for b in "${BENCHES[@]}"; do TARGETS+=("${b%%:*}"); done
 
-# src_lines <tree>: lines of C++ source under <tree>/src.
+# src_lines <tree> [code]: lines of C++ source under <tree>/src; with
+# "code", only the lines that are neither blank nor a // comment.
 src_lines() {
-  find "$1/src" \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
-    xargs -0 cat | wc -l
+  find "$1/src" \( -name '*.cpp' -o -name '*.hpp' \) -print0 | xargs -0 cat |
+    if [[ "${2:-}" == code ]]; then grep -Ev '^[[:space:]]*(//.*)?$'; else cat; fi |
+    wc -l
 }
 
 # build <src> <build-dir>
@@ -133,10 +135,12 @@ EOF
 
 echo "artifact_ab_gate: base ${REV}"
 git -C "${ROOT}" worktree add --detach "${BASE_SRC}" "${REV}" >/dev/null
-base_lines="$(src_lines "${BASE_SRC}")"
-head_lines="$(src_lines "${ROOT}")"
-printf 'src/ lines: base %d, head %d (%+d)\n' "${base_lines}" \
-    "${head_lines}" "$(( head_lines - base_lines ))"
+for kind in all code; do
+  base_lines="$(src_lines "${BASE_SRC}" "${kind}")"
+  head_lines="$(src_lines "${ROOT}" "${kind}")"
+  printf 'src/ %s lines: base %d, head %d (%+d)\n' "${kind}" \
+      "${base_lines}" "${head_lines}" "$(( head_lines - base_lines ))"
+done
 
 build "${BASE_SRC}" "${WORK}/base-build"
 build "${ROOT}" "${WORK}/head-build"

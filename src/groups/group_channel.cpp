@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "util/codec.hpp"
-
 namespace coop::groups {
 
 namespace {
@@ -90,11 +88,12 @@ std::size_t GroupChannel::sequencer_slot() const {
 
 void GroupChannel::take_over_sequencing() {
   // Resume from what we have delivered ourselves: the contiguous prefix
-  // of each sender's seen set.  The resync flag lets the first request
-  // per sender jump over messages lost with the old sequencer.
-  resync_ = true;
+  // of each sender's seen set.  The resync mask lets each sender's first
+  // request jump over messages lost with the old sequencer.
+  resync_ = {};
   next_total_seq_ = 1;
   for (std::size_t s = 0; s < seen_.size(); ++s) {
+    resync_.insert(s);
     std::uint64_t next = next_req_[s];
     while (seen_[s].count(next) != 0) ++next;
     next_req_[s] = next;
@@ -152,13 +151,10 @@ void GroupChannel::begin_recovery() {
 }
 
 void GroupChannel::send_solicits() {
-  util::Writer w;
-  w.put(MsgType::kSolicit)
-      .put(static_cast<std::uint32_t>(epoch_))
-      .put(next_expected_total_ - 1);
-  const util::Buf wire = w.take_buf();
+  const util::Buf frame = util::encode(
+      SolicitMsg{.epoch = epoch_, .total = next_expected_total_ - 1});
   for (std::size_t slot : recover_await_) {
-    net_.send({.src = self_, .dst = members_[slot], .payload = wire,
+    net_.send({.src = self_, .dst = members_[slot], .payload = frame,
                .priority = config_.priority});
   }
   recover_timer_ = net_.simulator().schedule_after(
@@ -180,81 +176,46 @@ void GroupChannel::send_solicits() {
 }
 
 void GroupChannel::handle_solicit(const net::Message& msg) {
-  if (config_.ordering != Ordering::kTotal) return;
-  util::Reader r(msg.payload);
-  r.get<MsgType>();
-  const auto their_epoch = r.get<std::uint32_t>();
-  const auto their_total = r.get<std::uint64_t>();
-  if (r.failed()) return;
+  SolicitMsg solicit;
+  if (config_.ordering != Ordering::kTotal ||
+      !util::decode(msg.payload, solicit))
+    return;
   // Answer with our delivered position, every tail entry the solicitor has
   // not itself delivered, and every own broadcast not yet relayed back to
   // us.  Responding is read-only: authority stays with the solicitor.
-  util::Writer w;
-  w.put(MsgType::kRecover)
-      .put(static_cast<std::uint32_t>(self_index_))
-      .put(static_cast<std::uint32_t>(epoch_))
-      .put(next_expected_total_ - 1);
-  std::uint32_t n_tail = 0;
+  RecoverMsg m{.responder = static_cast<std::uint32_t>(self_index_),
+                     .epoch = epoch_,
+                     .total = next_expected_total_ - 1};
   for_each_tail([&](const TailEntry& e) {
-    if (std::pair(e.epoch, e.total) > std::pair(their_epoch, their_total))
-      ++n_tail;
+    if (std::pair(e.epoch, e.total) > std::pair(solicit.epoch, solicit.total))
+      m.tail.push_back(e);
   });
-  w.put(n_tail);
-  for_each_tail([&](const TailEntry& e) {
-    if (std::pair(e.epoch, e.total) <= std::pair(their_epoch, their_total))
-      return;
-    w.put(e.sender).put(e.seq).put(e.epoch).put(e.total).put(e.sent_at);
-    w.put_string(e.payload);
-  });
-  w.put(static_cast<std::uint32_t>(relay_wait_.size()));
   for (const auto& [seq, rw] : relay_wait_) {
-    w.put(seq).put(rw.sent_at).put(rw.deadline);
-    w.put_string(rw.payload);
+    m.relays.push_back({m.responder, seq, rw.sent_at, rw.deadline,
+                        rw.payload.str()});
   }
-  net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf(),
+  net_.send({.src = self_, .dst = msg.src, .payload = util::encode(m),
              .priority = config_.priority});
 }
 
 void GroupChannel::handle_recover(const net::Message& msg) {
   if (!recovering_) return;  // late/duplicate summary
-  util::Reader r(msg.payload);
-  r.get<MsgType>();
-  const auto responder = r.get<std::uint32_t>();
-  const auto their_epoch = r.get<std::uint32_t>();
-  const auto their_total = r.get<std::uint64_t>();
-  if (r.failed() || responder >= members_.size()) return;
   // The whole summary is decoded before any of it is adopted: a truncated
   // or malformed one is dropped outright, so it can neither seed the
   // replay nor stand in for the responder's real answer.
-  std::vector<TailEntry> tail;
-  for (auto n = r.get<std::uint32_t>(); n > 0 && !r.failed(); --n) {
-    TailEntry& e = tail.emplace_back();
-    e.sender = r.get<std::uint32_t>();
-    e.seq = r.get<std::uint64_t>();
-    e.epoch = r.get<std::uint32_t>();
-    e.total = r.get<std::uint64_t>();
-    e.sent_at = r.get<sim::TimePoint>();
-    e.payload = r.get_string();
+  RecoverMsg m;
+  if (!util::decode(msg.payload, m) || m.responder >= members_.size()) return;
+  for (const TailEntry& e : m.tail) {
     if (e.sender >= members_.size()) return;
   }
-  std::vector<ReplayReq> relays;
-  for (auto n = r.get<std::uint32_t>(); n > 0 && !r.failed(); --n) {
-    ReplayReq& rep = relays.emplace_back();
-    rep.sender = responder;
-    rep.seq = r.get<std::uint64_t>();
-    rep.sent_at = r.get<sim::TimePoint>();
-    rep.deadline = r.get<sim::TimePoint>();
-    rep.payload = r.get_string();
-  }
-  if (r.failed()) return;
-  for (const TailEntry& e : tail) adopt_recovered(e);
-  for (ReplayReq& rep : relays) {
-    relay_replays_.try_emplace(pending_key(responder, rep.seq),
+  for (const TailEntry& e : m.tail) adopt_recovered(e);
+  for (ReplayReq& rep : m.relays) {
+    rep.sender = m.responder;
+    relay_replays_.try_emplace(pending_key(rep.sender, rep.seq),
                                std::move(rep));
   }
-  if (recover_await_.erase(responder) == 0) return;  // duplicate summary
-  recover_min_pos_ =
-      std::min(recover_min_pos_, std::pair(their_epoch, their_total));
+  if (recover_await_.erase(m.responder) == 0) return;  // duplicate summary
+  recover_min_pos_ = std::min(recover_min_pos_, std::pair(m.epoch, m.total));
   if (recover_await_.empty()) finish_recovery();
 }
 
@@ -337,9 +298,9 @@ void GroupChannel::resequence(std::uint32_t sender, std::uint64_t seq,
   const bool already_delivered_here = seen_[sender].count(seq) != 0;
   seen_[sender].insert(seq);
   const std::uint64_t total_seq = next_total_seq_++;
-  const util::Buf wire = encode_data(sender, seq, total_seq, sent_at,
-                                     logical::VectorClock(), payload);
-  send_data(pending_key(sender, seq), wire, obs::CausalContext{}, 0);
+  const util::Buf frame =
+      encode_data(sender, seq, total_seq, sent_at, {}, payload);
+  send_data(pending_key(sender, seq), frame, obs::CausalContext{}, 0);
   epoch_ = static_cast<std::uint32_t>(self_index_);
   next_expected_total_ = total_seq + 1;
   tail_push(sender, seq, epoch_, total_seq, sent_at, payload);
@@ -357,20 +318,18 @@ void GroupChannel::resequence(std::uint32_t sender, std::uint64_t seq,
 }
 
 util::Buf GroupChannel::encode_data(std::size_t sender, std::uint64_t seq,
-                                      std::uint64_t total_seq,
-                                      sim::TimePoint sent_at,
-                                      const logical::VectorClock& vc,
-                                      const std::string& payload) const {
-  util::Writer w;
-  w.put(MsgType::kData)
-      .put(static_cast<std::uint32_t>(sender))
-      .put(seq)
-      .put(total_seq)
-      .put(static_cast<std::uint32_t>(self_index_))  // sequencing epoch
-      .put(sent_at);
-  vc.encode(w);
-  w.put_string(payload);
-  return w.take_buf();
+                                    std::uint64_t total_seq,
+                                    sim::TimePoint sent_at,
+                                    util::ArrayView<std::uint64_t> clock,
+                                    std::string_view payload) const {
+  return util::encode(
+      DataMsg{.sender = static_cast<std::uint32_t>(sender),
+                    .seq = seq,
+                    .total_seq = total_seq,
+                    .epoch = static_cast<std::uint32_t>(self_index_),
+                    .sent_at = sent_at,
+                    .clock = clock,
+                    .payload = payload});
 }
 
 std::uint64_t GroupChannel::broadcast(std::string payload,
@@ -405,23 +364,21 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
     // dies after acking but before relaying, the promoted sequencer
     // replays it from this buffer.
     relay_wait_[seq] = {now, deadline, util::Buf(payload), bctx};
-    util::Writer w;
-    w.put(MsgType::kTotalReq)
-        .put(static_cast<std::uint32_t>(self_index_))
-        .put(seq)
-        .put(now)
-        .put_string(payload);
-    const util::Buf wire = w.take_buf();
+    const util::Buf frame = util::encode(
+        TotalReqMsg{.sender = static_cast<std::uint32_t>(self_index_),
+                          .seq = seq,
+                          .sent_at = now,
+                          .payload = payload});
 
     const std::size_t seq_slot = sequencer_slot();
     Pending p;
-    p.wire = wire;
+    p.wire = frame;
     p.awaiting.insert(seq_slot);
     p.is_total_req = true;
     p.deadline = deadline;
     p.ctx = bctx;
     pending_[pending_key(self_index_, seq)] = std::move(p);
-    net_.send({.src = self_, .dst = members_[seq_slot], .payload = wire,
+    net_.send({.src = self_, .dst = members_[seq_slot], .payload = frame,
                .deadline = deadline, .priority = config_.priority,
                .ctx = bctx});
     arm_retransmit(pending_key(self_index_, seq));
@@ -432,9 +389,9 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
   if (config_.ordering == Ordering::kCausal) vclock_.tick(self_index_);
   if (config_.ordering == Ordering::kTotal) total_seq = next_total_seq_++;
 
-  const util::Buf wire =
-      encode_data(self_index_, seq, total_seq, now, vclock_, payload);
-  send_data(pending_key(self_index_, seq), wire, bctx, deadline);
+  const util::Buf frame = encode_data(self_index_, seq, total_seq, now,
+                                     vclock_.values(), payload);
+  send_data(pending_key(self_index_, seq), frame, bctx, deadline);
 
   // Local delivery.  kTotal delivers at sequencing time (which, for the
   // sequencer itself, is right now); others echo immediately.
@@ -601,42 +558,46 @@ void GroupChannel::mark_failed(const net::Address& member) {
 }
 
 void GroupChannel::on_message(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  const auto type = r.get<MsgType>();
-  if (r.failed()) return;
+  ChannelMsg type{};
+  if (!util::decode(msg.payload, type)) return;
   switch (type) {
-    case MsgType::kData:
+    case ChannelMsg::kData:
       handle_data(msg);
       break;
-    case MsgType::kAck:
+    case ChannelMsg::kAck:
       handle_ack(msg);
       break;
-    case MsgType::kTotalReq:
+    case ChannelMsg::kTotalReq:
       handle_total_req(msg);
       break;
-    case MsgType::kSolicit:
+    case ChannelMsg::kSolicit:
       handle_solicit(msg);
       break;
-    case MsgType::kRecover:
+    case ChannelMsg::kRecover:
       handle_recover(msg);
       break;
   }
 }
 
+void GroupChannel::send_ack(const net::Message& msg, std::uint32_t sender,
+                            std::uint64_t seq) {
+  const AckMsg ack{.sender = sender,
+                         .seq = seq,
+                         .acker = static_cast<std::uint32_t>(self_index_)};
+  net_.send({.src = self_, .dst = msg.src, .payload = util::encode(ack),
+             .ctx = msg.ctx});
+}
+
 void GroupChannel::handle_ack(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  r.get<MsgType>();
-  const auto sender = r.get<std::uint32_t>();
-  const auto seq = r.get<std::uint64_t>();
-  const auto acker = r.get<std::uint32_t>();
-  if (r.failed()) return;
-  auto it = pending_.find(pending_key(sender, seq));
+  AckMsg ack;
+  if (!util::decode(msg.payload, ack)) return;
+  auto it = pending_.find(pending_key(ack.sender, ack.seq));
   if (it == pending_.end()) return;
   net_.obs().tracer.event(net_.simulator().now(), obs::Category::kGroup,
                           "ack", msg.ctx,
-                          {{"seq", static_cast<double>(seq)},
-                           {"from", static_cast<double>(acker)}});
-  it->second.awaiting.erase(acker);
+                          {{"seq", static_cast<double>(ack.seq)},
+                           {"from", static_cast<double>(ack.acker)}});
+  it->second.awaiting.erase(ack.acker);
   if (it->second.awaiting.empty()) {
     if (it->second.timer != sim::kInvalidEvent)
       net_.simulator().cancel(it->second.timer);
@@ -645,14 +606,9 @@ void GroupChannel::handle_ack(const net::Message& msg) {
 }
 
 void GroupChannel::handle_total_req(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  r.get<MsgType>();
-  const auto sender = r.get<std::uint32_t>();
-  const auto seq = r.get<std::uint64_t>();
-  const auto sent_at = r.get<sim::TimePoint>();
-  const std::string_view payload = r.get_string_view();
-  if (r.failed() || sender >= members_.size()) return;
-
+  TotalReqMsg req;
+  if (!util::decode(msg.payload, req) || req.sender >= members_.size())
+    return;
   // A request that reaches a non-sequencer (the slot demoted, or the
   // sender's sequencer view is ahead of ours) is dropped *unacked*: an
   // ack from a node that will never sequence the message converts the
@@ -660,20 +616,16 @@ void GroupChannel::handle_total_req(const net::Message& msg) {
   if (!is_sequencer()) {
     net_.obs().tracer.event(net_.simulator().now(), obs::Category::kGroup,
                             "req_wrong_sequencer", msg.ctx,
-                            {{"sender", static_cast<double>(sender)},
-                             {"seq", static_cast<double>(seq)}});
+                            {{"sender", static_cast<double>(req.sender)},
+                             {"seq", static_cast<double>(req.seq)}});
     return;
   }
 
-  const bool fresh = seq >= next_req_[sender] &&
-                     stashed_reqs_[sender].count(seq) == 0;
+  const bool fresh = req.seq >= next_req_[req.sender] &&
+                     stashed_reqs_[req.sender].count(req.seq) == 0;
   // Ack the request so the originator stops retransmitting.  The ack rides
   // the request's context so it links back to the attempt that arrived.
-  util::Writer w;
-  w.put(MsgType::kAck).put(sender).put(seq).put(
-      static_cast<std::uint32_t>(self_index_));
-  net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf(),
-             .ctx = msg.ctx});
+  send_ack(msg, req.sender, req.seq);
 
   if (!fresh) {
     ++stats_.duplicates;  // retransmitted request already sequenced/stashed
@@ -685,20 +637,21 @@ void GroupChannel::handle_total_req(const net::Message& msg) {
   // with the stash so expiry is judged at sequencing time.  A recovering
   // sequencer only stashes: fresh requests sequence after the replayed
   // suffix, when the recovery round closes.
-  auto& stash = stashed_reqs_[sender];
-  if (!recovering_ && stash.empty() && seq == next_req_[sender]) {
+  auto& stash = stashed_reqs_[req.sender];
+  if (!recovering_ && stash.empty() && req.seq == next_req_[req.sender]) {
     // The steady state: the request is next in line, so stashing it only
     // to dequeue it at once would change nothing but cost an allocation.
-    ++next_req_[sender];
-    StashedReq req{sent_at, std::exchange(req_spare_, {}), msg.deadline,
-                   msg.ctx};
-    req.payload.assign(payload);
-    sequence_req(sender, seq, req);
-    req_spare_ = std::move(req.payload);
+    ++next_req_[req.sender];
+    StashedReq next{req.sent_at, std::exchange(req_spare_, {}), msg.deadline,
+                    msg.ctx};
+    next.payload.assign(req.payload);
+    sequence_req(req.sender, req.seq, next);
+    req_spare_ = std::move(next.payload);
     return;
   }
-  stash[seq] = {sent_at, std::string(payload), msg.deadline, msg.ctx};
-  if (!recovering_) sequence_ready_reqs(sender);
+  stash[req.seq] = {req.sent_at, std::string(req.payload), msg.deadline,
+                    msg.ctx};
+  if (!recovering_) sequence_ready_reqs(req.sender);
 }
 
 void GroupChannel::sequence_ready_reqs(std::size_t sender) {
@@ -706,7 +659,8 @@ void GroupChannel::sequence_ready_reqs(std::size_t sender) {
   auto& stash = stashed_reqs_[sender];
   // Post-failover resync: the first request from a sender may jump over
   // messages lost with the old sequencer (one jump per sender).
-  if (resync_ && !stash.empty() && stash.begin()->first > next_req_[sender]) {
+  if (resync_.contains(sender) && !stash.empty() &&
+      stash.begin()->first > next_req_[sender]) {
     next_req_[sender] = stash.begin()->first;
   }
   for (auto it = stash.find(next_req_[sender]); it != stash.end();
@@ -722,6 +676,7 @@ void GroupChannel::sequence_ready_reqs(std::size_t sender) {
 void GroupChannel::sequence_req(std::size_t sender, std::uint64_t seq,
                                 StashedReq& req) {
   obs::Tracer& tracer = net_.obs().tracer;
+  resync_.erase(sender);  // later gaps are real: wait for retransmission
   seen_[sender].insert(seq);
   // Expired on dequeue: the deadline passed while the request was in
   // flight or sat in the stash, so sequencing it would multicast work
@@ -751,9 +706,9 @@ void GroupChannel::sequence_req(std::size_t sender, std::uint64_t seq,
                {{"sender", static_cast<double>(sender)},
                 {"seq", static_cast<double>(seq)},
                 {"total", static_cast<double>(total_seq)}});
-  const util::Buf wire = encode_data(sender, seq, total_seq, req.sent_at,
-                                     logical::VectorClock(), req.payload);
-  send_data(pending_key(sender, seq), wire, sctx, req.deadline);
+  const util::Buf frame =
+      encode_data(sender, seq, total_seq, req.sent_at, {}, req.payload);
+  send_data(pending_key(sender, seq), frame, sctx, req.deadline);
   // The sequencer's own delivery happens at sequencing time, keeping it
   // consistent with the global order it just defined.
   epoch_ = static_cast<std::uint32_t>(self_index_);
@@ -773,50 +728,38 @@ void GroupChannel::sequence_req(std::size_t sender, std::uint64_t seq,
 }
 
 void GroupChannel::handle_data(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  r.get<MsgType>();
-  const auto sender = r.get<std::uint32_t>();
-  const auto seq = r.get<std::uint64_t>();
-  const auto total_seq = r.get<std::uint64_t>();
-  const auto epoch = r.get<std::uint32_t>();
-  const auto sent_at = r.get<sim::TimePoint>();
-  // Only causal order reads the clock; the others step over its bytes.
-  logical::VectorClock vc;
-  if (config_.ordering == Ordering::kCausal) {
-    vc = logical::VectorClock::decode(r);
-  } else {
-    r.skip_vector<std::uint64_t>();
-  }
-  const std::string_view payload = r.get_string_view();
+  DataMsg m;
+  if (!util::decode(msg.payload, m) || m.sender >= members_.size()) return;
+  const bool causal = config_.ordering == Ordering::kCausal;
   // A clock wider than the group would be merged into vclock_ for good and
   // widen every later frame, so it is refused before any ack or dedupe.
-  if (r.failed() || sender >= members_.size() ||
-      vc.size() > members_.size())
+  if (causal && m.clock.size() > members_.size()) return;
+  // Only the sequencer of the epoch it names relays a kTotal frame; one from
+  // anyone else could open that epoch here and shadow the real sequencer.
+  if (config_.ordering == Ordering::kTotal &&
+      (m.epoch >= members_.size() || msg.src != members_[m.epoch]))
     return;
 
   // The payload is copied in only once the message is accepted (see
   // try_deliver), so the dedupe paths below never touch it.
   HeldBack hb;
-  hb.delivery = {.sender = sender,
-                 .sender_addr = members_[sender],
-                 .seq = seq,
-                 .total_seq = total_seq,
-                 .sent_at = sent_at,
+  hb.delivery = {.sender = m.sender,
+                 .sender_addr = members_[m.sender],
+                 .seq = m.seq,
+                 .total_seq = m.total_seq,
+                 .sent_at = m.sent_at,
                  // Even if delivery is deferred in the hold-back queue, the
                  // chain stays anchored to the network arrival.
                  .ctx = msg.ctx.valid()
                             ? msg.ctx.child(net_.obs().tracer.mint_id())
                             : obs::CausalContext{}};
-  hb.vclock = std::move(vc);
-  hb.epoch = epoch;
+  // Only causal order reads the clock; the others step over its bytes.
+  if (causal) hb.vclock = logical::VectorClock(m.clock);
+  hb.epoch = m.epoch;
 
   // Always ack — the original ack may have been the lost datagram.  The
   // ack goes to whoever (re)transmitted this copy: originator or sequencer.
-  util::Writer w;
-  w.put(MsgType::kAck).put(sender).put(seq).put(
-      static_cast<std::uint32_t>(self_index_));
-  net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf(),
-             .ctx = msg.ctx});
+  send_ack(msg, m.sender, m.seq);
 
   if (config_.ordering == Ordering::kTotal) {
     // Total order dedupes on *delivery position*, not receipt: a
@@ -824,12 +767,12 @@ void GroupChannel::handle_data(const net::Message& msg) {
     // still occupy its new slot in the total order (so later messages can
     // flush) without reaching the application twice — it commits as a
     // phantom.  Any copy at a position we committed past is a duplicate.
-    if (std::pair(epoch, total_seq) <
+    if (std::pair(m.epoch, m.total_seq) <
         std::pair(epoch_, next_expected_total_)) {
       ++stats_.duplicates;
       return;
     }
-    hb.phantom = seen_[sender].count(seq) != 0;
+    hb.phantom = seen_[m.sender].count(m.seq) != 0;
     // One queued copy per message: a newer-epoch copy supersedes a held
     // stale-epoch one; an equal-position copy is a retransmission.
     for (auto it = holdback_.begin(); it != holdback_.end(); ++it) {
@@ -844,15 +787,15 @@ void GroupChannel::handle_data(const net::Message& msg) {
       holdback_.erase(it);
       break;
     }
-    try_deliver(std::move(hb), payload);
+    try_deliver(std::move(hb), m.payload);
     return;
   }
 
-  if (!seen_[sender].insert(seq)) {
+  if (!seen_[m.sender].insert(m.seq)) {
     ++stats_.duplicates;
     return;
   }
-  try_deliver(std::move(hb), payload);
+  try_deliver(std::move(hb), m.payload);
 }
 
 bool GroupChannel::deliverable_now(const HeldBack& hb) const {

@@ -35,6 +35,7 @@
 
 #include "net/network.hpp"
 #include "time/logical_clocks.hpp"
+#include "util/codec.hpp"
 #include "util/watermark_set.hpp"
 
 namespace coop::groups {
@@ -60,6 +61,86 @@ struct Delivery {
   /// as the parent of any work the delivery triggers to keep the chain
   /// in one trace.
   obs::CausalContext ctx{};
+};
+
+/// Group-channel wire formats: every frame starts with its ChannelMsg byte.
+enum class ChannelMsg : std::uint8_t {
+  kData = 1,      ///< reliable broadcast payload
+  kAck = 2,       ///< receiver ack for kData
+  kTotalReq = 3,  ///< sender -> sequencer ordering request
+  kSolicit = 4,   ///< new sequencer -> members: send recovery summaries
+  kRecover = 5,   ///< member -> new sequencer: tail + un-relayed requests
+};
+
+/// A broadcast; under kTotal, as relayed by the sequencer that stamped it.
+struct DataMsg {
+  ChannelMsg type = ChannelMsg::kData;
+  std::uint32_t sender = 0;     ///< the originator's slot
+  std::uint64_t seq = 0;        ///< the originator's per-sender seq
+  std::uint64_t total_seq = 0;  ///< kTotal: position in the global order
+  std::uint32_t epoch = 0;      ///< kTotal: slot of the stamping sequencer
+  sim::TimePoint sent_at = 0;
+  util::ArrayView<std::uint64_t> clock;  ///< the sender's vector clock
+  std::string_view payload;
+  COOP_FIELDS(type, sender, seq, total_seq, epoch, sent_at, clock, payload)
+};
+
+struct AckMsg {
+  ChannelMsg type = ChannelMsg::kAck;
+  std::uint32_t sender = 0;  ///< of the acked message
+  std::uint64_t seq = 0;
+  std::uint32_t acker = 0;   ///< the acking member's slot
+  COOP_FIELDS(type, sender, seq, acker)
+};
+
+struct TotalReqMsg {
+  ChannelMsg type = ChannelMsg::kTotalReq;
+  std::uint32_t sender = 0;
+  std::uint64_t seq = 0;
+  sim::TimePoint sent_at = 0;
+  std::string_view payload;
+  COOP_FIELDS(type, sender, seq, sent_at, payload)
+};
+
+/// Carries the solicitor's delivered position (epoch, total seq).
+struct SolicitMsg {
+  ChannelMsg type = ChannelMsg::kSolicit;
+  std::uint32_t epoch = 0;
+  std::uint64_t total = 0;
+  COOP_FIELDS(type, epoch, total)
+};
+
+/// A past kTotal delivery, as a member retains it for failover recovery.
+struct TailEntry {
+  std::uint32_t sender = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t epoch = 0;  ///< epoch the delivery committed under
+  std::uint64_t total = 0;  ///< total_seq the delivery committed under
+  sim::TimePoint sent_at = 0;
+  std::string payload;
+  COOP_FIELDS(sender, seq, epoch, total, sent_at, payload)
+};
+
+/// A broadcast its sender has not yet seen relayed (sequenced) back.
+struct ReplayReq {
+  std::uint32_t sender = 0;  ///< not on the wire: the responder's slot
+  std::uint64_t seq = 0;
+  sim::TimePoint sent_at = 0;
+  sim::TimePoint deadline = 0;
+  std::string payload;
+  COOP_FIELDS(seq, sent_at, deadline, payload)
+};
+
+/// A member's answer to kSolicit: its delivered position, the tail the
+/// solicitor has not delivered, and its un-relayed broadcasts.
+struct RecoverMsg {
+  ChannelMsg type = ChannelMsg::kRecover;
+  std::uint32_t responder = 0;  ///< the responder's slot
+  std::uint32_t epoch = 0;
+  std::uint64_t total = 0;
+  std::vector<TailEntry> tail;
+  std::vector<ReplayReq> relays;
+  COOP_FIELDS(type, responder, epoch, total, tail, relays)
 };
 
 /// Channel tuning knobs.  Under every ordering but kTotal the sender
@@ -207,14 +288,6 @@ class GroupChannel : public net::Endpoint {
   void on_message(const net::Message& msg) override;
 
  private:
-  enum class MsgType : std::uint8_t {
-    kData = 1,      ///< reliable broadcast payload
-    kAck = 2,       ///< receiver ack for kData
-    kTotalReq = 3,  ///< sender -> sequencer ordering request
-    kSolicit = 4,   ///< new sequencer -> members: send recovery summaries
-    kRecover = 5,   ///< member -> new sequencer: tail + un-relayed requests
-  };
-
   struct Pending {  // sender side: awaiting acks
     util::Buf wire;                  ///< encoded DATA, shared by resends
     SlotMask awaiting;               ///< member slots yet to ack
@@ -249,6 +322,8 @@ class GroupChannel : public net::Endpoint {
   /// Commits the ordering cursors for a delivery about to happen.
   void commit_order(const HeldBack& hb);
   void handle_ack(const net::Message& msg);
+  void send_ack(const net::Message& msg, std::uint32_t sender,
+                std::uint64_t seq);
   void handle_total_req(const net::Message& msg);
   void sequence_ready_reqs(std::size_t sender);
   /// Assigns the next total_seq to a dequeued request, relays it and
@@ -261,9 +336,9 @@ class GroupChannel : public net::Endpoint {
   void deliver_now(const Delivery& d);
 
   util::Buf encode_data(std::size_t sender, std::uint64_t seq,
-                          std::uint64_t total_seq, sim::TimePoint sent_at,
-                          const logical::VectorClock& vc,
-                          const std::string& payload) const;
+                        std::uint64_t total_seq, sim::TimePoint sent_at,
+                        util::ArrayView<std::uint64_t> clock,
+                        std::string_view payload) const;
 
   net::Network& net_;
   net::Address self_;
@@ -288,7 +363,9 @@ class GroupChannel : public net::Endpoint {
   std::uint64_t next_total_seq_ = 1;
   std::uint64_t next_expected_total_ = 1;  // receiver cursor for total order
   std::uint32_t epoch_ = 0;                // receiver: current sequencer slot
-  bool resync_ = false;  // new sequencer: relax req contiguity once
+  // New sequencer: senders whose next request may still jump the gap left
+  // by the old sequencer (one jump each, cleared once one is sequenced).
+  SlotMask resync_;
   std::vector<std::uint64_t> next_req_;    // per-sender request cursor
   std::vector<std::map<std::uint64_t, StashedReq>> stashed_reqs_;
 
@@ -306,26 +383,11 @@ class GroupChannel : public net::Endpoint {
   // the whole group's sequencer has relayed it and it can no longer be
   // lost to a sequencer crash).  On takeover the new sequencer solicits
   // both from all survivors and replays them into the new epoch.
-  struct TailEntry {
-    std::uint32_t sender = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t epoch = 0;     ///< epoch the delivery committed under
-    std::uint64_t total = 0;     ///< total_seq the delivery committed under
-    sim::TimePoint sent_at = 0;
-    std::string payload;
-  };
   struct RelayWait {  // an own broadcast not yet delivered back to us
     sim::TimePoint sent_at = 0;
     sim::TimePoint deadline = 0;
     util::Buf payload;  ///< pooled copy: no heap allocation once warm
     obs::CausalContext ctx{};
-  };
-  struct ReplayReq {  // recovered un-relayed request, keyed by (sender,seq)
-    std::uint32_t sender = 0;
-    std::uint64_t seq = 0;
-    sim::TimePoint sent_at = 0;
-    sim::TimePoint deadline = 0;
-    std::string payload;
   };
   // Fixed ring of the last kRecoveryTail deliveries (grown on first use,
   // then overwritten in place so each entry reuses its payload capacity).

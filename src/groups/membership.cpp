@@ -3,54 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/codec.hpp"
-
 namespace coop::groups {
 
 namespace {
 
-enum MsgType : std::uint8_t {
-  kJoin = 1,
-  kLeave = 2,
-  kHeartbeat = 3,
-  kView = 4,
-  kViewAck = 5,
-  kHeartbeatAck = 6,  ///< coordinator -> member: lease renewal
-  kCoordClaim = 7,    ///< candidate -> last-view members: takeover claim
-  kRejoin = 8,        ///< member -> claimant/recovering coordinator: summary
-  kCoordAlive = 9,    ///< member -> claimant: "my lease is fresh, go there"
-  kRejoinReq = 10,    ///< recovering coordinator -> member: solicit summary
-};
-
-void encode_address(util::Writer& w, const net::Address& a) {
-  w.put(a.node).put(a.port);
-}
-
-net::Address decode_address(util::Reader& r) {
-  net::Address a;
-  a.node = r.get<net::NodeId>();
-  a.port = r.get<net::PortId>();
-  return a;
-}
-
-void encode_view_body(util::Writer& w, const View& v) {
-  w.put(v.id).put(static_cast<std::uint32_t>(v.members.size()));
-  for (const auto& m : v.members) encode_address(w, m);
-  w.put(static_cast<std::uint32_t>(v.banned.size()));
-  for (const auto& b : v.banned) encode_address(w, b);
-}
-
-View decode_view_body(util::Reader& r) {
-  View v;
-  v.id = r.get<std::uint64_t>();
-  const auto n = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i)
-    v.members.push_back(decode_address(r));
-  const auto nb = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < nb && !r.failed(); ++i)
-    v.banned.push_back(decode_address(r));
-  return v;
-}
+using enum MemberMsg;
 
 std::string coord_key(const net::Address& self, const char* leaf) {
   return "groups.membership." + std::to_string(self.node) + ":" +
@@ -140,7 +97,9 @@ void MembershipCoordinator::bump_view() {
       {{"id", static_cast<double>(view_.id)},
        {"members", static_cast<double>(view_.members.size())}});
   if (observer_) observer_(view_);
-  for (const MemberState& m : states_) send_view(m.addr);
+  const util::Buf frame = util::encode(ViewMsg{kView, view_});
+  for (const MemberState& m : states_)
+    net_.send({.src = self_, .dst = m.addr, .payload = frame});
 }
 
 std::pair<MembershipCoordinator::MemberState*, bool>
@@ -158,10 +117,8 @@ bool MembershipCoordinator::drop_member(const net::Address& addr) {
 }
 
 void MembershipCoordinator::send_view(const net::Address& to) {
-  util::Writer w;
-  w.put(kView);
-  encode_view_body(w, view_);
-  net_.send({.src = self_, .dst = to, .payload = w.take_buf()});
+  net_.send({.src = self_, .dst = to,
+             .payload = util::encode(ViewMsg{kView, view_})});
 }
 
 void MembershipCoordinator::evict(const net::Address& member) {
@@ -305,26 +262,24 @@ void MembershipCoordinator::maybe_activate_from_rejoins() {
 }
 
 void MembershipCoordinator::on_message(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  const auto type = r.get<std::uint8_t>();
-  if (r.failed() || role_ == Role::kRetired) return;
+  MemberMsg type{};
+  if (!util::decode(msg.payload, type) || role_ == Role::kRetired) return;
+  if (role_ == Role::kRecovering && (type == kJoin || type == kHeartbeat)) {
+    // We lost all state: ask for the member's summary instead of admitting
+    // blind.
+    net_.send({.src = self_, .dst = msg.src,
+               .payload = util::encode(kRejoinReq)});
+    return;
+  }
   const sim::TimePoint now = net_.simulator().now();
   switch (type) {
     case kJoin:
     case kRejoin: {
       if (role_ == Role::kRecovering) {
-        if (type == kRejoin) {
-          View v = decode_view_body(r);
-          if (r.failed()) break;
-          rejoins_[msg.src] = std::move(v);
-          maybe_activate_from_rejoins();
-        } else {
-          // We lost all state: ask for the member's summary instead of
-          // admitting blind.
-          util::Writer w;
-          w.put(kRejoinReq);
-          net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
-        }
+        ViewMsg m;
+        if (!util::decode(msg.payload, m)) break;
+        rejoins_[msg.src] = std::move(m.view);
+        maybe_activate_from_rejoins();
         break;
       }
       if (role_ != Role::kActive) break;  // suspended: cannot admit
@@ -351,12 +306,6 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
       }
       break;
     case kHeartbeat: {
-      if (role_ == Role::kRecovering) {
-        util::Writer w;
-        w.put(kRejoinReq);
-        net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
-        break;
-      }
       MemberState* member = find_member(msg.src);
       if (role_ == Role::kSuspended) {
         // Track liveness so a short blip can resume, but renew no lease:
@@ -368,9 +317,9 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
       if (member != nullptr) {
         member->last_heartbeat = now;
         if (config_.enable_failover) {
-          util::Writer w;
-          w.put(kHeartbeatAck).put(view_.id);
-          net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
+          net_.send({.src = self_, .dst = msg.src,
+                     .payload = util::encode(
+                         ViewIdMsg{kHeartbeatAck, view_.id})});
         }
       } else {
         // Heartbeat from a member we evicted (e.g. while it was
@@ -384,10 +333,10 @@ void MembershipCoordinator::on_message(const net::Message& msg) {
     }
     case kViewAck: {
       if (role_ != Role::kActive) break;
-      const auto id = r.get<std::uint64_t>();
+      ViewIdMsg ack;
       MemberState* member = find_member(msg.src);
-      if (member != nullptr && !r.failed())
-        member->acked_view = std::max(member->acked_view, id);
+      if (member != nullptr && util::decode(msg.payload, ack))
+        member->acked_view = std::max(member->acked_view, ack.view_id);
       break;
     }
     case kCoordAlive:
@@ -459,10 +408,14 @@ MembershipMember::~MembershipMember() {
   net_.detach(self_);
 }
 
-void MembershipMember::send_simple(std::uint8_t type) {
-  util::Writer w;
-  w.put(type);
-  net_.send({.src = self_, .dst = coordinator_, .payload = w.take_buf()});
+void MembershipMember::send_simple(MemberMsg type) {
+  net_.send({.src = self_, .dst = coordinator_, .payload = util::encode(type)});
+}
+
+void MembershipMember::send_coord_alive(const net::Address& to) {
+  const CoordAliveMsg alive{.coordinator = coordinator_,
+                            .view_id = view_ ? view_->id : 0};
+  net_.send({.src = self_, .dst = to, .payload = util::encode(alive)});
 }
 
 void MembershipMember::join() {
@@ -523,22 +476,18 @@ void MembershipMember::cancel_candidacy() {
 
 void MembershipMember::send_claims() {
   if (!view_) return;
-  util::Writer w;
-  w.put(kCoordClaim)
-      .put(view_->id)
-      .put(static_cast<std::uint32_t>(view_rank()));
-  const util::Buf wire = w.take_buf();
+  const util::Buf frame = util::encode(ClaimMsg{
+      .view_id = view_->id, .rank = static_cast<std::uint32_t>(view_rank())});
   for (const auto& m : view_->members) {
     if (m == self_) continue;
-    net_.send({.src = self_, .dst = m, .payload = wire});
+    net_.send({.src = self_, .dst = m, .payload = frame});
   }
 }
 
 void MembershipMember::send_rejoin(const net::Address& to) {
-  util::Writer w;
-  w.put(kRejoin);
-  encode_view_body(w, view_ ? *view_ : View{});
-  net_.send({.src = self_, .dst = to, .payload = w.take_buf()});
+  net_.send({.src = self_, .dst = to,
+             .payload = util::encode(
+                 ViewMsg{kRejoin, view_.value_or(View{})})});
 }
 
 void MembershipMember::check_lease() {
@@ -624,19 +573,18 @@ void MembershipMember::maybe_promote() {
 }
 
 void MembershipMember::on_message(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  const auto type = r.get<std::uint8_t>();
-  if (r.failed()) return;
+  MemberMsg type{};
+  if (!util::decode(msg.payload, type)) return;
   const sim::TimePoint now = net_.simulator().now();
   switch (type) {
     case kView: {
-      View v = decode_view_body(r);
-      if (r.failed()) return;
+      ViewMsg m;
+      if (!util::decode(msg.payload, m)) return;
+      View& v = m.view;
 
       // Ack regardless of novelty; the coordinator tracks our progress.
-      util::Writer w;
-      w.put(kViewAck).put(v.id);
-      net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
+      net_.send({.src = self_, .dst = msg.src,
+                 .payload = util::encode(ViewIdMsg{kViewAck, v.id})});
 
       if (msg.src == coordinator_) last_coord_contact_ = now;
       // Install strictly newer views.  With failover, an equal-id view
@@ -664,17 +612,11 @@ void MembershipMember::on_message(const net::Message& msg) {
         last_coord_contact_ = now;
       break;
     case kCoordClaim: {
-      if (!config_.enable_failover) break;
-      const auto claim_id = r.get<std::uint64_t>();
-      const auto claim_rank = r.get<std::uint32_t>();
-      if (r.failed()) break;
+      ClaimMsg claim;
+      if (!config_.enable_failover || !util::decode(msg.payload, claim)) break;
       if (view_ && view_->bans(msg.src)) break;  // banned members can't claim
       if (hosted_ && hosted_->active()) {
-        util::Writer w;
-        w.put(kCoordAlive);
-        encode_address(w, coordinator_);
-        w.put(view_ ? view_->id : std::uint64_t{0});
-        net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
+        send_coord_alive(msg.src);
         break;
       }
       if (now - last_coord_contact_ + kTakeoverStagger <
@@ -686,15 +628,11 @@ void MembershipMember::on_message(const net::Message& msg) {
         // pledge rather than refresh the claimant with a stale refusal
         // (near-simultaneous expiry would otherwise livelock on mutual
         // refusals).  Refuse the claim and point the claimant at it.
-        util::Writer w;
-        w.put(kCoordAlive);
-        encode_address(w, coordinator_);
-        w.put(view_ ? view_->id : std::uint64_t{0});
-        net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf()});
+        send_coord_alive(msg.src);
         break;
       }
       if (candidate_) {
-        if (claim_beats(claim_id, claim_rank, msg.src,
+        if (claim_beats(claim.view_id, claim.rank, msg.src,
                         view_ ? view_->id : 0, view_rank(), self_)) {
           cancel_candidacy();  // defer to the better claimant below
         } else {
@@ -705,28 +643,27 @@ void MembershipMember::on_message(const net::Message& msg) {
       // ever pledging to one claimant at a time keeps two candidates from
       // both counting us toward a majority.
       if (!have_best_claim_ ||
-          claim_beats(claim_id, claim_rank, msg.src, best_claim_id_,
+          claim_beats(claim.view_id, claim.rank, msg.src, best_claim_id_,
                       best_claim_rank_, best_claim_addr_)) {
         have_best_claim_ = true;
         best_claim_addr_ = msg.src;
-        best_claim_id_ = claim_id;
-        best_claim_rank_ = claim_rank;
+        best_claim_id_ = claim.view_id;
+        best_claim_rank_ = claim.rank;
       }
       if (msg.src == best_claim_addr_) send_rejoin(msg.src);
       break;
     }
     case kRejoin: {
-      if (!candidate_) break;
-      View v = decode_view_body(r);
-      if (r.failed()) break;
-      pledges_[msg.src] = std::move(v);
+      ViewMsg m;
+      if (!candidate_ || !util::decode(msg.payload, m)) break;
+      pledges_[msg.src] = std::move(m.view);
       maybe_promote();
       break;
     }
     case kCoordAlive: {
-      if (!config_.enable_failover) break;
-      const net::Address alive = decode_address(r);
-      if (r.failed()) break;
+      CoordAliveMsg m;
+      if (!config_.enable_failover || !util::decode(msg.payload, m)) break;
+      const net::Address alive = m.coordinator;
       if (hosted_ && hosted_->active()) break;  // resolved via view ids
       cancel_candidacy();
       coordinator_ = alive;

@@ -44,6 +44,7 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/codec.hpp"
 
 namespace coop::groups {
 
@@ -54,6 +55,7 @@ struct View {
   std::uint64_t id = 0;
   std::vector<net::Address> members;
   std::vector<net::Address> banned;
+  COOP_FIELDS(id, members, banned)
 
   [[nodiscard]] bool contains(const net::Address& a) const {
     for (const auto& m : members)
@@ -66,6 +68,49 @@ struct View {
       if (b == a) return true;
     return false;
   }
+};
+
+/// Membership wire formats: every frame starts with its MemberMsg byte;
+/// kJoin, kLeave, kHeartbeat and kRejoinReq are that byte alone.
+enum class MemberMsg : std::uint8_t {
+  kJoin = 1,
+  kLeave = 2,
+  kHeartbeat = 3,
+  kView = 4,
+  kViewAck = 5,
+  kHeartbeatAck = 6,  ///< coordinator -> member: lease renewal
+  kCoordClaim = 7,    ///< candidate -> last-view members: takeover claim
+  kRejoin = 8,        ///< member -> claimant/recovering coordinator: summary
+  kCoordAlive = 9,    ///< member -> claimant: "my lease is fresh, go there"
+  kRejoinReq = 10,    ///< recovering coordinator -> member: solicit summary
+};
+
+/// kView (coordinator -> member) and kRejoin (member's last view).
+struct ViewMsg {
+  MemberMsg type = MemberMsg::kView;
+  View view;
+  COOP_FIELDS(type, view)
+};
+
+/// kViewAck (the installed view id) and kHeartbeatAck (the current one).
+struct ViewIdMsg {
+  MemberMsg type = MemberMsg::kViewAck;
+  std::uint64_t view_id = 0;
+  COOP_FIELDS(type, view_id)
+};
+
+struct ClaimMsg {
+  MemberMsg type = MemberMsg::kCoordClaim;
+  std::uint64_t view_id = 0;  ///< the claimant's last installed view
+  std::uint32_t rank = 0;     ///< the claimant's rank in that view
+  COOP_FIELDS(type, view_id, rank)
+};
+
+struct CoordAliveMsg {
+  MemberMsg type = MemberMsg::kCoordAlive;
+  net::Address coordinator;  ///< the coordinator the sender holds a lease on
+  std::uint64_t view_id = 0;
+  COOP_FIELDS(type, coordinator, view_id)
 };
 
 /// Member heartbeat cadence (also the member's lease-check cadence).
@@ -295,7 +340,8 @@ class MembershipMember : public net::Endpoint {
   void on_message(const net::Message& msg) override;
 
  private:
-  void send_simple(std::uint8_t type);
+  void send_simple(MemberMsg type);
+  void send_coord_alive(const net::Address& to);
   void send_rejoin(const net::Address& to);
   void send_claims();
   void check_lease();

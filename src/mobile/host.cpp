@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/codec.hpp"
-
 namespace coop::mobile {
 
 MobileHost::MobileHost(net::Network& net, net::Address self,
@@ -21,29 +19,17 @@ void MobileHost::set_connectivity(net::Connectivity level) {
 
 void MobileHost::hoard(const std::vector<std::string>& keys,
                        std::function<void(std::size_t)> done) {
-  util::Writer w;
-  w.put(static_cast<std::uint32_t>(keys.size()));
-  for (const std::string& k : keys) w.put_string(k);
-  rpc_.call(server_, "hoard", w.take(),
+  rpc_.call(server_, "hoard", util::encode(keys).str(),
             [this, done = std::move(done)](const rpc::RpcResult& res) {
-              if (!res.ok()) {
+              std::vector<HoardEntry> entries;
+              if (!res.ok() || !util::decode(res.reply, entries)) {
                 if (done) done(0);
                 return;
               }
-              util::Reader r(res.reply);
-              const auto n = r.get<std::uint32_t>();
-              std::size_t fetched = 0;
-              for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-                const std::string key = r.get_string();
-                const bool present = r.get<bool>();
-                std::string value = r.get_string();
-                const auto version = r.get<std::uint64_t>();
-                if (r.failed()) break;
-                cache_[key] = {std::move(value), version, present};
-                ++fetched;
-                ++stats_.hoarded;
-              }
-              if (done) done(fetched);
+              for (HoardEntry& e : entries)
+                cache_[std::move(e.key)] = std::move(e.state);
+              stats_.hoarded += entries.size();
+              if (done) done(entries.size());
             },
             call_opts_);
 }
@@ -65,9 +51,7 @@ void MobileHost::read(const std::string& key, ReadFn done) {
     return;
   }
   ++stats_.remote_reads;
-  util::Writer w;
-  w.put_string(key);
-  rpc_.call(server_, "read", w.take(),
+  rpc_.call(server_, "read", util::encode(key).str(),
             [this, key, done = std::move(done)](const rpc::RpcResult& res) {
               if (!res.ok()) {
                 // Network trouble mid-transition: degrade to the cache.
@@ -82,17 +66,15 @@ void MobileHost::read(const std::string& key, ReadFn done) {
                 }
                 return;
               }
-              util::Reader r(res.reply);
-              const bool present = r.get<bool>();
-              std::string value = r.get_string();
-              const auto version = r.get<std::uint64_t>();
-              if (r.failed()) {
+              KeyState s;
+              if (!util::decode(res.reply, s)) {
                 done(false, std::nullopt);
                 return;
               }
-              cache_[key] = {value, version, present};
-              done(true, present ? std::optional<std::string>(std::move(value))
-                                 : std::nullopt);
+              cache_[key] = s;
+              done(true, s.present
+                             ? std::optional<std::string>(std::move(s.value))
+                             : std::nullopt);
             },
             call_opts_);
 }
@@ -106,33 +88,31 @@ void MobileHost::write(const std::string& key, std::string value,
     // Coalesce repeated writes to the same key: the log keeps the first
     // base version (what we last saw from the server) with the latest
     // value.
-    for (LogEntry& e : log_) {
+    for (BulkWrite& e : log_) {
       if (e.key == key) {
         e.value = std::move(value);
-        cache_[key] = {e.value, e.base_version, true};
+        cache_[key] = {true, e.value, e.base_version};
         done(true);
         return;
       }
     }
     log_.push_back({key, value, base});
-    cache_[key] = {std::move(value), base, true};
+    cache_[key] = {true, std::move(value), base};
     done(true);
     return;
   }
   ++stats_.remote_writes;
-  util::Writer w;
-  w.put_string(key);
-  w.put_string(value);
-  rpc_.call(server_, "write", w.take(),
+  const std::string body = util::encode(WriteReq{key, value}).str();
+  rpc_.call(server_, "write", body,
             [this, key, value = std::move(value),
              done = std::move(done)](const rpc::RpcResult& res) mutable {
               if (!res.ok()) {
                 done(false);
                 return;
               }
-              util::Reader r(res.reply);
-              const auto version = r.get<std::uint64_t>();
-              if (!r.failed()) cache_[key] = {std::move(value), version, true};
+              std::uint64_t version = 0;
+              if (util::decode(res.reply, version))
+                cache_[key] = {true, std::move(value), version};
               done(true);
             },
             call_opts_);
@@ -140,11 +120,8 @@ void MobileHost::write(const std::string& key, std::string value,
 
 void MobileHost::force_write(const std::string& key,
                              const std::string& value) {
-  util::Writer w;
-  w.put_string(key);
-  w.put_string(value);
-  rpc_.call(server_, "write", w.take(), [](const rpc::RpcResult&) {},
-            call_opts_);
+  rpc_.call(server_, "write", util::encode(WriteReq{key, value}).str(),
+            [](const rpc::RpcResult&) {}, call_opts_);
 }
 
 void MobileHost::reintegrate(
@@ -153,55 +130,46 @@ void MobileHost::reintegrate(
     done(0, {});
     return;
   }
-  util::Writer w;
-  w.put(static_cast<std::uint32_t>(log_.size()));
-  for (const LogEntry& e : log_) {
-    w.put_string(e.key);
-    w.put_string(e.value);
-    w.put(e.base_version);
-  }
+  const std::string body = util::encode(log_).str();
   // Keep local copies for conflict resolution while the RPC is in flight.
-  auto entries = log_;
+  std::vector<BulkWrite> entries = std::move(log_);
   log_.clear();
   rpc_.call(
-      server_, "bulk", w.take(),
+      server_, "bulk", body,
       [this, entries = std::move(entries),
        done = std::move(done)](const rpc::RpcResult& res) {
         std::vector<Conflict> conflicts;
-        if (!res.ok()) {
+        std::vector<BulkResult> results;
+        // One result per logged entry, or none of the reply is used.
+        if (!res.ok() || !util::decode(res.reply, results) ||
+            results.size() != entries.size()) {
           // Reintegration failed wholesale (e.g. dropped back to
           // disconnected): restore the log for a later attempt.
-          for (const LogEntry& e : entries) log_.push_back(e);
+          log_.insert(log_.end(), entries.begin(), entries.end());
           done(0, conflicts);
           return;
         }
-        util::Reader r(res.reply);
-        const auto n = r.get<std::uint32_t>();
         std::size_t applied = 0;
-        for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-          const std::string key = r.get_string();
-          const bool ok = r.get<bool>();
-          const auto version = r.get<std::uint64_t>();
-          std::string server_value = r.get_string();
-          if (r.failed()) break;
-          if (ok) {
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          BulkResult& r = results[i];
+          if (r.applied) {
             ++applied;
             ++stats_.reintegrated;
-            if (auto it = cache_.find(key); it != cache_.end())
-              it->second.version = version;
+            if (auto it = cache_.find(r.key); it != cache_.end())
+              it->second.version = r.version;
             continue;
           }
           ++stats_.conflicts;
-          Conflict c{key, entries[i].value, std::move(server_value)};
+          Conflict c{r.key, entries[i].value, std::move(r.server_value)};
           switch (policy_) {
             case ConflictPolicy::kServerWins:
-              cache_[key] = {c.server_value, version, true};
+              cache_[r.key] = {true, c.server_value, r.version};
               break;
             case ConflictPolicy::kClientWins:
-              force_write(key, c.local_value);
+              force_write(r.key, c.local_value);
               break;
             case ConflictPolicy::kManual:
-              cache_[key] = {c.server_value, version, true};
+              cache_[r.key] = {true, c.server_value, r.version};
               if (on_conflict_) on_conflict_(c);
               break;
           }

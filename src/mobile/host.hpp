@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -25,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "mobile/share_server.hpp"
 #include "net/network.hpp"
 #include "rpc/rpc.hpp"
 #include "util/stats.hpp"
@@ -121,17 +121,6 @@ class MobileHost {
   [[nodiscard]] const MobileStats& stats() const noexcept { return stats_; }
 
  private:
-  struct CacheEntry {
-    std::string value;
-    std::uint64_t version = 0;
-    bool present = false;  ///< server had the key when cached
-  };
-  struct LogEntry {
-    std::string key;
-    std::string value;
-    std::uint64_t base_version = 0;
-  };
-
   void force_write(const std::string& key, const std::string& value);
 
   net::Network& net_;
@@ -142,8 +131,8 @@ class MobileHost {
   rpc::CallOptions call_opts_ = {.timeout = sim::sec(2), .retries = 4,
                                  .backoff = 2.0};
   rpc::RpcClient rpc_;
-  std::map<std::string, CacheEntry> cache_;
-  std::deque<LogEntry> log_;
+  std::map<std::string, KeyState> cache_;
+  std::vector<BulkWrite> log_;  ///< writes made while disconnected
   std::function<void(const Conflict&)> on_conflict_;
   MobileStats stats_;
 };

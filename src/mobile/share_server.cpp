@@ -3,8 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/codec.hpp"
-
 namespace coop::mobile {
 
 ShareServer::ShareServer(net::Network& net, net::Address self)
@@ -23,74 +21,53 @@ ShareServer::ShareServer(net::Network& net, net::Address self)
   });
 }
 
-rpc::HandlerResult ShareServer::handle_read(const std::string& body) {
-  util::Reader r(body);
-  const std::string key = r.get_string();
-  if (r.failed()) return rpc::HandlerResult::error("bad read");
-  util::Writer w;
+KeyState ShareServer::state(const std::string& key) const {
   const auto value = store_.read(key);
-  w.put(value.has_value());
-  w.put_string(value.value_or(""));
-  w.put(store_.version(key));
-  return rpc::HandlerResult::success(w.take());
+  return {value.has_value(), value.value_or(""), store_.version(key)};
+}
+
+rpc::HandlerResult ShareServer::handle_read(const std::string& body) {
+  std::string key;
+  if (!util::decode(body, key)) return rpc::HandlerResult::error("bad read");
+  return rpc::HandlerResult::success(util::encode(state(key)).str());
 }
 
 rpc::HandlerResult ShareServer::handle_write(const std::string& body) {
-  util::Reader r(body);
-  const std::string key = r.get_string();
-  std::string value = r.get_string();
-  if (r.failed()) return rpc::HandlerResult::error("bad write");
-  store_.write(key, std::move(value));
-  util::Writer w;
-  w.put(store_.version(key));
-  return rpc::HandlerResult::success(w.take());
+  WriteReq req;
+  if (!util::decode(body, req)) return rpc::HandlerResult::error("bad write");
+  store_.write(req.key, std::move(req.value));
+  return rpc::HandlerResult::success(
+      util::encode(store_.version(req.key)).str());
 }
 
 rpc::HandlerResult ShareServer::handle_hoard(const std::string& body) {
-  util::Reader r(body);
-  const auto n = r.get<std::uint32_t>();
   std::vector<std::string> keys;
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i)
-    keys.push_back(r.get_string());
-  if (r.failed()) return rpc::HandlerResult::error("bad hoard");
-  util::Writer w;
-  w.put(static_cast<std::uint32_t>(keys.size()));
-  for (const std::string& key : keys) {
-    const auto value = store_.read(key);
-    w.put_string(key);
-    w.put(value.has_value());
-    w.put_string(value.value_or(""));
-    w.put(store_.version(key));
-  }
-  return rpc::HandlerResult::success(w.take());
+  if (!util::decode(body, keys)) return rpc::HandlerResult::error("bad hoard");
+  std::vector<HoardEntry> reply;
+  reply.reserve(keys.size());
+  for (const std::string& key : keys) reply.push_back({key, state(key)});
+  return rpc::HandlerResult::success(util::encode(reply).str());
 }
 
 rpc::HandlerResult ShareServer::handle_bulk(const std::string& body) {
-  util::Reader r(body);
-  const auto n = r.get<std::uint32_t>();
-  util::Writer w;
-  w.put(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    const std::string key = r.get_string();
-    std::string value = r.get_string();
-    const auto base = r.get<std::uint64_t>();
-    if (r.failed()) break;
-    const std::uint64_t current = store_.version(key);
-    w.put_string(key);
-    if (current == base) {
-      store_.write(key, std::move(value));
-      w.put(true);
-      w.put(store_.version(key));
-      w.put_string("");
+  // Decoded whole before anything is applied: a malformed log changes
+  // nothing.
+  std::vector<BulkWrite> log;
+  if (!util::decode(body, log)) return rpc::HandlerResult::error("bad bulk");
+  std::vector<BulkResult> reply;
+  reply.reserve(log.size());
+  for (BulkWrite& e : log) {
+    const std::uint64_t current = store_.version(e.key);
+    if (current == e.base_version) {
+      store_.write(e.key, std::move(e.value));
+      reply.push_back({e.key, true, store_.version(e.key), ""});
     } else {
       ++bulk_conflicts_;
-      w.put(false);
-      w.put(current);
-      w.put_string(store_.read(key).value_or(""));
+      reply.push_back(
+          {e.key, false, current, store_.read(e.key).value_or("")});
     }
   }
-  if (r.failed()) return rpc::HandlerResult::error("bad bulk");
-  return rpc::HandlerResult::success(w.take());
+  return rpc::HandlerResult::success(util::encode(reply).str());
 }
 
 }  // namespace coop::mobile

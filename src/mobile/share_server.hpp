@@ -8,12 +8,11 @@
 // mobiles" and "services will take advantage of higher levels of
 // connection to perform bulk updates, e.g. of cached data."
 //
-// Methods exposed:
-//   read   (key)                      -> value?, version
-//   write  (key, value)               -> version
-//   hoard  ([keys])                   -> [(key, value?, version)]
-//   bulk   ([(key, value, base_ver)]) -> [(key, applied?, new/cur ver,
-//                                          server value on conflict)]
+// Methods, with the wire bodies declared below:
+//   read  (key)         -> KeyState
+//   write (WriteReq)    -> version
+//   hoard ([key])       -> [HoardEntry]
+//   bulk  ([BulkWrite]) -> [BulkResult]
 //
 // A bulk entry applies only if its base version still matches the server's
 // current version for the key (first-writer-wins conflict detection, as in
@@ -25,15 +24,45 @@
 
 #include "ccontrol/store.hpp"
 #include "rpc/rpc.hpp"
+#include "util/codec.hpp"
 
 namespace coop::mobile {
 
-/// Result of one reintegration entry.
+/// A key's state at the server, as a host also caches it.
+struct KeyState {
+  bool present = false;  ///< the server had the key
+  std::string value;
+  std::uint64_t version = 0;
+  COOP_FIELDS(present, value, version)
+};
+
+struct HoardEntry {
+  std::string key;
+  KeyState state;
+  COOP_FIELDS(key, state)
+};
+
+struct WriteReq {
+  std::string key;
+  std::string value;
+  COOP_FIELDS(key, value)
+};
+
+/// A write logged while disconnected.
+struct BulkWrite {
+  std::string key;
+  std::string value;
+  std::uint64_t base_version = 0;
+  COOP_FIELDS(key, value, base_version)
+};
+
+/// The result of one reintegration entry.
 struct BulkResult {
   std::string key;
   bool applied = false;
   std::uint64_t version = 0;    ///< new version if applied, else current
   std::string server_value;     ///< present on conflict (for resolution)
+  COOP_FIELDS(key, applied, version, server_value)
 };
 
 /// Hosts the store and its RPC surface.
@@ -54,6 +83,7 @@ class ShareServer {
   }
 
  private:
+  [[nodiscard]] KeyState state(const std::string& key) const;
   rpc::HandlerResult handle_read(const std::string& body);
   rpc::HandlerResult handle_write(const std::string& body);
   rpc::HandlerResult handle_hoard(const std::string& body);

@@ -10,6 +10,7 @@
 #include "obs/causal.hpp"
 #include "sim/time.hpp"
 #include "util/buf.hpp"
+#include "util/codec.hpp"
 
 namespace coop::net {
 
@@ -53,6 +54,7 @@ inline constexpr std::size_t kPriorityCount = 3;
 struct Address {
   NodeId node = 0;
   PortId port = 0;
+  COOP_FIELDS(node, port)
 
   bool operator==(const Address&) const = default;
   auto operator<=>(const Address&) const = default;

@@ -2,44 +2,7 @@
 
 #include <utility>
 
-#include "util/codec.hpp"
-
 namespace coop::rpc {
-
-namespace {
-
-void encode_offer(util::Writer& w, const Offer& o) {
-  w.put_string(o.service_type).put(o.provider.node).put(o.provider.port);
-  w.put(static_cast<std::uint32_t>(o.properties.size()));
-  for (const auto& [k, v] : o.properties) w.put_string(k).put_string(v);
-}
-
-Offer decode_offer(util::Reader& r) {
-  Offer o;
-  o.service_type = r.get_string();
-  o.provider.node = r.get<net::NodeId>();
-  o.provider.port = r.get<net::PortId>();
-  const auto n = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    std::string k = r.get_string();
-    std::string v = r.get_string();
-    o.properties.emplace(std::move(k), std::move(v));
-  }
-  return o;
-}
-
-std::map<std::string, std::string> decode_constraints(util::Reader& r) {
-  std::map<std::string, std::string> c;
-  const auto n = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    std::string k = r.get_string();
-    std::string v = r.get_string();
-    c.emplace(std::move(k), std::move(v));
-  }
-  return c;
-}
-
-}  // namespace
 
 Trader::Trader(net::Network& net, net::Address self) : server_(net, self) {
   server_.register_method("export", [this](const std::string& b) {
@@ -54,21 +17,18 @@ Trader::Trader(net::Network& net, net::Address self) : server_(net, self) {
 }
 
 HandlerResult Trader::handle_export(const std::string& body) {
-  util::Reader r(body);
-  Offer o = decode_offer(r);
-  if (r.failed()) return HandlerResult::error("bad offer encoding");
+  Offer o;
+  if (!util::decode(body, o)) return HandlerResult::error("bad offer encoding");
   const std::uint64_t id = next_offer_id_++;
   offer_index_[id] = offers_.size();
   offers_.push_back(std::move(o));
-  util::Writer w;
-  w.put(id);
-  return HandlerResult::success(w.take());
+  return HandlerResult::success(util::encode(id).str());
 }
 
 HandlerResult Trader::handle_withdraw(const std::string& body) {
-  util::Reader r(body);
-  const auto id = r.get<std::uint64_t>();
-  if (r.failed()) return HandlerResult::error("bad withdraw encoding");
+  std::uint64_t id = 0;
+  if (!util::decode(body, id))
+    return HandlerResult::error("bad withdraw encoding");
   auto it = offer_index_.find(id);
   if (it == offer_index_.end()) return HandlerResult::error("no such offer");
   const std::size_t slot = it->second;
@@ -88,43 +48,28 @@ HandlerResult Trader::handle_withdraw(const std::string& body) {
 }
 
 HandlerResult Trader::handle_import(const std::string& body) {
-  util::Reader r(body);
-  const std::string type = r.get_string();
-  const auto constraints = decode_constraints(r);
-  if (r.failed()) return HandlerResult::error("bad import encoding");
-  util::Writer w;
-  std::uint32_t count = 0;
+  ImportQuery q;
+  if (!util::decode(body, q)) return HandlerResult::error("bad import encoding");
+  std::vector<Offer> matches;
   for (const auto& o : offers_) {
-    if (o.service_type == type && o.matches(constraints)) ++count;
+    if (o.service_type == q.service_type && o.matches(q.constraints))
+      matches.push_back(o);
   }
-  w.put(count);
-  for (const auto& o : offers_) {
-    if (o.service_type == type && o.matches(constraints)) encode_offer(w, o);
-  }
-  return HandlerResult::success(w.take());
+  return HandlerResult::success(util::encode(matches).str());
 }
 
 void TraderClient::export_offer(const Offer& offer,
                                 std::function<void(std::uint64_t)> done) {
-  util::Writer w;
-  encode_offer(w, offer);
-  rpc_.call(trader_, "export", w.take(),
+  rpc_.call(trader_, "export", util::encode(offer).str(),
             [done = std::move(done)](const RpcResult& res) {
-              if (!res.ok()) {
-                done(0);
-                return;
-              }
-              util::Reader r(res.reply);
-              const auto id = r.get<std::uint64_t>();
-              done(r.failed() ? 0 : id);
+              std::uint64_t id = 0;
+              done(res.ok() && util::decode(res.reply, id) ? id : 0);
             });
 }
 
 void TraderClient::withdraw(std::uint64_t offer_id,
                             std::function<void(bool)> done) {
-  util::Writer w;
-  w.put(offer_id);
-  rpc_.call(trader_, "withdraw", w.take(),
+  rpc_.call(trader_, "withdraw", util::encode(offer_id).str(),
             [done = std::move(done)](const RpcResult& res) {
               done(res.ok());
             });
@@ -134,20 +79,11 @@ void TraderClient::import(
     const std::string& service_type,
     const std::map<std::string, std::string>& constraints,
     std::function<void(std::vector<Offer>)> done) {
-  util::Writer w;
-  w.put_string(service_type);
-  w.put(static_cast<std::uint32_t>(constraints.size()));
-  for (const auto& [k, v] : constraints) w.put_string(k).put_string(v);
-  rpc_.call(trader_, "import", w.take(),
+  rpc_.call(trader_, "import",
+            util::encode(ImportQuery{service_type, constraints}).str(),
             [done = std::move(done)](const RpcResult& res) {
               std::vector<Offer> offers;
-              if (res.ok()) {
-                util::Reader r(res.reply);
-                const auto n = r.get<std::uint32_t>();
-                for (std::uint32_t i = 0; i < n && !r.failed(); ++i)
-                  offers.push_back(decode_offer(r));
-                if (r.failed()) offers.clear();
-              }
+              if (res.ok() && !util::decode(res.reply, offers)) offers.clear();
               done(std::move(offers));
             });
 }

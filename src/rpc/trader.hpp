@@ -16,14 +16,17 @@
 #include <vector>
 
 #include "rpc/rpc.hpp"
+#include "util/codec.hpp"
 
 namespace coop::rpc {
 
-/// One exported service offer.
+/// One exported service offer (the "export" request body; the "import"
+/// reply is a vector of them).
 struct Offer {
   std::string service_type;
   net::Address provider;
   std::map<std::string, std::string> properties;
+  COOP_FIELDS(service_type, provider, properties)
 
   [[nodiscard]] bool matches(
       const std::map<std::string, std::string>& constraints) const {
@@ -33,6 +36,13 @@ struct Offer {
     }
     return true;
   }
+};
+
+/// The "import" request body.
+struct ImportQuery {
+  std::string service_type;
+  std::map<std::string, std::string> constraints;
+  COOP_FIELDS(service_type, constraints)
 };
 
 /// Server half: hosts the offer database.  Methods: "export", "withdraw",

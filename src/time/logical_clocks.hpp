@@ -52,6 +52,9 @@ class VectorClock {
  public:
   VectorClock() = default;
   explicit VectorClock(std::size_t n_sites) : v_(n_sites, 0) {}
+  /// A clock with the components of a decoded wire array.
+  explicit VectorClock(util::ArrayView<std::uint64_t> values)
+      : v_(values.to_vector()) {}
 
   /// Local event at @p site.
   void tick(std::size_t site) {
@@ -134,14 +137,9 @@ class VectorClock {
     return compare(other) == Causality::kEqual;
   }
 
-  void encode(util::Writer& w) const {
-    w.put_vector<std::uint64_t>(v_);
-  }
-
-  static VectorClock decode(util::Reader& r) {
-    VectorClock c;
-    c.v_ = r.get_vector<std::uint64_t>();
-    return c;
+  /// The components as a wire array, valid while this clock is unchanged.
+  [[nodiscard]] util::ArrayView<std::uint64_t> values() const noexcept {
+    return v_;
   }
 
   /// Human-readable "[1,0,3]" form for logs and test diagnostics.

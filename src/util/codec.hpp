@@ -5,31 +5,96 @@
 // with varint-free fixed-width integers — simplicity and debuggability over
 // byte count, since "bandwidth" in the simulator is an accounting number.
 //
-// Reader reports malformed input via a sticky error flag rather than
-// exceptions, so protocol code can bail out with a single check after
-// decoding a struct (the common pattern in the rpc/groups modules).
+// Reader reports malformed input via a sticky error flag, not exceptions.
 //
 // Writer builds directly into the pooled block that will become the
 // payload Buf: take_buf() hands the finished bytes to the network layer
 // with zero copies, and the legacy take() keeps returning a std::string
 // for call sites that still want one.
+//
+// A message format is declared once, as a struct listing its fields in
+// wire order (COOP_FIELDS); encode() and decode() both derive from it.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "util/buf.hpp"
 #include "util/pool.hpp"
 
+/// Declares a struct's wire fields, in wire order.
+#define COOP_FIELDS(...)                                          \
+  auto fields() noexcept { return std::tie(__VA_ARGS__); }       \
+  auto fields() const noexcept { return std::tie(__VA_ARGS__); }
+
 namespace coop::util {
 
-/// Serializes primitive values into a byte buffer.
+/// What std::string_view is to std::string, this is to std::vector<T> of
+/// fixed-width values: decoding one only bounds-checks and records the
+/// bytes, so a receiver that does not need the array never copies it.
+template <typename T>
+class ArrayView {
+  static_assert(std::is_arithmetic_v<T>);
+
+ public:
+  using value_type = T;
+
+  ArrayView() = default;
+  /// Views @p v's elements; valid as long as @p v is unchanged.
+  ArrayView(const std::vector<T>& v)  // NOLINT: implicit by design
+      : bytes_(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T)) {}
+  /// Views @p bytes (a whole number of elements) as the array.
+  explicit ArrayView(std::string_view bytes) : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return bytes_.size() / sizeof(T);
+  }
+  [[nodiscard]] std::vector<T> to_vector() const {
+    std::vector<T> v(size());
+    if (!bytes_.empty()) std::memcpy(v.data(), bytes_.data(), bytes_.size());
+    return v;
+  }
+  [[nodiscard]] std::string_view bytes() const noexcept { return bytes_; }
+
+ private:
+  std::string_view bytes_;
+};
+
+namespace wire {
+
+/// True if T is an instance of the class template Of.
+template <typename T, template <typename...> class Of>
+inline constexpr bool kIs = false;
+template <template <typename...> class Of, typename... As>
+inline constexpr bool kIs<Of<As...>, Of> = true;
+
+/// The fewest bytes a T can occupy on the wire.
+template <typename T>
+constexpr std::size_t min_size() {
+  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+    return sizeof(T);
+  } else if constexpr (requires(const T& t) { t.fields(); }) {
+    using Fields = decltype(std::declval<const T&>().fields());
+    return []<typename... Fs>(std::tuple<Fs...>*) {
+      static_assert(sizeof...(Fs) > 0, "a wire struct needs a field");
+      return (min_size<std::remove_cvref_t<Fs>>() + ...);
+    }(static_cast<Fields*>(nullptr));
+  } else {
+    return sizeof(std::uint32_t);  // a count or length prefix
+  }
+}
+
+}  // namespace wire
+
+/// Serializes values into a byte buffer.
 class Writer {
  public:
   Writer() = default;
@@ -59,29 +124,29 @@ class Writer {
 
   /// Appends a length-prefixed string.
   Writer& put_string(std::string_view s) {
-    assert(!taken_ && "Writer reused after take()");
-    if (!check_length(s.size())) return *this;
-    put(static_cast<std::uint32_t>(s.size()));
-    append(s.data(), s.size());
+    if (put_count(s.size())) append(s.data(), s.size());
     return *this;
   }
 
-  /// Appends a length-prefixed blob.
-  Writer& put_bytes(const std::vector<std::uint8_t>& b) {
-    assert(!taken_ && "Writer reused after take()");
-    if (!check_length(b.size())) return *this;
-    put(static_cast<std::uint32_t>(b.size()));
-    append(b.data(), b.size());
-    return *this;
-  }
-
-  /// Appends each element of a vector of arithmetic values.
+  /// Appends a wire value: a fixed-width value, a string, an ArrayView, a
+  /// std::vector or std::map of wire values, or a COOP_FIELDS struct.
   template <typename T>
-    requires(std::is_arithmetic_v<T>)
-  Writer& put_vector(const std::vector<T>& v) {
-    if (!check_length(v.size())) return *this;
-    put(static_cast<std::uint32_t>(v.size()));
-    for (const T& x : v) put(x);
+  Writer& write(const T& v) {
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      put(v);
+    } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      put_string(v);
+    } else if constexpr (wire::kIs<T, ArrayView>) {
+      if (put_count(v.size())) append(v.bytes().data(), v.bytes().size());
+    } else if constexpr (wire::kIs<T, std::vector>) {
+      if (put_count(v.size()))
+        for (const auto& e : v) write(e);
+    } else if constexpr (wire::kIs<T, std::map>) {
+      if (put_count(v.size()))
+        for (const auto& [key, value] : v) write(key).write(value);
+    } else {
+      std::apply([this](const auto&... f) { (write(f), ...); }, v.fields());
+    }
     return *this;
   }
 
@@ -125,12 +190,16 @@ class Writer {
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
  private:
-  /// Validates a length prefix *before* any bytes are touched.
-  bool check_length(std::size_t n) {
+  /// Writes a u32 count or length prefix, validated *before* any bytes
+  /// are touched; false (and nothing written) if it cannot be.
+  bool put_count(std::size_t n) {
+    assert(!taken_ && "Writer reused after take()");
     assert(n <= kMaxLength &&
            "Writer: length-prefixed value exceeds the 32-bit wire cap");
     if (n > kMaxLength) failed_ = true;
-    return !failed_;
+    if (failed_) return false;
+    put(static_cast<std::uint32_t>(n));
+    return true;
   }
 
   void append(const void* data, std::size_t n) {
@@ -184,6 +253,12 @@ class Reader {
   template <typename T>
     requires(std::is_arithmetic_v<T> || std::is_enum_v<T>)
   T get() {
+    if constexpr (std::is_same_v<T, bool>) {
+      // Any byte but 0 and 1 fails: loading it into a bool is undefined.
+      const auto b = get<std::uint8_t>();
+      if (b > 1) failed_ = true;
+      return b == 1;
+    }
     T value{};
     if (failed_ || pos_ + sizeof(T) > data_.size()) {
       failed_ = true;
@@ -198,62 +273,49 @@ class Reader {
   std::string get_string() { return std::string(get_string_view()); }
 
   /// get_string() without the copy: a view into the Reader's input, valid
-  /// as long as that input is.  The bound is checked as `len > remaining`
-  /// (never `pos_ + len`, which can wrap size_t).
+  /// as long as that input is.
   std::string_view get_string_view() {
-    const auto len = get<std::uint32_t>();
-    if (failed_ || len > data_.size() - pos_) {
-      failed_ = true;
-      return {};
-    }
+    const std::uint32_t len = get_count(1);
     const std::string_view s = data_.substr(pos_, len);
     pos_ += len;
     return s;
   }
 
-  /// Reads a length-prefixed blob.
-  std::vector<std::uint8_t> get_bytes() {
-    const auto len = get<std::uint32_t>();
-    if (failed_ || len > data_.size() - pos_) {
-      failed_ = true;
-      return {};
-    }
-    std::vector<std::uint8_t> b(data_.begin() + static_cast<long>(pos_),
-                                data_.begin() + static_cast<long>(pos_ + len));
-    pos_ += len;
-    return b;
-  }
-
-  /// Reads a vector of arithmetic values written by put_vector.  The
-  /// element count is validated against the remaining bytes by division
-  /// — `len * sizeof(T)` can wrap a 32-bit size_t and sail past an
-  /// additive check, which would then reserve() an attacker-chosen
-  /// length from a malformed frame.
+  /// Reads a wire value Writer::write wrote.  std::string_view and ArrayView
+  /// fields view the Reader's input.  On failure @p v is partial.
   template <typename T>
-    requires(std::is_arithmetic_v<T>)
-  std::vector<T> get_vector() {
-    const auto len = get<std::uint32_t>();
-    std::vector<T> v;
-    if (failed_ || len > (data_.size() - pos_) / sizeof(T)) {
-      failed_ = true;
-      return v;
+  void read(T& v) {
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      v = get<T>();
+    } else if constexpr (std::is_same_v<T, std::string_view>) {
+      v = get_string_view();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v.assign(get_string_view());
+    } else if constexpr (wire::kIs<T, ArrayView>) {
+      const std::size_t n = get_count(sizeof(typename T::value_type)) *
+                            sizeof(typename T::value_type);
+      v = T(data_.substr(pos_, n));
+      pos_ += n;
+    } else if constexpr (wire::kIs<T, std::vector>) {
+      using E = typename T::value_type;
+      const std::uint32_t n = get_count(wire::min_size<E>());
+      v.clear();
+      v.reserve(n);
+      for (std::uint32_t i = 0; i < n && !failed_; ++i) read(v.emplace_back());
+    } else if constexpr (wire::kIs<T, std::map>) {
+      typename T::key_type key{};
+      typename T::mapped_type value{};
+      const std::uint32_t n = get_count(wire::min_size<decltype(key)>() +
+                                        wire::min_size<decltype(value)>());
+      v.clear();
+      for (std::uint32_t i = 0; i < n && !failed_; ++i) {
+        read(key);
+        read(value);
+        v.emplace(std::move(key), std::move(value));
+      }
+    } else {
+      std::apply([this](auto&... f) { (read(f), ...); }, v.fields());
     }
-    v.reserve(len);
-    for (std::uint32_t i = 0; i < len; ++i) v.push_back(get<T>());
-    return v;
-  }
-
-  /// Steps over a vector written by put_vector, with get_vector's bounds
-  /// check (so a malformed length fails the Reader the same way).
-  template <typename T>
-    requires(std::is_arithmetic_v<T>)
-  void skip_vector() {
-    const auto len = get<std::uint32_t>();
-    if (failed_ || len > (data_.size() - pos_) / sizeof(T)) {
-      failed_ = true;
-      return;
-    }
-    pos_ += len * sizeof(T);
   }
 
   /// True if any read overran the buffer; once set, stays set.
@@ -269,9 +331,41 @@ class Reader {
   }
 
  private:
+  /// Reads a u32 count of elements of at least @p min_size wire bytes each.
+  /// The bounds policy of every count and length: no more than the bytes
+  /// left divided by @p min_size (division, since a product can wrap), so a
+  /// hostile count fails before anything is reserved.  0 on failure.
+  std::uint32_t get_count(std::size_t min_size) {
+    const auto n = get<std::uint32_t>();
+    if (failed_ || n > (data_.size() - pos_) / min_size) {
+      failed_ = true;
+      return 0;
+    }
+    return n;
+  }
+
   std::string_view data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// Encodes @p msg (any value Writer::write accepts) as a payload.
+template <typename T>
+[[nodiscard]] Buf encode(const T& msg) {
+  Writer w;
+  w.write(msg);
+  return w.take_buf();
+}
+
+/// Decodes @p msg from the front of @p bytes; false, and @p msg unusable,
+/// if any field fails.  View fields of @p msg point into @p bytes.
+template <typename T>
+[[nodiscard]] bool decode(std::string_view bytes, T& msg) {
+  Reader r(bytes);
+  r.read(msg);
+  return !r.failed();
+}
+template <typename T>
+bool decode(std::string&&, T&) = delete;  // view fields would dangle
 
 }  // namespace coop::util

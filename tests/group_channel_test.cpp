@@ -535,6 +535,38 @@ TEST(GroupChannel, PromotedSequencerResumesAtAHoleInItsSeenSet) {
   EXPECT_EQ(log[kHole].total_seq, 2u);
 }
 
+TEST(GroupChannel, PostFailoverResyncJumpsOnlyOnce) {
+  // Slots: 0 sequencer (node 1, crashes), 1 promoted survivor (node 2),
+  // 2 sender (node 3).  After the promotion a sender's first request may
+  // jump the gap the old sequencer left; a later gap is a lost datagram,
+  // which the sender's retransmission fills.
+  Harness h(3, {.ordering = Ordering::kTotal});
+  h.net.set_default_link({.latency = sim::msec(1), .jitter = 0,
+                          .bandwidth_bps = 0, .loss = 0});
+  h.net.crash(1);
+  for (std::size_t m = 1; m < 3; ++m)
+    h.members[m]->chan->mark_failed(h.members[0]->chan->self());
+  h.sim.run_until(sim::msec(20));  // the recovery round has closed
+  ASSERT_TRUE(h.members[1]->chan->is_sequencer());
+  // The first copy of "b"'s ordering request is lost; "c"'s arrives.
+  bool corrupted = false;
+  h.net.set_inject_hook([&corrupted](const net::Message& m) {
+    net::InjectDecision d;
+    TotalReqMsg req;
+    if (!corrupted && util::decode(m.payload, req) &&
+        req.type == ChannelMsg::kTotalReq && req.seq == 2)
+      d.corrupt = corrupted = true;
+    return d;
+  });
+  for (const char* payload : {"a", "b", "c"})
+    h.members[2]->chan->broadcast(payload);
+  h.sim.run();
+  EXPECT_TRUE(corrupted);
+  const std::vector<std::string> want{"a", "b", "c"};
+  EXPECT_EQ(h.payloads(1), want);
+  EXPECT_EQ(h.payloads(2), want);
+}
+
 // Property sweep: for every ordering mode and several seeds, all members
 // deliver exactly the full message set under loss + jitter, and the
 // per-mode ordering invariant holds.

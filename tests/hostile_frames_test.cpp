@@ -2,7 +2,8 @@
 //
 // A raw endpoint forges frames and sends them through the network, so each
 // one carries a valid checksum and reaches the decoder: FIFO stream frames,
-// an editor op carried over a FIFO stream, and group-channel frames.  A
+// an editor op carried over a FIFO stream, group-channel and membership
+// frames, and trader and share-server requests.  A
 // decoder must drop what it cannot trust without crashing, delivering or
 // adopting any of it, and keep serving well-formed traffic afterwards.
 #include <gtest/gtest.h>
@@ -10,15 +11,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ccontrol/ot.hpp"
 #include "groups/group_channel.hpp"
+#include "groups/membership.hpp"
 #include "groupware/editor.hpp"
+#include "mobile/host.hpp"
+#include "mobile/share_server.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
+#include "rpc/trader.hpp"
 #include "sim/simulator.hpp"
 #include "util/codec.hpp"
 
@@ -219,7 +225,7 @@ std::string group_data(std::uint32_t sender, std::uint64_t seq,
   util::Writer w;
   w.put(kGroupData).put(sender).put(seq).put(std::uint64_t{0});
   w.put(std::uint32_t{0}).put(sim::TimePoint{0});
-  w.put_vector(clock).put_string(payload);
+  w.write(clock).put_string(payload);
   return w.take();
 }
 
@@ -364,6 +370,133 @@ TEST_F(HostileFrames, WideVectorClockIsRefusedAndLaterFramesKeepTheirSize) {
   EXPECT_EQ(sorted(delivered),
             (std::vector<std::string>{"0:x", "0:y", "0:z", "1:x", "1:y",
                                       "1:z", "2:x", "2:y", "2:z"}));
+}
+
+TEST_F(HostileFrames, TotalOrderFrameFromOutsideItsEpochsSequencerIsDropped) {
+  make_group(groups::Ordering::kTotal);
+  // Epoch 2 names slot 2 as its sequencer, but the frame comes from a
+  // non-member: adopting it would open epoch 2 at slot 2 and shadow the
+  // real sequencer's next frames as duplicates.
+  util::Writer w;
+  w.put(kGroupData).put(std::uint32_t{1}).put(std::uint64_t{1});
+  w.put(std::uint64_t{1}).put(std::uint32_t{2}).put(sim::TimePoint{0});
+  w.write(std::vector<std::uint64_t>{}).put_string("forged");
+  forge(2, w.take());
+  sim.run();
+  EXPECT_EQ(peer.received, 0u);  // not even acked
+  for (int i = 0; i < 5; ++i) members[0]->broadcast("m" + std::to_string(i));
+  sim.run();
+  EXPECT_EQ(delivered.size(), 15u);
+  EXPECT_EQ(std::count(delivered.begin(), delivered.end(), "2:forged"), 0);
+  EXPECT_EQ(members[2]->stats().duplicates, 0u);
+}
+
+// --- membership frames -------------------------------------------------------
+
+/// A kView frame claiming @p count member addresses but carrying
+/// @p carried of them, then an empty ban list.
+std::string view_frame(std::uint32_t count, std::size_t carried) {
+  util::Writer w;
+  w.put(groups::MemberMsg::kView).put(std::uint64_t{99}).put(count);
+  for (std::size_t i = 0; i < carried; ++i) w.put(NodeId{7}).put(PortId{1});
+  w.put(std::uint32_t{0});
+  return w.take();
+}
+
+TEST_F(HostileFrames, ViewsWithBadAddressListsAreDropped) {
+  groups::MembershipCoordinator coord(net, {50, 1});
+  groups::MembershipMember member(net, {51, 1}, {50, 1});
+  std::vector<std::uint64_t> views;
+  member.on_view([&views](const groups::View& v) { views.push_back(v.id); });
+  member.join();
+  sim.run_until(sim::msec(50));
+  ASSERT_EQ(views, (std::vector<std::uint64_t>{1}));
+  // Counts past the frame, and a frame cut inside an address.
+  for (const std::string& frame :
+       {view_frame(0xFFFFFFFF, 1), view_frame(3, 2),
+        view_frame(1, 1).substr(0, 17)}) {
+    net.send({.src = peer.self, .dst = {51, 1}, .payload = util::Buf(frame)});
+  }
+  sim.run_until(sim::msec(100));
+  EXPECT_EQ(views, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(peer.received, 0u);  // none was acked
+  // Membership goes on: a second member's join installs view 2.
+  groups::MembershipMember other(net, {52, 1}, {50, 1});
+  other.join();
+  sim.run_until(sim::msec(200));
+  EXPECT_EQ(views, (std::vector<std::uint64_t>{1, 2}));
+}
+
+// --- trader and share-server requests ----------------------------------------
+
+/// Calls @p method on @p server with a raw body and counts refusals.
+struct RawCaller {
+  RawCaller(Network& net, Address self) : rpc(net, self) {}
+  void call(Address server, const std::string& method,
+            const std::string& body) {
+    rpc.call(server, method, body, [this](const rpc::RpcResult& r) {
+      if (!r.ok()) ++refused;
+    });
+  }
+  rpc::RpcClient rpc;
+  int refused = 0;
+};
+
+TEST_F(HostileFrames, MalformedTraderRequestsAreRefused) {
+  rpc::Trader trader(net, {30, 1});
+  RawCaller raw(net, {31, 1});
+  const rpc::Offer offer{"svc", {5, 5}, {{"room", "ops"}}};
+  const std::string whole = util::encode(offer).str();
+  raw.call(trader.address(), "export", whole.substr(0, whole.size() - 1));
+  util::Writer huge;  // a constraint count far past the body
+  huge.put_string("svc").put(std::uint32_t{0xFFFFFFFF});
+  raw.call(trader.address(), "import", huge.take());
+  raw.call(trader.address(), "withdraw", std::string(3, '\0'));
+  sim.run();
+  EXPECT_EQ(raw.refused, 3);
+  EXPECT_EQ(trader.offer_count(), 0u);
+  // Trading goes on.
+  rpc::TraderClient client(raw.rpc, trader.address());
+  std::uint64_t id = 0;
+  client.export_offer(offer, [&id](std::uint64_t got) { id = got; });
+  sim.run();
+  EXPECT_NE(id, 0u);
+  std::vector<rpc::Offer> found;
+  client.import("svc", {{"room", "ops"}}, [&found](std::vector<rpc::Offer> o) {
+    found = std::move(o);
+  });
+  sim.run();
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].provider, (Address{5, 5}));
+}
+
+TEST_F(HostileFrames, MalformedShareServerRequestsChangeNothing) {
+  mobile::ShareServer server(net, {40, 1});
+  server.store().write("report", "v1");
+  RawCaller raw(net, {41, 1});
+  util::Writer hoard;  // a key count far past the body
+  hoard.put(std::uint32_t{0xFFFFFFFF});
+  raw.call(server.address(), "hoard", hoard.take());
+  // A bulk log cut inside its second entry: the whole, applicable first
+  // entry must not be applied either.
+  const std::string bulk =
+      util::encode(std::vector<mobile::BulkWrite>{
+                       {"report", "forged", server.store().version("report")},
+                       {"notes", "forged", 0}})
+          .str();
+  raw.call(server.address(), "bulk", bulk.substr(0, bulk.size() - 3));
+  raw.call(server.address(), "write", util::encode(std::string("report")).str());
+  raw.call(server.address(), "read", std::string(2, '\0'));
+  sim.run();
+  EXPECT_EQ(raw.refused, 4);
+  EXPECT_EQ(server.store().read("report"), "v1");
+  EXPECT_FALSE(server.store().read("notes").has_value());
+  // Reads are still served.
+  mobile::MobileHost host(net, {42, 1}, server.address());
+  std::optional<std::string> got;
+  host.read("report", [&got](bool, std::optional<std::string> v) { got = v; });
+  sim.run();
+  EXPECT_EQ(got, "v1");
 }
 
 }  // namespace

@@ -19,8 +19,10 @@
 #include "groups/membership.hpp"
 #include "groupware/editor.hpp"
 #include "groupware/session.hpp"
+#include "mobile/share_server.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
+#include "rpc/trader.hpp"
 #include "sim/simulator.hpp"
 #include "sim/small_fn.hpp"
 #include "util/buf.hpp"
@@ -52,9 +54,11 @@ namespace {
 // Atomic because other tests in this binary allocate from worker threads
 // (the sharded engine's pool); relaxed is enough for a tally.
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 void* counted_alloc(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -64,10 +68,12 @@ void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -311,10 +317,9 @@ TEST(CodecBoundsTest, OversizedStringSetsStickyFailure) {
 
 TEST(CodecBoundsTest, OversizedVectorSetsStickyFailure) {
 #ifdef NDEBUG
-  // put_vector length-checks the element count, same cap as strings.
-  // (Cannot materialize >4G elements; exercise via put_bytes' shared
-  // check_length path with a fabricated blob is impossible for vectors,
-  // so verify the cap constant wiring instead.)
+  // Writer::write length-checks a vector's element count with the same
+  // cap as strings.  (Cannot materialize >4G elements, so verify the cap
+  // constant wiring instead.)
   EXPECT_EQ(util::Writer::kMaxLength, 0xffffffffu);
 #else
   GTEST_SKIP() << "covered by the death test above in debug builds";
@@ -328,20 +333,154 @@ TEST(CodecBoundsTest, ReaderGetVectorRejectsOverflowingLength) {
   w.put<std::uint32_t>(1u << 29);
   const std::string frame = w.take();
   util::Reader r(frame);
-  const std::vector<std::uint64_t> v = r.get_vector<std::uint64_t>();
+  std::vector<std::uint64_t> v;
+  r.read(v);
   EXPECT_TRUE(r.failed());
   EXPECT_TRUE(v.empty());
 }
 
 TEST(CodecBoundsTest, ReaderGetVectorAcceptsExactFit) {
   util::Writer w;
-  w.put_vector(std::vector<std::uint64_t>{1, 2, 3});
+  w.write(std::vector<std::uint64_t>{1, 2, 3});
   const std::string frame = w.take();
   util::Reader r(frame);
-  const std::vector<std::uint64_t> v = r.get_vector<std::uint64_t>();
+  std::vector<std::uint64_t> v;
+  r.read(v);
   EXPECT_FALSE(r.failed());
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[2], 3u);
+}
+
+// --- wire messages under hostile bytes -------------------------------------
+
+/// Appends the offset of every u32 count or length prefix in @p v's
+/// encoding to @p out, walking the value the way Writer::write lays it out
+/// (@p at is the running offset).
+template <typename T>
+void prefix_offsets(const T& v, std::size_t& at,
+                    std::vector<std::size_t>& out) {
+  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+    at += sizeof(T);
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out.push_back(at);
+    at += 4 + std::string_view(v).size();
+  } else if constexpr (util::wire::kIs<T, util::ArrayView>) {
+    out.push_back(at);
+    at += 4 + v.bytes().size();
+  } else if constexpr (util::wire::kIs<T, std::vector>) {
+    out.push_back(at);
+    at += 4;
+    for (const auto& e : v) prefix_offsets(e, at, out);
+  } else if constexpr (util::wire::kIs<T, std::map>) {
+    out.push_back(at);
+    at += 4;
+    for (const auto& [key, value] : v) {
+      prefix_offsets(key, at, out);
+      prefix_offsets(value, at, out);
+    }
+  } else {
+    std::apply([&](const auto&... f) { (prefix_offsets(f, at, out), ...); },
+               v.fields());
+  }
+}
+
+/// Runs one message type against hostile bytes.  @p sample (with at least
+/// one element in each container) must round-trip; every strict prefix of
+/// its encoding must fail to decode; and each count or length prefix set
+/// to 0xFFFFFFFF must fail, allocating no more than decoding the honest
+/// frame does (so nothing is reserved for the hostile count).
+template <typename T>
+void expect_hostile_bytes_fail(const T& sample) {
+  const std::string frame = util::encode(sample).str();
+  T back;
+  ASSERT_TRUE(util::decode(frame, back));
+  EXPECT_EQ(util::encode(back).str(), frame);
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    T cut;
+    EXPECT_FALSE(util::decode(std::string_view(frame).substr(0, len), cut))
+        << "prefix of " << len << " of " << frame.size() << " bytes";
+  }
+  std::size_t end = 0;
+  std::vector<std::size_t> prefixes;
+  prefix_offsets(sample, end, prefixes);
+  ASSERT_EQ(end, frame.size());
+#if COOP_COUNT_ALLOCS
+  T honest;
+  const std::uint64_t h0 = g_alloc_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(util::decode(frame, honest));
+  const std::uint64_t honest_bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - h0;
+#endif
+  for (const std::size_t at : prefixes) {
+    std::string bad = frame;
+    bad.replace(at, 4, 4, '\xff');
+    T out;
+#if COOP_COUNT_ALLOCS
+    const std::uint64_t b0 = g_alloc_bytes.load(std::memory_order_relaxed);
+#endif
+    EXPECT_FALSE(util::decode(bad, out)) << "count at offset " << at;
+#if COOP_COUNT_ALLOCS
+    EXPECT_LE(g_alloc_bytes.load(std::memory_order_relaxed) - b0,
+              honest_bytes)
+        << "count at offset " << at;
+#endif
+  }
+}
+
+TEST(WireMessages, TraderMessagesRejectHostileBytes) {
+  const rpc::Offer offer{"session.whiteboard", {7, 3}, {{"room", "ops"}}};
+  expect_hostile_bytes_fail(offer);
+  expect_hostile_bytes_fail(std::vector<rpc::Offer>{offer, offer});
+  expect_hostile_bytes_fail(
+      rpc::ImportQuery{"session.whiteboard", {{"room", "ops"}}});
+  expect_hostile_bytes_fail(std::uint64_t{42});  // offer id
+}
+
+TEST(WireMessages, ShareServerMessagesRejectHostileBytes) {
+  const mobile::KeyState state{true, "draft v1", 3};
+  expect_hostile_bytes_fail(std::string("report"));
+  expect_hostile_bytes_fail(state);
+  expect_hostile_bytes_fail(mobile::WriteReq{"report", "draft v2"});
+  expect_hostile_bytes_fail(std::vector<std::string>{"report", "notes"});
+  expect_hostile_bytes_fail(
+      std::vector<mobile::HoardEntry>{{"report", state}, {"notes", {}}});
+  expect_hostile_bytes_fail(std::vector<mobile::BulkWrite>{
+      {"report", "edit", 3}, {"notes", "done", 1}});
+  expect_hostile_bytes_fail(std::vector<mobile::BulkResult>{
+      {"report", true, 4, ""}, {"notes", false, 2, "theirs"}});
+}
+
+TEST(WireMessages, MembershipMessagesRejectHostileBytes) {
+  using groups::MemberMsg;
+  const groups::View view{9, {{1, 1}, {2, 1}, {3, 1}}, {{4, 1}}};
+  expect_hostile_bytes_fail(MemberMsg::kHeartbeat);
+  expect_hostile_bytes_fail(groups::ViewMsg{MemberMsg::kView, view});
+  expect_hostile_bytes_fail(groups::ViewMsg{MemberMsg::kRejoin, view});
+  expect_hostile_bytes_fail(groups::ViewIdMsg{MemberMsg::kViewAck, 9});
+  expect_hostile_bytes_fail(groups::ClaimMsg{.view_id = 9, .rank = 2});
+  expect_hostile_bytes_fail(
+      groups::CoordAliveMsg{.coordinator = {1, 1}, .view_id = 9});
+}
+
+TEST(WireMessages, GroupChannelMessagesRejectHostileBytes) {
+  const std::vector<std::uint64_t> clock{0, 1, 0};
+  expect_hostile_bytes_fail(groups::DataMsg{.sender = 1,
+                                            .seq = 1,
+                                            .total_seq = 5,
+                                            .epoch = 0,
+                                            .sent_at = sim::msec(3),
+                                            .clock = clock,
+                                            .payload = "hello"});
+  expect_hostile_bytes_fail(groups::AckMsg{.sender = 1, .seq = 1, .acker = 2});
+  expect_hostile_bytes_fail(groups::TotalReqMsg{
+      .sender = 1, .seq = 2, .sent_at = sim::msec(3), .payload = "req"});
+  expect_hostile_bytes_fail(groups::SolicitMsg{.epoch = 1, .total = 4});
+  expect_hostile_bytes_fail(groups::RecoverMsg{
+      .responder = 2,
+      .epoch = 0,
+      .total = 4,
+      .tail = {{1, 2, 0, 5, sim::msec(3), "tail"}},
+      .relays = {{2, 7, sim::msec(4), 0, "relay"}}});
 }
 
 // --- link-state bookkeeping ------------------------------------------------

@@ -198,6 +198,39 @@ TEST_F(MobileTest, FailedReintegrationRestoresLog) {
   EXPECT_EQ(host.log_size(), 1u);  // preserved for the next attempt
 }
 
+TEST_F(MobileTest, MalformedBulkReplyRestoresLog) {
+  // A fake server answers "bulk" first with more results than the log had
+  // entries, then with a reply cut short.  Neither may be applied.
+  constexpr net::Address kFake{101, 1};
+  rpc::RpcServer fake(net, kFake);
+  std::vector<std::string> replies{
+      util::encode(std::vector<BulkResult>{{"report", false, 5, "theirs"},
+                                           {"notes", false, 5, "theirs"},
+                                           {"budget", false, 5, "theirs"}})
+          .str()};
+  replies.push_back(replies[0].substr(0, replies[0].size() - 2));
+  std::size_t served = 0;
+  fake.register_method("bulk", [&](const std::string&) {
+    return rpc::HandlerResult::success(replies[served++]);
+  });
+  MobileHost host(net, {1, 1}, kFake);
+  host.set_connectivity(net::Connectivity::kDisconnected);
+  host.write("report", "edit", [](bool) {});
+  host.set_connectivity(net::Connectivity::kFull);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    std::size_t applied = 99;
+    host.reintegrate([&applied](std::size_t a, const auto& conflicts) {
+      applied = a;
+      EXPECT_TRUE(conflicts.empty());
+    });
+    sim.run();
+    EXPECT_EQ(applied, 0u) << "reply " << i;
+    EXPECT_EQ(host.log_size(), 1u) << "reply " << i;
+  }
+  EXPECT_EQ(served, replies.size());
+  EXPECT_EQ(host.stats().conflicts, 0u);
+}
+
 TEST_F(MobileTest, PartialConnectivityStillReachesServer) {
   net.set_radio_model({.latency = sim::msec(150), .jitter = sim::msec(20),
                        .bandwidth_bps = 19'200, .loss = 0.0});

@@ -72,8 +72,16 @@ TEST(CodecProperty, RandomGarbageNeverCrashesAndAlwaysTerminates) {
       switch (rng.uniform_int(0, 3)) {
         case 0: r.get<std::uint64_t>(); break;
         case 1: r.get_string(); break;
-        case 2: r.get_bytes(); break;
-        default: r.get_vector<std::uint32_t>(); break;
+        case 2: {
+          std::vector<std::uint8_t> bytes;
+          r.read(bytes);
+          break;
+        }
+        default: {
+          std::vector<std::uint32_t> v;
+          r.read(v);
+          break;
+        }
       }
       if (was_failed) {
         EXPECT_TRUE(r.failed());  // sticky

@@ -49,22 +49,27 @@ TEST(Codec, RoundTripsStringsIncludingEmptyAndBinary) {
 
 TEST(Codec, RoundTripsVectors) {
   Writer w;
-  w.put_vector<std::uint64_t>({1, 2, 3});
-  w.put_vector<double>({});
+  w.write(std::vector<std::uint64_t>{1, 2, 3});
+  w.write(std::vector<double>{});
   const std::string buf = w.take();
   Reader r(buf);
-  EXPECT_EQ(r.get_vector<std::uint64_t>(),
-            (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_TRUE(r.get_vector<double>().empty());
+  std::vector<std::uint64_t> ints;
+  std::vector<double> none{1.0};
+  r.read(ints);
+  r.read(none);
+  EXPECT_EQ(ints, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_TRUE(none.empty());
   EXPECT_FALSE(r.failed());
 }
 
 TEST(Codec, RoundTripsBytes) {
-  Writer w;
-  w.put_bytes({0x00, 0xff, 0x10});
-  const std::string buf = w.take();
-  Reader r(buf);
-  EXPECT_EQ(r.get_bytes(), (std::vector<std::uint8_t>{0x00, 0xff, 0x10}));
+  // A byte vector is a length-prefixed blob: u32 length, then the bytes.
+  const coop::util::Buf buf =
+      coop::util::encode(std::vector<std::uint8_t>{0x00, 0xff, 0x10});
+  EXPECT_EQ(buf.view(), std::string_view("\x03\0\0\0\x00\xff\x10", 7));
+  std::vector<std::uint8_t> got;
+  ASSERT_TRUE(coop::util::decode(buf, got));
+  EXPECT_EQ(got, (std::vector<std::uint8_t>{0x00, 0xff, 0x10}));
 }
 
 TEST(Codec, UnderrunSetsStickyFailureFlag) {
@@ -92,18 +97,21 @@ TEST(Codec, MaliciousVectorLengthFailsInsteadOfAllocating) {
   Writer w;
   w.put<std::uint32_t>(0xffffffff);
   const std::string buf = w.take();
-  Reader r(buf);
-  EXPECT_TRUE(r.get_vector<std::uint64_t>().empty());
-  EXPECT_TRUE(r.failed());
+  std::vector<std::uint64_t> v;
+  EXPECT_FALSE(coop::util::decode(buf, v));
+  EXPECT_EQ(v.capacity(), 0u);
 }
 
 TEST(Codec, SkipVectorLandsWhereGetVectorDoes) {
+  // An ArrayView steps over a vector's bytes without copying them.
   Writer w;
-  w.put_vector<std::uint64_t>({7, 8, 9});
+  w.write(std::vector<std::uint64_t>{7, 8, 9});
   w.put_string("after");
   const std::string buf = w.take();
   Reader got(buf);
-  got.skip_vector<std::uint64_t>();
+  coop::util::ArrayView<std::uint64_t> view;
+  got.read(view);
+  EXPECT_EQ(view.to_vector(), (std::vector<std::uint64_t>{7, 8, 9}));
   EXPECT_EQ(got.get_string_view(), "after");
   EXPECT_TRUE(got.exhausted());
   // A length the remaining bytes cannot hold fails both the same way.
@@ -113,8 +121,10 @@ TEST(Codec, SkipVectorLandsWhereGetVectorDoes) {
     const std::string frame = bad.take();
     Reader skip(frame);
     Reader read(frame);
-    skip.skip_vector<std::uint64_t>();
-    EXPECT_TRUE(read.get_vector<std::uint64_t>().empty());
+    skip.read(view);
+    std::vector<std::uint64_t> vec;
+    read.read(vec);
+    EXPECT_TRUE(vec.empty());
     EXPECT_TRUE(skip.failed()) << len;
     EXPECT_TRUE(read.failed()) << len;
   }
