@@ -29,6 +29,14 @@ run() {
   "$@"
 }
 
+echo "== wire formats: each declared once, as a COOP_FIELDS struct =="
+# Messages encode and decode through util::encode/decode; a hand-written
+# util::Reader or util::Writer elsewhere in src/ would state a format twice.
+if grep -rn 'util::Reader\|util::Writer' src --exclude=codec.hpp; then
+  echo "util::Reader/util::Writer used outside src/util/codec.hpp" >&2
+  exit 1
+fi
+
 echo "== tier-1: build + tests =="
 run cmake -B build-check -S . -DCMAKE_BUILD_TYPE=Release
 run cmake --build build-check -j "${JOBS}"

@@ -15,7 +15,7 @@
 //
 // The engine is pure logic — messages in, messages out — so it can be
 // property-tested exhaustively and wired to any transport (the groupware
-// editor uses RPC; the benches drive it directly).
+// editor runs it over FIFO channels; the benches drive it directly).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/codec.hpp"
 
 namespace coop::ccontrol {
 
@@ -34,11 +36,13 @@ using SiteId = std::uint32_t;
 /// the editor layer splits longer deletions into character ops.
 struct TextOp {
   enum class Kind : std::uint8_t { kInsert, kDelete, kNoop };
+  friend COOP_ENUM_RANGE(Kind, kInsert, kNoop)
 
   Kind kind = Kind::kNoop;
-  std::size_t pos = 0;
+  std::uint64_t pos = 0;
   std::string text;  ///< kInsert payload
   SiteId site = 0;
+  COOP_FIELDS(kind, pos, text, site)
 
   static TextOp insert(std::size_t pos, std::string text, SiteId site) {
     return {Kind::kInsert, pos, std::move(text), site};
@@ -69,6 +73,7 @@ class OtLink {
     TextOp op;
     std::uint64_t sender_generated = 0;  ///< index of this op on the link
     std::uint64_t sender_received = 0;   ///< peer ops seen when generated
+    COOP_FIELDS(sender_generated, sender_received, op)
   };
 
   /// Stamps and records a locally generated operation for sending.

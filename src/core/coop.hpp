@@ -90,7 +90,6 @@ class Platform {
         obs_(obs != nullptr ? obs
                             : (owned_obs_ ? owned_obs_.get()
                                           : obs::default_obs())),
-        seed_(seed),
         sim_(seed),
         net_(sim_, obs_) {
     obs_->meta.note_platform(seed);
@@ -122,29 +121,6 @@ class Platform {
   /// Runs the virtual world up to an absolute time.
   std::size_t run_until(sim::TimePoint t) { return sim_.run_until(t); }
 
-  /// The sharded parallel kernel, built on first use.  Seed defaults to
-  /// the platform's; a lookahead of zero in @p cfg is the safe default —
-  /// pass network().lookahead() to unlock windowed epochs for the
-  /// topology you actually configured.  Epoch barriers are traced
-  /// unconditionally (they fire on the coordinating thread); per-event
-  /// step tracing and profiling are wired only for single-threaded
-  /// engines, because the per-shard hooks fire on worker threads and the
-  /// tracer is not synchronized (sim/shard.hpp).
-  [[nodiscard]] sim::ShardedEngine& sharded_engine(
-      sim::ShardedConfig cfg = {}) {
-    if (!sharded_) {
-      if (cfg.seed == sim::ShardedConfig{}.seed) cfg.seed = seed_;
-      sharded_ = std::make_unique<sim::ShardedEngine>(cfg);
-      sharded_->set_epoch_hook(&Platform::trace_epoch, this);
-      if (cfg.threads <= 1) {
-        sharded_->set_step_hook(&Platform::trace_shard_step, this);
-        if (obs_->profiler.enabled())
-          sharded_->set_step_timer(&Platform::profile_step, this);
-      }
-    }
-    return *sharded_;
-  }
-
  private:
   // Serial steps carry no shard field (the lone kernel is always shard
   // 0), which keeps serial traces free of a constant column.
@@ -160,30 +136,10 @@ class Platform {
     static_cast<Platform*>(self)->obs_->profiler.note_step(elapsed_ns);
   }
 
-  static void trace_shard_step(void* self, std::uint32_t shard,
-                               sim::EventId id, sim::TimePoint when,
-                               std::size_t pending) {
-    auto* p = static_cast<Platform*>(self);
-    p->obs_->tracer.event(when, obs::Category::kSim, "step",
-                          {{"shard", static_cast<double>(shard)},
-                           {"id", static_cast<double>(id)},
-                           {"pending", static_cast<double>(pending)}});
-  }
-
-  static void trace_epoch(void* self, sim::TimePoint t0, sim::TimePoint horizon,
-                          std::size_t events) {
-    auto* p = static_cast<Platform*>(self);
-    p->obs_->tracer.event(t0, obs::Category::kSim, "epoch",
-                          {{"horizon", static_cast<double>(horizon)},
-                           {"events", static_cast<double>(events)}});
-  }
-
   std::unique_ptr<obs::Obs> owned_obs_;  // only when no context was supplied
   obs::Obs* obs_;
-  std::uint64_t seed_;
   sim::Simulator sim_;
   net::Network net_;
-  std::unique_ptr<sim::ShardedEngine> sharded_;  // built on first use
 };
 
 }  // namespace coop

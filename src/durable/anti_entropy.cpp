@@ -14,46 +14,35 @@ std::string metric_key(const std::string& name, const char* leaf) {
   return "durable." + name + "." + leaf;
 }
 
-/// One wire entry of a pull reply.
-struct AeEntry {
-  std::uint8_t type = WalRecord::kPut;
-  std::string key;
-  std::string value;  ///< empty for erases
-  std::uint64_t version = 0;
-  std::uint64_t stamp = 0;
-};
-
 }  // namespace
 
 std::string AntiEntropy::encode_summary(const DurableStore& store) {
   const auto& mem = store.store();
   const auto keys = mem.keys();
-  util::Writer w;
-  w.put(static_cast<std::uint32_t>(keys.size() + mem.tombstones().size()));
-  for (const auto& k : keys) w.put_string(k).put(mem.version(k));
-  for (const auto& [k, t] : mem.tombstones()) w.put_string(k).put(t.version);
-  return w.take();
+  std::vector<AeSummaryEntry> summary;
+  summary.reserve(keys.size() + mem.tombstones().size());
+  for (const auto& k : keys) summary.push_back({k, mem.version(k)});
+  for (const auto& [k, t] : mem.tombstones()) summary.push_back({k, t.version});
+  return util::encode(summary).str();
 }
 
 std::string AntiEntropy::make_reply(const DurableStore& store,
                                     const std::string& summary) {
-  std::map<std::string, std::uint64_t> known;
-  util::Reader r(summary);
-  const auto n = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    std::string key = r.get_string();
-    known[std::move(key)] = r.get<std::uint64_t>();
-  }
-  if (r.failed()) return {};  // malformed summary: send nothing
+  std::vector<AeSummaryEntry> entries;
+  if (!util::decode(summary, entries)) return {};  // malformed: send nothing
+  // A key both live and tombstoned is listed twice; the later entry wins.
+  std::map<std::string_view, std::uint64_t> known;
+  for (const AeSummaryEntry& e : entries) known[e.key] = e.version;
 
-  auto known_version = [&known](const std::string& k) -> std::uint64_t {
+  auto known_version = [&known](std::string_view k) -> std::uint64_t {
     auto it = known.find(k);
     return it == known.end() ? 0 : it->second;
   };
 
   const auto& mem = store.store();
+  const auto keys = mem.keys();
   std::vector<AeEntry> out;
-  for (const auto& k : mem.keys()) {
+  for (const auto& k : keys) {
     const std::uint64_t v = mem.version(k);
     if (v > known_version(k)) {
       out.push_back({WalRecord::kPut, k, *mem.read(k), v, 0});
@@ -64,37 +53,21 @@ std::string AntiEntropy::make_reply(const DurableStore& store,
       out.push_back({WalRecord::kErase, k, "", t.version, t.stamp});
     }
   }
-
-  util::Writer w;
-  w.put(static_cast<std::uint32_t>(out.size()));
-  for (const AeEntry& e : out) {
-    w.put(e.type)
-        .put_string(e.key)
-        .put_string(e.value)
-        .put(e.version)
-        .put(e.stamp);
-  }
-  return w.take();
+  return util::encode(out).str();
 }
 
 std::uint64_t AntiEntropy::apply_reply(DurableStore& store,
                                        const std::string& reply) {
-  util::Reader r(reply);
-  const auto n = r.get<std::uint32_t>();
+  std::vector<AeEntry> entries;
+  if (!util::decode(reply, entries)) return 0;
   std::uint64_t adopted = 0;
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    const auto type = r.get<std::uint8_t>();
-    std::string key = r.get_string();
-    std::string value = r.get_string();
-    const auto version = r.get<std::uint64_t>();
-    const auto stamp = r.get<std::uint64_t>();
-    if (r.failed()) break;
-    if (type == WalRecord::kPut) {
-      if (store.apply_remote_put(key, std::move(value), version, stamp)) {
-        ++adopted;
-      }
-    } else if (type == WalRecord::kErase) {
-      if (store.apply_remote_erase(key, version, stamp)) ++adopted;
+  for (AeEntry& e : entries) {
+    const std::string key(e.key);
+    if (e.type == WalRecord::kPut
+            ? store.apply_remote_put(key, std::move(e.value), e.version,
+                                     e.stamp)
+            : store.apply_remote_erase(key, e.version, e.stamp)) {
+      ++adopted;
     }
   }
   return adopted;

@@ -22,11 +22,31 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "durable/store.hpp"
 #include "rpc/rpc.hpp"
 
 namespace coop::durable {
+
+/// A summary (the request of "ae.pull") is a std::vector of these: every
+/// live, then every tombstoned key, with its known version.
+struct AeSummaryEntry {
+  std::string_view key;
+  std::uint64_t version = 0;
+  COOP_FIELDS(key, version)
+};
+
+/// A pull reply is a std::vector of these: each entry that dominates the
+/// summary, a put or (with an empty value) an erase.
+struct AeEntry {
+  WalRecord::Type type = WalRecord::kPut;
+  std::string_view key;
+  std::string value;
+  std::uint64_t version = 0;
+  std::uint64_t stamp = 0;
+  COOP_FIELDS(type, key, value, version, stamp)
+};
 
 struct AeConfig {
   std::string name = "store";  ///< metrics key component: durable.<name>.*

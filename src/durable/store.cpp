@@ -4,9 +4,6 @@
 #include <string_view>
 #include <utility>
 
-#include "util/codec.hpp"
-#include "util/fnv.hpp"
-
 namespace coop::durable {
 
 namespace {
@@ -68,54 +65,36 @@ std::uint64_t DurableStore::recover(StableMedia& media,
   //    atomically, so this path only arises from external tampering (and
   //    the scanner-hardening tests).
   if (!media.checkpoint.empty()) {
-    bool ok = false;
-    const auto* base = reinterpret_cast<const char*>(media.checkpoint.data());
-    const std::size_t n = media.checkpoint.size();
-    if (n >= 8) {
-      util::Reader hdr(std::string_view(base, 8));
-      const auto len = hdr.get<std::uint32_t>();
-      const auto sum = hdr.get<std::uint32_t>();
-      if (len == n - 8) {
-        const std::string_view body(base + 8, len);
-        if (util::fnv1a32(body) == sum) {
-          util::Reader r(body);
-          const auto base_lsn = r.get<std::uint64_t>();
-          ccontrol::ObjectStore loaded;
-          const auto n_items = r.get<std::uint32_t>();
-          for (std::uint32_t i = 0; i < n_items && !r.failed(); ++i) {
-            std::string key = r.get_string();
-            std::string value = r.get_string();
-            const auto version = r.get<std::uint64_t>();
-            loaded.apply_put(key, std::move(value), version);
-          }
-          const auto n_tombs = r.get<std::uint32_t>();
-          for (std::uint32_t i = 0; i < n_tombs && !r.failed(); ++i) {
-            std::string key = r.get_string();
-            const auto version = r.get<std::uint64_t>();
-            const auto stamp = r.get<std::uint64_t>();
-            loaded.apply_erase(key, version, stamp);
-          }
-          if (!r.failed() && r.exhausted()) {
-            mem = std::move(loaded);
-            out.checkpoint_loaded = true;
-            out.base_lsn = base_lsn;
-            if (base_lsn > 0) max_lsn = base_lsn - 1;
-            ok = true;
-          }
-        }
-      }
+    const std::string_view sealed(
+        reinterpret_cast<const char*>(media.checkpoint.data()),
+        media.checkpoint.size());
+    Checkpoint ck;
+    if (open_frame(sealed, ck) == sealed.size()) {
+      for (CheckpointItem& item : ck.items)
+        mem.apply_put(std::string(item.key), std::move(item.value),
+                      item.version);
+      for (const CheckpointTombstone& t : ck.tombstones)
+        mem.apply_erase(std::string(t.key), t.version, t.stamp);
+      out.checkpoint_loaded = true;
+      out.base_lsn = ck.base_lsn;
+      if (ck.base_lsn > 0) max_lsn = ck.base_lsn - 1;
+    } else {
+      out.checkpoint_corrupt = true;
     }
-    if (!ok) out.checkpoint_corrupt = true;
   }
   out.scanned_bytes = media.checkpoint.size() + media.log.size();
 
   // 2. Replay the intact log prefix with absolute versions (idempotent:
   //    a double restart reaches the same state).  Records the checkpoint
-  //    already covers are skipped; the torn/corrupt tail is discarded by
-  //    the scanner without ever being parsed.
-  Wal::Scanner scan(media.log);
+  //    already covers are skipped; the intact prefix ends at the first
+  //    frame open_frame refuses, and that torn/corrupt tail is never
+  //    decoded.
+  const std::string_view log(reinterpret_cast<const char*>(media.log.data()),
+                             media.log.size());
+  std::size_t intact = 0;
   WalRecord rec;
-  while (scan.next(rec)) {
+  while (const std::size_t n = open_frame(log.substr(intact), rec)) {
+    intact += n;
     if (rec.lsn < out.base_lsn) {
       ++out.skipped_records;
       continue;
@@ -128,13 +107,13 @@ std::uint64_t DurableStore::recover(StableMedia& media,
     ++out.replayed_records;
     if (rec.lsn > max_lsn) max_lsn = rec.lsn;
   }
-  if (scan.truncated()) {
-    out.truncated_bytes = scan.truncated_bytes();
+  if (intact != log.size()) {
+    out.truncated_bytes = log.size() - intact;
     // Repair: cut the torn suffix off the medium, so post-recovery
     // appends land after the intact prefix.  Without this, the garbage
     // would sit in front of every future (synced, acked!) record and the
     // next replay would discard them all.
-    media.log.resize(media.log.size() - out.truncated_bytes);
+    media.log.resize(intact);
   }
 
   return std::max<std::uint64_t>(max_lsn + 1, 1);
@@ -214,24 +193,16 @@ void DurableStore::checkpoint() {
   tombstones_gc_->inc(gc);
 
   const std::size_t log_before = wal_.log_bytes();
-  util::Writer w;
-  w.put(wal_.next_lsn());  // base_lsn: replay resumes here
+  Checkpoint ck{.base_lsn = wal_.next_lsn()};  // replay resumes here
   const auto keys = mem_.keys();
-  w.put(static_cast<std::uint32_t>(keys.size()));
-  for (const auto& k : keys) {
-    w.put_string(k).put_string(*mem_.read(k)).put(mem_.version(k));
-  }
-  w.put(static_cast<std::uint32_t>(mem_.tombstones().size()));
-  for (const auto& [k, t] : mem_.tombstones()) {
-    w.put_string(k).put(t.version).put(t.stamp);
-  }
-  const std::string body = w.take();
-  util::Writer hdr;
-  hdr.put(static_cast<std::uint32_t>(body.size()))
-      .put(util::fnv1a32(body));
-  const std::string head = hdr.take();
-  media_.checkpoint.assign(head.begin(), head.end());
-  media_.checkpoint.insert(media_.checkpoint.end(), body.begin(), body.end());
+  ck.items.reserve(keys.size());
+  for (const auto& k : keys)
+    ck.items.push_back({k, *mem_.read(k), mem_.version(k)});
+  ck.tombstones.reserve(mem_.tombstones().size());
+  for (const auto& [k, t] : mem_.tombstones())
+    ck.tombstones.push_back({k, t.version, t.stamp});
+  media_.checkpoint.clear();
+  seal_frame(media_.checkpoint, ck);
   ++media_.checkpoints;
   wal_.truncate_log();
 

@@ -34,6 +34,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ccontrol/store.hpp"
 #include "durable/wal.hpp"
@@ -57,6 +59,27 @@ struct DurableConfig {
   /// by this threshold plus one group-commit batch.
   std::size_t checkpoint_log_bytes = 64 * 1024;
   sim::Duration tombstone_ttl = sim::minutes(10);  ///< GC'd at checkpoint
+};
+
+/// The checkpoint, sealed as one frame (seal_frame): the full store state
+/// and the lsn replay resumes at.
+struct CheckpointItem {
+  std::string_view key;
+  std::string value;
+  std::uint64_t version = 0;
+  COOP_FIELDS(key, value, version)
+};
+struct CheckpointTombstone {
+  std::string_view key;
+  std::uint64_t version = 0;
+  std::uint64_t stamp = 0;
+  COOP_FIELDS(key, version, stamp)
+};
+struct Checkpoint {
+  std::uint64_t base_lsn = 0;
+  std::vector<CheckpointItem> items;
+  std::vector<CheckpointTombstone> tombstones;
+  COOP_FIELDS(base_lsn, items, tombstones)
 };
 
 /// What recovery found on the medium (per-instance view; the registry

@@ -1,11 +1,7 @@
 #include "durable/wal.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
-
-#include "util/codec.hpp"
-#include "util/fnv.hpp"
 
 namespace coop::durable {
 
@@ -23,7 +19,6 @@ Wal::Wal(sim::Simulator& sim, obs::Obs& obs, StableMedia& media,
       media_(media),
       cfg_(std::move(cfg)),
       next_lsn_(first_lsn),
-      synced_lsn_(first_lsn > 0 ? first_lsn - 1 : 0),
       obs_(obs) {
   auto& m = obs_.metrics;
   appends_ = &m.counter(metric_key(cfg_.name, "appends"));
@@ -35,74 +30,9 @@ Wal::~Wal() {
   if (sync_timer_ != sim::kInvalidEvent) sim_.cancel(sync_timer_);
 }
 
-void Wal::encode_frame(std::vector<std::uint8_t>& out, const WalRecord& rec) {
-  util::Writer w;
-  w.put(static_cast<std::uint8_t>(rec.type))
-      .put(rec.lsn)
-      .put(rec.version)
-      .put(rec.stamp)
-      .put_string(rec.key)
-      .put_string(rec.value);
-  // Header {u32 length, u32 checksum of the body}, then the body, both
-  // appended straight from the pooled encoding.
-  const util::Buf body = w.take_buf();
-  const std::array<std::uint32_t, 2> head{
-      static_cast<std::uint32_t>(body.size()), util::fnv1a32(body)};
-  const auto* head_bytes = reinterpret_cast<const std::uint8_t*>(head.data());
-  out.insert(out.end(), head_bytes, head_bytes + sizeof(head));
-  out.insert(out.end(), body.data(), body.data() + body.size());
-}
-
-bool Wal::Scanner::next(WalRecord& out) {
-  if (done_) return false;
-  const std::size_t remaining = log_.size() - pos_;
-  if (remaining == 0) {
-    done_ = true;
-    return false;
-  }
-  if (remaining < 8) {  // not even a frame header: torn tail
-    torn_ = true;
-    done_ = true;
-    return false;
-  }
-  const auto* base = reinterpret_cast<const char*>(log_.data());
-  util::Reader hdr(std::string_view(base + pos_, 8));
-  const auto len = hdr.get<std::uint32_t>();
-  const auto sum = hdr.get<std::uint32_t>();
-  if (len > remaining - 8) {  // body overruns the medium: torn tail
-    torn_ = true;
-    done_ = true;
-    return false;
-  }
-  const std::string_view body(base + pos_ + 8, len);
-  if (util::fnv1a32(body) != sum) {  // corrupt frame: never parsed
-    torn_ = true;
-    done_ = true;
-    return false;
-  }
-  util::Reader r(body);
-  WalRecord rec;
-  rec.type = static_cast<WalRecord::Type>(r.get<std::uint8_t>());
-  rec.lsn = r.get<std::uint64_t>();
-  rec.version = r.get<std::uint64_t>();
-  rec.stamp = r.get<std::uint64_t>();
-  rec.key = r.get_string();
-  rec.value = r.get_string();
-  if (r.failed() || !r.exhausted() ||
-      (rec.type != WalRecord::kPut && rec.type != WalRecord::kErase)) {
-    torn_ = true;  // checksummed but malformed: treat as corruption
-    done_ = true;
-    return false;
-  }
-  pos_ += 8 + len;
-  ++records_;
-  out = std::move(rec);
-  return true;
-}
-
 std::uint64_t Wal::append(WalRecord rec, DurableFn on_durable) {
   rec.lsn = next_lsn_++;
-  encode_frame(pending_, rec);
+  seal_frame(pending_, rec);
   appends_->inc();
   if (on_durable) waiters_.push_back({rec.lsn, std::move(on_durable)});
   if (cfg_.sync_interval <= 0) {
@@ -131,7 +61,6 @@ void Wal::sync() {
                      {"log_bytes", static_cast<double>(media_.log.size())},
                      {"acks", static_cast<double>(waiters_.size())}});
   pending_.clear();
-  synced_lsn_ = next_lsn_ - 1;
   // Swap out first: an ack callback may append (and so wait) again.
   std::vector<Waiter> fire;
   fire.swap(waiters_);

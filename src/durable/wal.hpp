@@ -15,28 +15,35 @@
 // a *torn* prefix of the record that was being written — garbage bytes the
 // recovery scanner must detect and discard, never parse.
 //
-// Record format (util::Writer little-endian encoding), one frame per op:
+// Record format, one sealed frame per op (seal_frame/open_frame below; the
+// checkpoint, DurableStore's Checkpoint, is sealed the same way):
 //
 //   u32 body_len | u32 fnv1a(body) | body
-//   body = u8 type | u64 lsn | u64 version | u64 stamp | key | value
+//   body = WalRecord: u8 type | u64 lsn | u64 version | u64 stamp | key | value
 //
 // The per-record checksum is util::fnv1a32.  It is stored on the medium,
 // so it stays bit-for-bit FNV-1a; the NIC's word-at-a-time frame checksum
 // (net::frame_checksum) is a different function that is never persisted.
-// The checksum is what makes the torn/corrupt tail detectable: the
-// scanner stops at the first frame whose length overruns the medium or
-// whose body hashes wrong, counts the truncated bytes, and the replayer
-// proceeds with the intact prefix.  Acknowledgements are gated on sync
-// (Wal::on_durable), so truncated records are by construction un-acked.
+// The checksum is what makes the torn/corrupt tail detectable: replay
+// (DurableStore recovery) stops at the first frame whose length overruns
+// the medium, whose body hashes wrong or does not decode as exactly one
+// WalRecord, counts the truncated bytes, and proceeds with the intact
+// prefix.  Acknowledgements are gated on sync (Wal::on_durable), so
+// truncated records are by construction un-acked.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
+#include "util/codec.hpp"
+#include "util/fnv.hpp"
 
 namespace coop::durable {
 
@@ -53,6 +60,7 @@ struct StableMedia {
 /// One logical WAL record.
 struct WalRecord {
   enum Type : std::uint8_t { kPut = 1, kErase = 2 };
+  friend COOP_ENUM_RANGE(Type, kPut, kErase)
 
   Type type = kPut;
   std::uint64_t lsn = 0;      ///< log sequence number, monotonic per node
@@ -60,7 +68,36 @@ struct WalRecord {
   std::uint64_t stamp = 0;    ///< virtual time of the op (tombstone TTL)
   std::string key;
   std::string value;  ///< empty for kErase
+  COOP_FIELDS(type, lsn, version, stamp, key, value)
 };
+
+/// Appends @p body (a wire value) to @p out as one checksummed frame:
+/// {u32 body length, u32 fnv1a32 of the body}, then the body.
+template <typename T>
+void seal_frame(std::vector<std::uint8_t>& out, const T& body) {
+  const util::Buf bytes = util::encode(body);
+  const std::array<std::uint32_t, 2> head{
+      static_cast<std::uint32_t>(bytes.size()), util::fnv1a32(bytes)};
+  const auto* head_bytes = reinterpret_cast<const std::uint8_t*>(head.data());
+  out.insert(out.end(), head_bytes, head_bytes + sizeof(head));
+  out.insert(out.end(), bytes.data(), bytes.data() + bytes.size());
+}
+
+/// Decodes the frame seal_frame wrote at the front of @p bytes into
+/// @p body.  Returns the frame's size, or 0 (and @p body unusable) if the
+/// frame overruns @p bytes, fails its checksum, or its body is not
+/// exactly one T.
+template <typename T>
+[[nodiscard]] std::size_t open_frame(std::string_view bytes, T& body) {
+  std::array<std::uint32_t, 2> head{};  // length, checksum
+  if (bytes.size() < sizeof(head)) return 0;
+  std::memcpy(head.data(), bytes.data(), sizeof(head));
+  if (head[0] > bytes.size() - sizeof(head)) return 0;
+  const std::string_view sealed = bytes.substr(sizeof(head), head[0]);
+  if (util::fnv1a32(sealed) != head[1] || !util::decode_exact(sealed, body))
+    return 0;
+  return sizeof(head) + sealed.size();
+}
 
 struct WalConfig {
   std::string name = "wal";  ///< metrics key component: durable.<name>.*
@@ -108,44 +145,10 @@ class Wal {
   void set_after_sync(DurableFn fn) { after_sync_ = std::move(fn); }
 
   [[nodiscard]] std::uint64_t next_lsn() const noexcept { return next_lsn_; }
-  [[nodiscard]] std::uint64_t synced_lsn() const noexcept {
-    return synced_lsn_;
-  }
   [[nodiscard]] std::size_t log_bytes() const noexcept {
     return media_.log.size();
   }
-  [[nodiscard]] std::size_t pending_bytes() const noexcept {
-    return pending_.size();
-  }
   [[nodiscard]] StableMedia& media() noexcept { return media_; }
-
-  /// Encodes @p rec as one checksummed frame appended to @p out.
-  static void encode_frame(std::vector<std::uint8_t>& out,
-                           const WalRecord& rec);
-
-  /// Sequential scanner over a medium's log bytes.  next() yields intact
-  /// records until the end of the log or the first torn/corrupt frame;
-  /// after it returns false, truncated_bytes()/truncated() report what
-  /// the scan discarded (0/false for a clean log).
-  class Scanner {
-   public:
-    explicit Scanner(const std::vector<std::uint8_t>& log) : log_(log) {}
-
-    bool next(WalRecord& out);
-
-    [[nodiscard]] std::size_t truncated_bytes() const noexcept {
-      return log_.size() - pos_;
-    }
-    [[nodiscard]] bool truncated() const noexcept { return torn_; }
-    [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-
-   private:
-    const std::vector<std::uint8_t>& log_;
-    std::size_t pos_ = 0;
-    std::uint64_t records_ = 0;
-    bool torn_ = false;
-    bool done_ = false;
-  };
 
  private:
   struct Waiter {
@@ -162,7 +165,6 @@ class Wal {
   std::vector<Waiter> waiters_;        ///< ack gates for pending records
   DurableFn after_sync_;               ///< post-commit hook (may be empty)
   std::uint64_t next_lsn_;
-  std::uint64_t synced_lsn_;  ///< highest lsn on the medium (0 = none)
   sim::EventId sync_timer_ = sim::kInvalidEvent;
   bool crashed_ = false;
   obs::Obs& obs_;

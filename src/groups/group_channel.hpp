@@ -71,6 +71,7 @@ enum class ChannelMsg : std::uint8_t {
   kSolicit = 4,   ///< new sequencer -> members: send recovery summaries
   kRecover = 5,   ///< member -> new sequencer: tail + un-relayed requests
 };
+COOP_ENUM_RANGE(ChannelMsg, kData, kRecover)
 
 /// A broadcast; under kTotal, as relayed by the sequencer that stamped it.
 struct DataMsg {

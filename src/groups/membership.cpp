@@ -580,6 +580,8 @@ void MembershipMember::on_message(const net::Message& msg) {
     case kView: {
       ViewMsg m;
       if (!util::decode(msg.payload, m)) return;
+      // Without failover only the coordinator publishes views.
+      if (!config_.enable_failover && msg.src != coordinator_) return;
       View& v = m.view;
 
       // Ack regardless of novelty; the coordinator tracks our progress.

@@ -84,6 +84,7 @@ enum class MemberMsg : std::uint8_t {
   kCoordAlive = 9,    ///< member -> claimant: "my lease is fresh, go there"
   kRejoinReq = 10,    ///< recovering coordinator -> member: solicit summary
 };
+COOP_ENUM_RANGE(MemberMsg, kJoin, kRejoinReq)
 
 /// kView (coordinator -> member) and kRejoin (member's last view).
 struct ViewMsg {
@@ -230,11 +231,6 @@ class MembershipCoordinator : public net::Endpoint {
   [[nodiscard]] Role role() const noexcept { return role_; }
   [[nodiscard]] bool active() const noexcept { return role_ == Role::kActive; }
 
-  /// Members removed by the failure detector so far.
-  [[nodiscard]] std::uint64_t failures_detected() const noexcept {
-    return failures_->value();
-  }
-
  private:
   struct MemberState {
     net::Address addr;
@@ -334,8 +330,6 @@ class MembershipMember : public net::Endpoint {
   [[nodiscard]] MembershipCoordinator* hosted_coordinator() const noexcept {
     return hosted_.get();
   }
-
-  [[nodiscard]] bool is_candidate() const noexcept { return candidate_; }
 
   void on_message(const net::Message& msg) override;
 

@@ -6,19 +6,6 @@
 
 namespace coop::groupware {
 
-namespace {
-
-enum WireType : std::uint8_t {
-  kJoin = 1,       // client -> server {client_id}
-  kInput = 2,      // client -> server {client_id, text}
-  kFloorReq = 3,   // client -> server {client_id}
-  kFloorRel = 4,   // client -> server {client_id}
-  kDisplay = 5,    // server -> client {content}
-  kFloor = 6,      // server -> client {holder (0 = none)}
-};
-
-}  // namespace
-
 // --------------------------------------------------------- ConferenceServer
 
 ConferenceServer::ConferenceServer(net::Network& net, net::Address self,
@@ -47,58 +34,55 @@ ConferenceServer::ConferenceServer(net::Network& net, net::Address self,
 
 ConferenceServer::~ConferenceServer() { refresh_.stop(); }
 
+util::Buf ConferenceServer::display_frame() const {
+  return util::encode(DisplayMsg{.content = app_->display()});
+}
+
+util::Buf ConferenceServer::floor_frame() const {
+  return util::encode(FloorMsg{.holder = floor_.holder().value_or(0)});
+}
+
 void ConferenceServer::broadcast_display() {
   ++stats_.display_updates;
-  util::Writer w;
-  w.put(kDisplay).put_string(app_->display());
-  const util::Buf wire = w.take_buf();
+  const util::Buf wire = display_frame();
   for (const auto& [id, addr] : members_) channel_.send(addr, wire);
 }
 
 void ConferenceServer::broadcast_floor() {
-  util::Writer w;
-  w.put(kFloor).put(floor_.holder().value_or(0));
-  const util::Buf wire = w.take_buf();
+  const util::Buf wire = floor_frame();
   for (const auto& [id, addr] : members_) channel_.send(addr, wire);
 }
 
 void ConferenceServer::handle(const net::Address& from,
                               std::string_view payload) {
-  util::Reader r(payload);
-  const auto type = r.get<std::uint8_t>();
-  const auto client = r.get<ClientId>();
-  if (r.failed()) return;
-  switch (type) {
-    case kJoin: {
-      members_[client] = from;
+  ClientMsg m;
+  if (!util::decode(payload, m)) return;
+  switch (m.type) {
+    case ConferenceMsg::kJoin:
+      members_[m.client] = from;
       // Late joiners get the current state immediately.
-      util::Writer w;
-      w.put(kDisplay).put_string(app_->display());
-      channel_.send(from, w.take_buf());
-      util::Writer wf;
-      wf.put(kFloor).put(floor_.holder().value_or(0));
-      channel_.send(from, wf.take_buf());
+      channel_.send(from, display_frame());
+      channel_.send(from, floor_frame());
       break;
-    }
-    case kInput: {
-      const std::string text = r.get_string();
-      if (r.failed()) return;
+    case ConferenceMsg::kInput: {
+      InputMsg input;
+      if (!util::decode(payload, input)) return;
       // The multidrop filter: only the floor holder's input reaches the
       // application, preserving its single-user illusion.
-      if (floor_.holder() != client) {
+      if (floor_.holder() != m.client) {
         ++stats_.inputs_rejected;
         return;
       }
       ++stats_.inputs_accepted;
-      app_->process(text);
+      app_->process(std::string(input.text));
       broadcast_display();
       break;
     }
-    case kFloorReq:
-      floor_.request(client, nullptr);
+    case ConferenceMsg::kFloorReq:
+      floor_.request(m.client, nullptr);
       break;
-    case kFloorRel:
-      floor_.release(client);
+    case ConferenceMsg::kFloorRel:
+      floor_.release(m.client);
       break;
     default:
       break;
@@ -116,37 +100,39 @@ ConferenceClient::ConferenceClient(net::Network& net, net::Address self,
   });
 }
 
-void ConferenceClient::send_simple(std::uint8_t type) {
-  util::Writer w;
-  w.put(type).put(id_);
-  channel_.send(server_, w.take_buf());
+void ConferenceClient::send_simple(ConferenceMsg type) {
+  channel_.send(server_, util::encode(ClientMsg{type, id_}));
 }
 
-void ConferenceClient::join() { send_simple(kJoin); }
+void ConferenceClient::join() { send_simple(ConferenceMsg::kJoin); }
 
 void ConferenceClient::send_input(const std::string& input) {
-  util::Writer w;
-  w.put(static_cast<std::uint8_t>(kInput)).put(id_).put_string(input);
-  channel_.send(server_, w.take_buf());
+  channel_.send(server_,
+                util::encode(InputMsg{.client = id_, .text = input}));
 }
 
-void ConferenceClient::request_floor() { send_simple(kFloorReq); }
-void ConferenceClient::release_floor() { send_simple(kFloorRel); }
+void ConferenceClient::request_floor() {
+  send_simple(ConferenceMsg::kFloorReq);
+}
+void ConferenceClient::release_floor() {
+  send_simple(ConferenceMsg::kFloorRel);
+}
 
 void ConferenceClient::handle(std::string_view payload) {
-  util::Reader r(payload);
-  const auto type = r.get<std::uint8_t>();
-  if (r.failed()) return;
-  if (type == kDisplay) {
-    display_ = r.get_string();
-    if (!r.failed() && on_display_) on_display_(display_);
-  } else if (type == kFloor) {
-    const auto holder = r.get<ClientId>();
-    if (r.failed()) return;
-    if (holder == 0) {
+  ConferenceMsg type{};
+  if (!util::decode(payload, type)) return;
+  if (type == ConferenceMsg::kDisplay) {
+    DisplayMsg d;
+    if (!util::decode(payload, d)) return;
+    display_ = d.content;
+    if (on_display_) on_display_(display_);
+  } else if (type == ConferenceMsg::kFloor) {
+    FloorMsg f;
+    if (!util::decode(payload, f)) return;
+    if (f.holder == 0) {
       floor_holder_.reset();
     } else {
-      floor_holder_ = holder;
+      floor_holder_ = f.holder;
     }
   }
 }

@@ -24,10 +24,49 @@
 #include "ccontrol/floor.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
+#include "util/codec.hpp"
 
 namespace coop::groupware {
 
 using ClientId = ccontrol::ClientId;
+
+/// Conference wire formats, carried over FIFO channels: every frame starts
+/// with its ConferenceMsg byte.
+enum class ConferenceMsg : std::uint8_t {
+  kJoin = 1,      ///< client -> server (ClientMsg)
+  kInput = 2,     ///< client -> server (InputMsg)
+  kFloorReq = 3,  ///< client -> server (ClientMsg)
+  kFloorRel = 4,  ///< client -> server (ClientMsg)
+  kDisplay = 5,   ///< server -> client (DisplayMsg)
+  kFloor = 6,     ///< server -> client (FloorMsg)
+};
+COOP_ENUM_RANGE(ConferenceMsg, kJoin, kFloor)
+
+/// Every client -> server frame begins with this; kInput carries more.
+struct ClientMsg {
+  ConferenceMsg type = ConferenceMsg::kJoin;
+  ClientId client = 0;
+  COOP_FIELDS(type, client)
+};
+
+struct InputMsg {
+  ConferenceMsg type = ConferenceMsg::kInput;
+  ClientId client = 0;
+  std::string_view text;
+  COOP_FIELDS(type, client, text)
+};
+
+struct DisplayMsg {
+  ConferenceMsg type = ConferenceMsg::kDisplay;
+  std::string_view content;
+  COOP_FIELDS(type, content)
+};
+
+struct FloorMsg {
+  ConferenceMsg type = ConferenceMsg::kFloor;
+  ClientId holder = 0;  ///< 0 = nobody holds the floor
+  COOP_FIELDS(type, holder)
+};
 
 /// The single-user application being shared; it knows nothing about the
 /// conference (collaboration transparency).
@@ -89,6 +128,8 @@ class ConferenceServer {
 
  private:
   void handle(const net::Address& from, std::string_view payload);
+  [[nodiscard]] util::Buf display_frame() const;
+  [[nodiscard]] util::Buf floor_frame() const;
   void broadcast_display();
   void broadcast_floor();
 
@@ -129,7 +170,7 @@ class ConferenceClient {
 
  private:
   void handle(std::string_view payload);
-  void send_simple(std::uint8_t type);
+  void send_simple(ConferenceMsg type);
 
   net::FifoChannel channel_;
   net::Address server_;

@@ -93,9 +93,6 @@ class HyperDocument {
   }
 
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
-  }
 
  private:
   std::string title_;

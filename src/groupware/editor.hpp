@@ -18,9 +18,38 @@
 #include "ccontrol/ot.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
+#include "util/codec.hpp"
 #include "util/stats.hpp"
 
 namespace coop::groupware {
+
+/// Editor wire formats, carried over FIFO channels: every frame starts
+/// with its EditorMsg byte.
+enum class EditorMsg : std::uint8_t { kRegister = 1, kOp = 2, kSnapshot = 3 };
+COOP_ENUM_RANGE(EditorMsg, kRegister, kSnapshot)
+
+/// Client -> server: announces the client's site.
+struct RegisterMsg {
+  EditorMsg type = EditorMsg::kRegister;
+  ccontrol::SiteId site = 0;
+  COOP_FIELDS(type, site)
+};
+
+/// An operation on one Jupiter link, both ways.
+struct OpMsg {
+  EditorMsg type = EditorMsg::kOp;
+  ccontrol::SiteId site = 0;           ///< originating site
+  sim::TimePoint originated_at = 0;    ///< the originating site's send time
+  ccontrol::OtLink::Message link;
+  COOP_FIELDS(type, site, originated_at, link)
+};
+
+/// Server -> client, in answer to kRegister: the current document.
+struct SnapshotMsg {
+  EditorMsg type = EditorMsg::kSnapshot;
+  std::string_view doc;
+  COOP_FIELDS(type, doc)
+};
 
 /// Hosts the authoritative OT replica and relays transformed operations.
 class EditorServer {
@@ -52,17 +81,13 @@ class EditorClient {
                ccontrol::SiteId site, std::string initial = {});
 
   /// Announces this client to the server (must precede edits).  The
-  /// server answers with a state snapshot; editing before on_connected
-  /// fires risks losing remote operations that predate the registration.
+  /// server answers with a state snapshot; editing before connected()
+  /// turns true risks losing remote operations that predate the
+  /// registration.
   void connect();
 
   /// True once the server's join snapshot has been installed.
   [[nodiscard]] bool connected() const noexcept { return connected_; }
-
-  /// Fired when the join snapshot lands and editing is safe.
-  void on_connected(std::function<void()> fn) {
-    on_connected_ = std::move(fn);
-  }
 
   /// Local edits: applied instantly, shipped asynchronously.
   void insert(std::size_t pos, std::string text);
@@ -85,14 +110,13 @@ class EditorClient {
 
  private:
   void handle(const net::Address& from, std::string_view payload);
-  void ship(const ccontrol::OtLink::Message& msg);
+  void ship(ccontrol::OtLink::Message msg);
 
   net::Network& net_;
   net::Address server_;
   net::FifoChannel channel_;
   ccontrol::OtClient ot_;
   bool connected_ = false;
-  std::function<void()> on_connected_;
   std::function<void(const ccontrol::TextOp&, sim::Duration)> on_remote_;
   util::Summary notification_;
 };

@@ -25,10 +25,8 @@ MediaSpace::MediaSpace(sim::Simulator& sim, net::Network& net,
 
 MediaSpace::~MediaSpace() { snapshot_timer_.stop(); }
 
-void MediaSpace::add_office(ClientId who, net::NodeId node,
-                            std::optional<awareness::Point> at) {
+void MediaSpace::add_office(ClientId who, net::NodeId node) {
   offices_[who] = Office{node, DoorState::kOpen, {}};
-  if (space_ != nullptr && at.has_value()) space_->place(who, *at);
 }
 
 void MediaSpace::remove_office(ClientId who) {
@@ -55,7 +53,6 @@ void MediaSpace::remove_office(ClientId who) {
     }
   }
   portholes_subscribers_.erase(who);
-  if (space_ != nullptr) space_->remove(who);
 }
 
 void MediaSpace::set_door(ClientId who, DoorState state) {
@@ -170,10 +167,6 @@ std::vector<ClientId> MediaSpace::connections_of(ClientId who) const {
 
 void MediaSpace::subscribe_portholes(ClientId who) {
   portholes_subscribers_.insert(who);
-}
-
-void MediaSpace::unsubscribe_portholes(ClientId who) {
-  portholes_subscribers_.erase(who);
 }
 
 void MediaSpace::start_portholes() { snapshot_timer_.start(); }

@@ -73,17 +73,8 @@ class MediaSpace {
 
   // --- offices ---------------------------------------------------------------
 
-  /// Mirrors offices into @p space (the community floor plan): offices
-  /// added with a position are placed there and removed on
-  /// remove_office(), so the awareness engine's spatial candidate sets
-  /// follow the office layout.  Pass nullptr to unbind.
-  void bind_space(awareness::SpatialModel* space) { space_ = space; }
-
-  /// Adds an office for @p who, hosted on @p node, initially kOpen.  With
-  /// @p at and a bound SpatialModel, the occupant is placed on the floor
-  /// plan at that position.
-  void add_office(ClientId who, net::NodeId node,
-                  std::optional<awareness::Point> at = std::nullopt);
+  /// Adds an office for @p who, hosted on @p node, initially kOpen.
+  void add_office(ClientId who, net::NodeId node);
   void remove_office(ClientId who);
   void set_door(ClientId who, DoorState state);
   [[nodiscard]] std::optional<DoorState> door(ClientId who) const;
@@ -119,7 +110,6 @@ class MediaSpace {
 
   /// Subscribes @p who to everyone's periodic snapshots.
   void subscribe_portholes(ClientId who);
-  void unsubscribe_portholes(ClientId who);
 
   /// Snapshot delivery hook: (viewer, office pictured, capture time).
   void on_snapshot(
@@ -161,7 +151,6 @@ class MediaSpace {
   sim::Simulator& sim_;
   net::Network& net_;
   awareness::AwarenessEngine* engine_;
-  awareness::SpatialModel* space_ = nullptr;
   MediaSpaceConfig config_;
   std::map<ClientId, Office> offices_;
   std::set<std::pair<ClientId, ClientId>> connections_;  // normalized a<b

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "awareness/engine.hpp"
 #include "groups/group_channel.hpp"
 #include "groups/membership.hpp"
 #include "net/link.hpp"
@@ -64,22 +63,6 @@ struct SpaceTimeClass {
   /// asynchronous catch-up.
   [[nodiscard]] sim::Duration recommended_digest_period() const {
     return tempo == Tempo::kSame ? sim::msec(500) : sim::sec(30);
-  }
-
-  /// Temporal-interest e-folding: synchronous work forgets fast (attention
-  /// tracks the live meeting), asynchronous work keeps long memory so a
-  /// returning collaborator still hears about "their" objects.
-  [[nodiscard]] sim::Duration recommended_interest_decay() const {
-    return tempo == Tempo::kSame ? sim::sec(60) : sim::minutes(30);
-  }
-
-  /// The awareness-engine knobs this quadrant implies, bundled so session
-  /// hosts can construct an engine from the classification alone.
-  [[nodiscard]] awareness::EngineConfig recommended_engine_config() const {
-    awareness::EngineConfig cfg;
-    cfg.digest_period = recommended_digest_period();
-    cfg.interest_decay = recommended_interest_decay();
-    return cfg;
   }
 
   bool operator==(const SpaceTimeClass&) const = default;

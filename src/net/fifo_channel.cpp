@@ -9,16 +9,11 @@
 namespace coop::net {
 
 namespace {
-enum WireType : std::uint8_t { kData = 0x71, kAck = 0x72, kHello = 0x73 };
-
 /// The payload of a kData frame that already parsed once (on arrival, or
 /// as this endpoint's own encoding).
 std::string_view frame_payload(std::string_view frame) {
-  util::Reader r(frame);
-  r.get<std::uint8_t>();
-  r.get<std::uint32_t>();
-  r.get<std::uint64_t>();
-  return r.get_string_view();
+  FifoData data;
+  return util::decode(frame, data) ? data.payload : std::string_view{};
 }
 }  // namespace
 
@@ -63,7 +58,8 @@ void FifoChannel::send(const Address& peer, std::string_view payload) {
   ++stats_.sent;
   // Encode once; the backlog keeps a reference to the same wire bytes the
   // network is carrying, so retransmits cost no further encoding.
-  util::Buf wire = encode_frame(state.send_epoch, seq, payload);
+  util::Buf wire = util::encode(
+      FifoData{.epoch = state.send_epoch, .seq = seq, .payload = payload});
   net_.send({.src = self_, .dst = peer, .payload = wire});
   state.unacked.insert(seq, std::move(wire));
   if (state.timer == sim::kInvalidEvent) arm_timer(peer, state);
@@ -76,17 +72,9 @@ void FifoChannel::resync(const Address& peer) {
   if (state.timer == sim::kInvalidEvent) arm_timer(peer, state);
 }
 
-util::Buf FifoChannel::encode_frame(std::uint32_t epoch, std::uint64_t seq,
-                                    std::string_view payload) {
-  util::Writer w;
-  w.put(kData).put(epoch).put(seq).put_string(payload);
-  return w.take_buf();
-}
-
 void FifoChannel::send_hello(const Address& peer, std::uint32_t epoch) {
-  util::Writer w;
-  w.put(kHello).put(epoch);
-  net_.send({.src = self_, .dst = peer, .payload = w.take_buf()});
+  net_.send({.src = self_, .dst = peer,
+             .payload = util::encode(FifoHello{.epoch = epoch})});
 }
 
 void FifoChannel::arm_timer(const Address& peer, PeerState& state) {
@@ -140,9 +128,9 @@ void FifoChannel::arm_timer(const Address& peer, PeerState& state) {
 
 void FifoChannel::send_ack(const Address& peer, std::uint32_t epoch,
                            std::uint64_t cumulative) {
-  util::Writer w;
-  w.put(kAck).put(epoch).put(cumulative);
-  net_.send({.src = self_, .dst = peer, .payload = w.take_buf()});
+  net_.send({.src = self_, .dst = peer,
+             .payload = util::encode(
+                 FifoAck{.epoch = epoch, .cumulative = cumulative})});
 }
 
 bool FifoChannel::observe_epoch(PeerState& state, std::uint32_t epoch) {
@@ -174,8 +162,8 @@ void FifoChannel::resync_send(const Address& peer, PeerState& state) {
   state.retries = 0;
   state.unacked.for_each([&](std::uint64_t seq, util::Buf& slot) {
     ++stats_.retransmits;
-    util::Buf wire =
-        encode_frame(state.send_epoch, seq, frame_payload(slot));
+    util::Buf wire = util::encode(FifoData{
+        .epoch = state.send_epoch, .seq = seq, .payload = frame_payload(slot)});
     net_.send({.src = self_, .dst = peer, .payload = wire});
     slot = std::move(wire);
   });
@@ -187,18 +175,16 @@ void FifoChannel::resync_send(const Address& peer, PeerState& state) {
 }
 
 void FifoChannel::on_message(const Message& msg) {
-  util::Reader r(msg.payload);
-  const auto type = r.get<std::uint8_t>();
-  if (r.failed()) return;
+  FifoMsg type{};
+  if (!util::decode(msg.payload, type)) return;
 
-  if (type == kAck) {
-    const auto epoch = r.get<std::uint32_t>();
-    const auto cum = r.get<std::uint64_t>();
-    if (r.failed()) return;
+  if (type == FifoMsg::kAck) {
+    FifoAck ack;
+    if (!util::decode(msg.payload, ack)) return;
     PeerState* found = find_peer(msg.src);
     if (found == nullptr) return;
     PeerState& state = *found;
-    if (epoch != state.send_epoch) {
+    if (ack.epoch != state.send_epoch) {
       ++stats_.stale;  // ack for a renumbered-away stream
       return;
     }
@@ -206,7 +192,7 @@ void FifoChannel::on_message(const Message& msg) {
     state.hello_pending = false;
     // Pops only what is in the backlog, whatever cum claims.
     const std::size_t before = state.unacked.size();
-    while (!state.unacked.empty() && state.unacked.base() <= cum) {
+    while (!state.unacked.empty() && state.unacked.base() <= ack.cumulative) {
       state.unacked.pop_front();
     }
     if (state.unacked.size() < before) {
@@ -221,38 +207,34 @@ void FifoChannel::on_message(const Message& msg) {
     return;
   }
 
-  if (type == kHello) {
-    const auto epoch = r.get<std::uint32_t>();
-    if (r.failed()) return;
+  if (type == FifoMsg::kHello) {
+    FifoHello hello;
+    if (!util::decode(msg.payload, hello)) return;
     PeerState& state = peer_state(msg.src);
     const std::uint32_t previous = state.remote_epoch;
-    if (!observe_epoch(state, epoch)) return;
+    if (!observe_epoch(state, hello.epoch)) return;
     // A hello (unlike a mere data-frame epoch bump) asserts the peer is a
     // fresh incarnation with no receive state: our old sequence numbers
     // mean nothing to it, so renumber the outstanding backlog.  Guarded
     // to actual bumps so duplicate hellos are idempotent.
-    if (epoch > previous) resync_send(msg.src, state);
+    if (hello.epoch > previous) resync_send(msg.src, state);
     send_ack(msg.src, state.remote_epoch, state.holdback.base() - 1);
     return;
   }
-  if (type != kData) return;
-
-  const auto epoch = r.get<std::uint32_t>();
-  const auto seq = r.get<std::uint64_t>();
-  const std::string_view payload = r.get_string_view();
-  if (r.failed()) return;
+  FifoData data;
+  if (!util::decode(msg.payload, data)) return;
   PeerState& state = peer_state(msg.src);
-  if (!observe_epoch(state, epoch)) return;
+  if (!observe_epoch(state, data.epoch)) return;
 
   const std::uint64_t next_expected = state.holdback.base();
-  if (seq < next_expected) {
+  if (data.seq < next_expected) {
     ++stats_.duplicates;
     send_ack(msg.src, state.remote_epoch,
              next_expected - 1);  // re-ack: ack was lost
     return;
   }
-  if (seq > next_expected) {
-    hold_back(state, seq, msg.payload);
+  if (data.seq > next_expected) {
+    hold_back(state, data.seq, msg.payload);
     send_ack(msg.src, state.remote_epoch, next_expected - 1);
     return;
   }
@@ -260,7 +242,7 @@ void FifoChannel::on_message(const Message& msg) {
   // popped before its callback, so its payload view stays valid even if
   // the callback re-enters the channel.
   state.holdback.pop_front();  // the arriving frame's own, vacant slot
-  deliver(msg.src, state, payload);
+  deliver(msg.src, state, data.payload);
   while (state.holdback.find(state.holdback.base()) != nullptr) {
     const util::Buf frame = state.holdback.pop_front();
     deliver(msg.src, state, frame_payload(frame));

@@ -32,10 +32,37 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/codec.hpp"
 #include "util/flat_index.hpp"
 #include "util/seq_ring.hpp"
 
 namespace coop::net {
+
+/// FIFO wire formats: every frame starts with its FifoMsg byte.
+enum class FifoMsg : std::uint8_t { kData = 0x71, kAck = 0x72, kHello = 0x73 };
+COOP_ENUM_RANGE(FifoMsg, kData, kHello)
+
+struct FifoData {
+  FifoMsg type = FifoMsg::kData;
+  std::uint32_t epoch = 0;  ///< the sender's stream incarnation
+  std::uint64_t seq = 0;
+  std::string_view payload;
+  COOP_FIELDS(type, epoch, seq, payload)
+};
+
+/// Cumulative: every seq up to @p cumulative arrived (under @p epoch).
+struct FifoAck {
+  FifoMsg type = FifoMsg::kAck;
+  std::uint32_t epoch = 0;
+  std::uint64_t cumulative = 0;
+  COOP_FIELDS(type, epoch, cumulative)
+};
+
+struct FifoHello {
+  FifoMsg type = FifoMsg::kHello;
+  std::uint32_t epoch = 0;
+  COOP_FIELDS(type, epoch)
+};
 
 struct FifoConfig {
   sim::Duration retransmit_timeout = sim::msec(60);
@@ -155,9 +182,6 @@ class FifoChannel : public Endpoint {
   PeerState& peer_state(const Address& peer);
   /// @p peer's state, or nullptr before first contact.
   PeerState* find_peer(const Address& peer);
-  /// Encodes one kData frame into a shareable wire buffer.
-  util::Buf encode_frame(std::uint32_t epoch, std::uint64_t seq,
-                         std::string_view payload);
   /// Stores an out-of-order kData frame for later delivery.
   void hold_back(PeerState& state, std::uint64_t seq, const util::Buf& frame);
   /// Counts and hands out one in-order payload, after the hold-back

@@ -96,7 +96,7 @@ struct Address {
 }
 
 /// One datagram in flight.  `payload` carries the application encoding
-/// (util::Writer output); `wire_size` is what the link-bandwidth model
+/// (util::encode output); `wire_size` is what the link-bandwidth model
 /// charges, normally payload size plus a fixed header.
 ///
 /// The payload is a ref-counted immutable util::Buf: copying a Message
@@ -117,7 +117,7 @@ struct Message {
   /// injection can touch the payload, and verified at arrival: a frame
   /// whose payload no longer matches is counted in `net.dropped_corrupt`
   /// and dropped — corrupt bytes never reach an Endpoint (and so are
-  /// never parsed by util::Reader).  Part of the simulated 32-byte
+  /// never decoded).  Part of the simulated 32-byte
   /// header, not charged separately to wire_size.
   std::uint64_t checksum = 0;
   /// Absolute deadline (virtual time) after which this work is worthless,

@@ -134,9 +134,6 @@ class CircuitBreaker {
 
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
-  [[nodiscard]] int consecutive_failures() const noexcept {
-    return consecutive_failures_;
-  }
 
  private:
   CircuitBreakerConfig config_;

@@ -119,10 +119,6 @@ std::uint64_t Profiler::self_ns_of(SiteId s) const noexcept {
   return s < n_sites_ ? sites_[s].self_ns : 0;
 }
 
-std::uint64_t Profiler::total_ns_of(SiteId s) const noexcept {
-  return s < n_sites_ ? sites_[s].total_ns : 0;
-}
-
 void Profiler::write_top(std::ostream& out) const {
   std::array<std::size_t, kMaxSites> order{};
   for (std::size_t i = 0; i < n_sites_; ++i) order[i] = i;

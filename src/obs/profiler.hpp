@@ -72,7 +72,6 @@ class Profiler {
   /// Per-site accounting.
   [[nodiscard]] std::uint64_t calls_of(SiteId s) const noexcept;
   [[nodiscard]] std::uint64_t self_ns_of(SiteId s) const noexcept;
-  [[nodiscard]] std::uint64_t total_ns_of(SiteId s) const noexcept;
   [[nodiscard]] std::size_t site_count() const noexcept { return n_sites_; }
 
   /// Overflow counters: registrations refused, scopes skipped for depth,

@@ -10,8 +10,6 @@ namespace coop::rpc {
 
 namespace {
 
-enum WireType : std::uint8_t { kRequest = 1, kReply = 2 };
-
 /// Builds a per-instance registry key: "<base>.<node>:<port>.<leaf>".
 std::string metric_key(const char* base, const net::Address& addr,
                        const char* leaf) {
@@ -48,7 +46,7 @@ void RpcServer::set_admission(const AdmissionConfig& config) {
 }
 
 void RpcServer::reply(const net::Address& to, std::uint64_t req_id,
-                      Status status, const std::string& body,
+                      Status status, std::string_view body,
                       const obs::CausalContext& handle_ctx,
                       sim::TimePoint handle_start) {
   // The service-time span: request arrival at the server to reply leaving
@@ -58,10 +56,9 @@ void RpcServer::reply(const net::Address& to, std::uint64_t req_id,
   net_.obs().tracer.span(handle_start, net_.simulator().now(),
                          obs::Category::kRpc, "handle", handle_ctx,
                          {{"req", static_cast<double>(req_id)}});
-  util::Writer w;
-  w.put(kReply).put(req_id).put(status).put_string(body);
   // The replay cache and the outgoing datagram share one wire buffer.
-  util::Buf wire = w.take_buf();
+  util::Buf wire = util::encode(
+      RpcReply{.req_id = req_id, .status = status, .body = body});
   replay_[{to, req_id}] = wire;
   net_.send({.src = self_, .dst = to, .payload = std::move(wire),
              .ctx = handle_ctx});
@@ -70,19 +67,16 @@ void RpcServer::reply(const net::Address& to, std::uint64_t req_id,
 void RpcServer::push_back_shed(const net::Message& msg, std::uint64_t req_id) {
   // Pushback is the cheap path: no handler, no processing delay, and no
   // replay-cache entry — a retry after the queue drains may be admitted.
-  util::Writer w;
-  w.put(kReply).put(req_id).put(Status::kRejected).put_string("");
-  net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf(),
+  net_.send({.src = self_, .dst = msg.src,
+             .payload = util::encode(RpcReply{.req_id = req_id,
+                                              .status = Status::kRejected}),
              .ctx = msg.ctx});
 }
 
 void RpcServer::on_message(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  if (r.get<std::uint8_t>() != kRequest) return;
-  const auto req_id = r.get<std::uint64_t>();
-  const std::string method = r.get_string();
-  const std::string body = r.get_string();
-  if (r.failed()) return;
+  RpcRequest req;
+  if (!util::decode(msg.payload, req) || req.type != RpcMsg::kRequest) return;
+  const std::uint64_t req_id = req.req_id;
 
   obs::Tracer& tracer = net_.obs().tracer;
   const sim::TimePoint arrived = net_.simulator().now();
@@ -102,12 +96,13 @@ void RpcServer::on_message(const net::Message& msg) {
   const obs::CausalContext handle_ctx =
       msg.ctx.valid() ? msg.ctx.child(tracer.mint_id()) : obs::CausalContext{};
 
-  if (auto async = async_methods_.find(method);
+  if (auto async = async_methods_.find(req.method);
       async != async_methods_.end()) {
     const std::pair<net::Address, std::uint64_t> key{msg.src, req_id};
     if (!in_progress_.insert(key).second) return;  // retry while running
     handled_->inc();
-    async->second(body, [this, key, handle_ctx, arrived](HandlerResult hr) {
+    async->second(std::string(req.body), [this, key, handle_ctx,
+                                          arrived](HandlerResult hr) {
       in_progress_.erase(key);
       reply(key.first, key.second,
             hr.ok ? Status::kOk : Status::kAppError, hr.body, handle_ctx,
@@ -116,9 +111,9 @@ void RpcServer::on_message(const net::Message& msg) {
     return;
   }
 
-  auto handler = methods_.find(method);
+  auto handler = methods_.find(req.method);
   if (handler == methods_.end()) {
-    reply(msg.src, req_id, Status::kNoSuchMethod, method, handle_ctx,
+    reply(msg.src, req_id, Status::kNoSuchMethod, req.method, handle_ctx,
           arrived);
     return;
   }
@@ -146,7 +141,7 @@ void RpcServer::on_message(const net::Message& msg) {
       push_back_shed(msg, req_id);
       return;
     }
-    enqueue(msg, req_id, method, body);
+    enqueue(msg, req_id, req.method, req.body);
     return;
   }
 
@@ -158,7 +153,7 @@ void RpcServer::on_message(const net::Message& msg) {
   HandlerResult hr;
   {
     obs::ProfScope prof(net_.obs().profiler, prof_handle_);
-    hr = handler->second(body);
+    hr = handler->second(std::string(req.body));
   }
   const Status status = hr.ok ? Status::kOk : Status::kAppError;
   if (processing_ > 0) {
@@ -176,12 +171,12 @@ void RpcServer::on_message(const net::Message& msg) {
 }
 
 void RpcServer::enqueue(const net::Message& msg, std::uint64_t req_id,
-                        std::string method, std::string body) {
+                        std::string_view method, std::string_view body) {
   QueuedRequest q;
   q.src = msg.src;
   q.req_id = req_id;
-  q.method = std::move(method);
-  q.body = std::move(body);
+  q.method = method;
+  q.body = body;
   q.arrived = net_.simulator().now();
   q.deadline = msg.deadline;
   q.priority = msg.priority;
@@ -323,16 +318,12 @@ void RpcClient::call(const net::Address& server, const std::string& method,
                      const std::string& request, Callback done,
                      CallOptions opts) {
   const std::uint64_t req_id = next_req_id_++;
-  util::Writer w;
-  w.put(static_cast<std::uint8_t>(1) /* kRequest */)
-      .put(req_id)
-      .put_string(method)
-      .put_string(request);
   obs::Tracer& tracer = net_.obs().tracer;
   const sim::TimePoint now = net_.simulator().now();
   Outstanding o;
   o.server = server;
-  o.wire = w.take_buf();
+  o.wire = util::encode(
+      RpcRequest{.req_id = req_id, .method = method, .body = request});
   o.done = std::move(done);
   o.opts = opts;
   o.issued_at = now;
@@ -514,13 +505,9 @@ void RpcClient::complete(std::uint64_t req_id, const RpcResult& result,
 }
 
 void RpcClient::on_message(const net::Message& msg) {
-  util::Reader r(msg.payload);
-  if (r.get<std::uint8_t>() != kReply) return;
-  const auto req_id = r.get<std::uint64_t>();
-  const auto status = r.get<Status>();
-  std::string body = r.get_string();
-  if (r.failed()) return;
-  auto it = outstanding_.find(req_id);
+  RpcReply rep;
+  if (!util::decode(msg.payload, rep) || rep.type != RpcMsg::kReply) return;
+  auto it = outstanding_.find(rep.req_id);
   if (it == outstanding_.end()) return;  // late duplicate reply
 
   // Feed the destination's guards: any substantive reply proves the
@@ -529,17 +516,17 @@ void RpcClient::on_message(const net::Message& msg) {
   // fast-failing — the explicit signal that converts server overload into
   // client-side back-off without waiting out a timeout.
   PeerGuards& g = guards(it->second.server);
-  if (status == Status::kRejected) {
+  if (rep.status == Status::kRejected) {
     rejected_->inc();
     g.breaker.record_failure(net_.simulator().now());
   } else {
-    if (status == Status::kOk) g.budget.on_success();
+    if (rep.status == Status::kOk) g.budget.on_success();
     g.breaker.record_success();
   }
 
-  complete(req_id,
-           {.status = status,
-            .reply = std::move(body),
+  complete(rep.req_id,
+           {.status = rep.status,
+            .reply = std::string(rep.body),
             .rtt = net_.simulator().now() - it->second.issued_at},
            msg.ctx);
 }

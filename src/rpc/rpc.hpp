@@ -16,11 +16,13 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "net/network.hpp"
 #include "net/overload.hpp"
 #include "sim/simulator.hpp"
+#include "util/codec.hpp"
 #include "util/stats.hpp"
 
 namespace coop::rpc {
@@ -37,6 +39,27 @@ enum class Status : std::uint8_t {
   /// kTimeout this is a *cheap, immediate* signal — the overload plane's
   /// alternative to burning a full timeout discovering saturation.
   kRejected = 4,
+};
+COOP_ENUM_RANGE(Status, kOk, kRejected)
+
+/// RPC wire formats: every frame starts with its RpcMsg byte.
+enum class RpcMsg : std::uint8_t { kRequest = 1, kReply = 2 };
+COOP_ENUM_RANGE(RpcMsg, kRequest, kReply)
+
+struct RpcRequest {
+  RpcMsg type = RpcMsg::kRequest;
+  std::uint64_t req_id = 0;
+  std::string_view method;
+  std::string_view body;
+  COOP_FIELDS(type, req_id, method, body)
+};
+
+struct RpcReply {
+  RpcMsg type = RpcMsg::kReply;
+  std::uint64_t req_id = 0;
+  Status status = Status::kOk;
+  std::string_view body;
+  COOP_FIELDS(type, req_id, status, body)
 };
 
 /// What the caller's completion callback receives.
@@ -191,22 +214,22 @@ class RpcServer : public net::Endpoint {
   };
 
   void reply(const net::Address& to, std::uint64_t req_id, Status status,
-             const std::string& body, const obs::CausalContext& handle_ctx,
+             std::string_view body, const obs::CausalContext& handle_ctx,
              sim::TimePoint handle_start);
   /// Immediate kRejected pushback for a shed request — deliberately NOT
   /// cached in the replay table, so a later retry may be admitted once
   /// the queue drains.
   void push_back_shed(const net::Message& msg, std::uint64_t req_id);
   void enqueue(const net::Message& msg, std::uint64_t req_id,
-               std::string method, std::string body);
+               std::string_view method, std::string_view body);
   /// Serial worker: dequeues highest-priority-first, drops expired work,
   /// executes the handler and schedules the reply.
   void service_next();
 
   net::Network& net_;
   net::Address self_;
-  std::map<std::string, MethodFn> methods_;
-  std::map<std::string, AsyncMethodFn> async_methods_;
+  std::map<std::string, MethodFn, std::less<>> methods_;
+  std::map<std::string, AsyncMethodFn, std::less<>> async_methods_;
   sim::Duration processing_ = 0;
   // Replay cache: (client address, request id) -> encoded reply.  Grants
   // at-most-once execution under client retries.

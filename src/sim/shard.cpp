@@ -55,14 +55,6 @@ std::uint64_t ShardedEngine::lookahead_violations() const noexcept {
   return n;
 }
 
-void ShardedEngine::set_step_hook(StepHookFn fn, void* ctx) noexcept {
-  for (auto& s : shards_) s->sim.set_step_hook(fn, ctx);
-}
-
-void ShardedEngine::set_step_timer(StepTimerFn fn, void* ctx) noexcept {
-  for (auto& s : shards_) s->sim.set_step_timer(fn, ctx);
-}
-
 void ShardedEngine::send(const ShardMsg& m) {
   assert(m.src_shard < shards_.size() && m.dst_shard < shards_.size());
   Shard& src = *shards_[m.src_shard];

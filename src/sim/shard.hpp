@@ -127,13 +127,6 @@ class ShardedEngine {
     epoch_fn_ = fn;
     epoch_ctx_ = ctx;
   }
-  /// Per-shard step observers.  The hook receives the shard index.  With
-  /// a multi-threaded engine both fire on worker threads — an installed
-  /// observer must be thread-safe, which is why Platform only wires
-  /// tracing and profiling here in single-threaded mode.
-  void set_step_hook(StepHookFn fn, void* ctx = nullptr) noexcept;
-  void set_step_timer(StepTimerFn fn, void* ctx = nullptr) noexcept;
-
   /// Sends @p m.  Same-shard messages become ordinary events at once;
   /// cross-shard messages park in the source shard's outbox until the
   /// next barrier.  Must be called from m.src_shard's context (one of

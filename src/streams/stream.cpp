@@ -48,10 +48,10 @@ MediaSink::MediaSink(net::Network& net, net::Address self,
 MediaSink::~MediaSink() { net_.detach(self_); }
 
 void MediaSink::on_message(const net::Message& msg) {
-  const std::optional<Frame> f = StreamBinding::decode(msg.payload);
-  if (!f) return;
+  Frame f;
+  if (!util::decode(msg.payload, f)) return;
   const sim::TimePoint now = net_.simulator().now();
-  const sim::Duration latency = now - f->captured_at;
+  const sim::Duration latency = now - f.captured_at;
 
   ++frames_;
   ++window_.frames;
@@ -64,23 +64,23 @@ void MediaSink::on_message(const net::Message& msg) {
     playout_origin_ = now + prebuffer_;
   }
   last_arrival_ = now;
-  if (f->seq > highest_seq_seen_ + 1 && frames_ > 1) {
-    const std::uint64_t gap = f->seq - highest_seq_seen_ - 1;
+  if (f.seq > highest_seq_seen_ + 1 && frames_ > 1) {
+    const std::uint64_t gap = f.seq - highest_seq_seen_ - 1;
     lost_ += gap;
     window_.lost += gap;
   }
-  highest_seq_seen_ = std::max(highest_seq_seen_, f->seq);
+  highest_seq_seen_ = std::max(highest_seq_seen_, f.seq);
   // Capture -> sink arrival: the end-to-end frame latency the QoS monitor
   // samples, closed under the frame's trace so Perfetto links emit ->
   // hops -> this span.
   obs::Tracer& tracer = net_.obs().tracer;
-  tracer.span(f->captured_at, now, obs::Category::kStream, "frame",
+  tracer.span(f.captured_at, now, obs::Category::kStream, "frame",
               msg.ctx.valid() ? msg.ctx.child(tracer.mint_id())
                               : obs::CausalContext{},
-              {{"stream", static_cast<double>(f->stream_id)},
-               {"seq", static_cast<double>(f->seq)},
+              {{"stream", static_cast<double>(f.stream_id)},
+               {"seq", static_cast<double>(f.seq)},
                {"latency", static_cast<double>(latency)}});
-  if (on_frame_) on_frame_(*f, latency);
+  if (on_frame_) on_frame_(f, latency);
 }
 
 std::int64_t MediaSink::playout_position() const {
@@ -109,28 +109,6 @@ StreamBinding::StreamBinding(net::Network& net, MediaSource& source,
   source.on_emit([this](const Frame& f) { send(f); });
 }
 
-std::string StreamBinding::encode(const Frame& f) {
-  util::Writer w;
-  w.put(static_cast<std::uint8_t>(0xF7))  // frame marker
-      .put(f.stream_id)
-      .put(f.seq)
-      .put(f.captured_at)
-      .put(static_cast<std::uint64_t>(f.size));
-  return w.take();
-}
-
-std::optional<Frame> StreamBinding::decode(std::string_view payload) {
-  util::Reader r(payload);
-  if (r.get<std::uint8_t>() != 0xF7) return std::nullopt;
-  Frame f;
-  f.stream_id = r.get<std::uint32_t>();
-  f.seq = r.get<std::uint64_t>();
-  f.captured_at = r.get<sim::TimePoint>();
-  f.size = static_cast<std::size_t>(r.get<std::uint64_t>());
-  if (r.failed()) return std::nullopt;
-  return f;
-}
-
 void StreamBinding::send(const Frame& f) {
   ++sent_;
   // Each frame emission is a user-action entry point: it roots a fresh
@@ -143,7 +121,7 @@ void StreamBinding::send(const Frame& f) {
                 {"bytes", static_cast<double>(f.size)}});
   net::Message msg;
   msg.src = from_;
-  msg.payload = encode(f);
+  msg.payload = util::encode(f);
   msg.ctx = fctx;
   // The simulated media payload occupies f.size wire bytes.
   msg.wire_size = f.size + net::Message::kHeaderBytes;

@@ -31,16 +31,24 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "streams/qos.hpp"
+#include "util/codec.hpp"
 #include "util/stats.hpp"
 
 namespace coop::streams {
 
-/// One media frame on the wire.
+/// The first byte of every stream datagram.
+enum class StreamMsg : std::uint8_t { kFrame = 0xF7 };
+COOP_ENUM_RANGE(StreamMsg, kFrame, kFrame)
+
+/// One media frame on the wire: the header only; its payload bytes are
+/// simulated by the datagram's wire_size.
 struct Frame {
+  StreamMsg type = StreamMsg::kFrame;
   std::uint32_t stream_id = 0;
   std::uint64_t seq = 0;
   sim::TimePoint captured_at = 0;
-  std::size_t size = 0;
+  std::uint64_t size = 0;
+  COOP_FIELDS(type, stream_id, seq, captured_at, size)
 };
 
 /// Produces frames on a timer and hands them to a send hook.
@@ -157,11 +165,6 @@ class StreamBinding {
 
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return sent_; }
 
-  /// Serializes a frame (header only; payload bytes are simulated by
-  /// wire_size).
-  static std::string encode(const Frame& f);
-  static std::optional<Frame> decode(std::string_view payload);
-
  private:
   void send(const Frame& f);
 
@@ -231,7 +234,6 @@ class QosManager {
   std::optional<double> react(const QosSpec& contract, double current_fps,
                               QosVerdict verdict);
 
-  [[nodiscard]] double reserved_bps() const noexcept { return reserved_; }
   [[nodiscard]] double capacity_bps() const noexcept { return capacity_; }
 
  private:

@@ -14,6 +14,8 @@
 //
 // A message format is declared once, as a struct listing its fields in
 // wire order (COOP_FIELDS); encode() and decode() both derive from it.
+// Every enum field declares its valid range once (COOP_ENUM_RANGE); a
+// decoded value outside it fails the whole decode.
 #pragma once
 
 #include <cassert>
@@ -34,6 +36,13 @@
 #define COOP_FIELDS(...)                                          \
   auto fields() noexcept { return std::tie(__VA_ARGS__); }       \
   auto fields() const noexcept { return std::tie(__VA_ARGS__); }
+
+/// Declares the valid wire values of enum @p E, [E::first, E::last].  Put
+/// it beside the enum (inside a class, after `friend`).
+#define COOP_ENUM_RANGE(E, first, last)                                  \
+  constexpr ::coop::util::wire::Range<E> wire_range(E) noexcept {       \
+    return {E::first, E::last};                                          \
+  }
 
 namespace coop::util {
 
@@ -75,6 +84,13 @@ template <typename T, template <typename...> class Of>
 inline constexpr bool kIs = false;
 template <template <typename...> class Of, typename... As>
 inline constexpr bool kIs<Of<As...>, Of> = true;
+
+/// The valid values of a wire enum E, as COOP_ENUM_RANGE declares them.
+template <typename E>
+struct Range {
+  E first;
+  E last;
+};
 
 /// The fewest bytes a T can occupy on the wire.
 template <typename T>
@@ -282,10 +298,20 @@ class Reader {
   }
 
   /// Reads a wire value Writer::write wrote.  std::string_view and ArrayView
-  /// fields view the Reader's input.  On failure @p v is partial.
+  /// fields view the Reader's input; an enum outside its COOP_ENUM_RANGE
+  /// fails.  On failure @p v is partial.
   template <typename T>
   void read(T& v) {
-    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+    if constexpr (std::is_enum_v<T>) {
+      static_assert(requires { wire_range(T{}); },
+                    "a wire enum declares its range with COOP_ENUM_RANGE");
+      using U = std::underlying_type_t<T>;
+      constexpr wire::Range<T> range = wire_range(T{});
+      v = get<T>();
+      if (static_cast<U>(v) < static_cast<U>(range.first) ||
+          static_cast<U>(v) > static_cast<U>(range.last))
+        failed_ = true;
+    } else if constexpr (std::is_arithmetic_v<T>) {
       v = get<T>();
     } else if constexpr (std::is_same_v<T, std::string_view>) {
       v = get_string_view();
@@ -367,5 +393,15 @@ template <typename T>
 }
 template <typename T>
 bool decode(std::string&&, T&) = delete;  // view fields would dangle
+
+/// decode() that also fails unless @p msg spans all of @p bytes.
+template <typename T>
+[[nodiscard]] bool decode_exact(std::string_view bytes, T& msg) {
+  Reader r(bytes);
+  r.read(msg);
+  return r.exhausted();
+}
+template <typename T>
+bool decode_exact(std::string&&, T&) = delete;
 
 }  // namespace coop::util

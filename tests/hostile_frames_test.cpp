@@ -208,6 +208,30 @@ TEST_F(HostileFrames, TruncatedEditorOpIsDroppedAndEditingContinues) {
 }
 
 
+TEST_F(HostileFrames, EditorOpOfAnUnknownKindIsDroppedAndReplicasConverge) {
+  groupware::EditorServer server(net, {10, 1}, "hello world");
+  groupware::EditorClient alice(net, {3, 1}, {10, 1}, 1, "hello world");
+  groupware::EditorClient bob(net, {5, 1}, {10, 1}, 2, "hello world");
+  FifoChannel forger(net, {4, 1});
+  alice.connect();
+  bob.connect();
+  forger.send({10, 1}, util::encode(groupware::RegisterMsg{.site = 9}));
+  sim.run_until(sim::msec(50));
+  ASSERT_TRUE(alice.connected() && bob.connected());
+  // Kind 3 is no TextOp kind.  Relayed, it would reach the transform as a
+  // delete, and the server would shift alice's concurrent insert by one
+  // while alice keeps it where she typed it.
+  ccontrol::TextOp forged = ccontrol::TextOp::erase(0, 9);
+  forged.kind = static_cast<ccontrol::TextOp::Kind>(3);
+  forger.send({10, 1}, util::encode(groupware::OpMsg{
+                           .site = 9, .link = {forged, 0, 0}}));
+  alice.insert(5, "!");
+  sim.run_until(sim::msec(100));
+  EXPECT_EQ(server.doc(), "hello! world");
+  EXPECT_EQ(alice.doc(), server.doc());
+  EXPECT_EQ(bob.doc(), server.doc());
+}
+
 // --- group-channel frames ----------------------------------------------------
 //
 // Wire types of GroupChannel (the first byte of every frame).
@@ -421,6 +445,29 @@ TEST_F(HostileFrames, ViewsWithBadAddressListsAreDropped) {
   EXPECT_EQ(views, (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(peer.received, 0u);  // none was acked
   // Membership goes on: a second member's join installs view 2.
+  groups::MembershipMember other(net, {52, 1}, {50, 1});
+  other.join();
+  sim.run_until(sim::msec(200));
+  EXPECT_EQ(views, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST_F(HostileFrames, ViewFromAnyoneButTheCoordinatorIsDropped) {
+  groups::MembershipCoordinator coord(net, {50, 1});
+  groups::MembershipMember member(net, {51, 1}, {50, 1});
+  std::vector<std::uint64_t> views;
+  member.on_view([&views](const groups::View& v) { views.push_back(v.id); });
+  member.join();
+  sim.run_until(sim::msec(50));
+  ASSERT_EQ(views, (std::vector<std::uint64_t>{1}));
+  // Well formed and newer than any real view, but not the coordinator's.
+  const groups::View forged{99, {peer.self}, {}};
+  net.send({.src = peer.self,
+            .dst = {51, 1},
+            .payload = util::encode(
+                groups::ViewMsg{groups::MemberMsg::kView, forged})});
+  sim.run_until(sim::msec(100));
+  EXPECT_EQ(views, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(peer.received, 0u);  // not acked either
   groups::MembershipMember other(net, {52, 1}, {50, 1});
   other.join();
   sim.run_until(sim::msec(200));

@@ -11,20 +11,28 @@
 #include <new>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "awareness/engine.hpp"
 #include "awareness/spatial.hpp"
+#include "ccontrol/ot.hpp"
+#include "durable/anti_entropy.hpp"
+#include "durable/store.hpp"
+#include "durable/wal.hpp"
 #include "groups/group_channel.hpp"
 #include "groups/membership.hpp"
+#include "groupware/conference.hpp"
 #include "groupware/editor.hpp"
 #include "groupware/session.hpp"
 #include "mobile/share_server.hpp"
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
+#include "rpc/rpc.hpp"
 #include "rpc/trader.hpp"
 #include "sim/simulator.hpp"
 #include "sim/small_fn.hpp"
+#include "streams/stream.hpp"
 #include "util/buf.hpp"
 #include "util/codec.hpp"
 #include "util/fnv.hpp"
@@ -354,12 +362,25 @@ TEST(CodecBoundsTest, ReaderGetVectorAcceptsExactFit) {
 // --- wire messages under hostile bytes -------------------------------------
 
 /// Appends the offset of every u32 count or length prefix in @p v's
-/// encoding to @p out, walking the value the way Writer::write lays it out
-/// (@p at is the running offset).
+/// encoding to @p out, and the offset and bytes of each value just outside
+/// an enum field's declared range to @p bad_enums, walking the value the
+/// way Writer::write lays it out (@p at is the running offset).
 template <typename T>
-void prefix_offsets(const T& v, std::size_t& at,
-                    std::vector<std::size_t>& out) {
-  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+void prefix_offsets(
+    const T& v, std::size_t& at, std::vector<std::size_t>& out,
+    std::vector<std::pair<std::size_t, std::string>>& bad_enums) {
+  if constexpr (std::is_enum_v<T>) {
+    using U = std::underlying_type_t<T>;
+    const auto range = wire_range(T{});
+    const auto push = [&](U bad) {
+      bad_enums.emplace_back(
+          at, std::string(reinterpret_cast<const char*>(&bad), sizeof bad));
+    };
+    push(static_cast<U>(static_cast<U>(range.last) + 1));
+    if (static_cast<U>(range.first) > 0)
+      push(static_cast<U>(static_cast<U>(range.first) - 1));
+    at += sizeof(T);
+  } else if constexpr (std::is_arithmetic_v<T>) {
     at += sizeof(T);
   } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
     out.push_back(at);
@@ -370,25 +391,29 @@ void prefix_offsets(const T& v, std::size_t& at,
   } else if constexpr (util::wire::kIs<T, std::vector>) {
     out.push_back(at);
     at += 4;
-    for (const auto& e : v) prefix_offsets(e, at, out);
+    for (const auto& e : v) prefix_offsets(e, at, out, bad_enums);
   } else if constexpr (util::wire::kIs<T, std::map>) {
     out.push_back(at);
     at += 4;
     for (const auto& [key, value] : v) {
-      prefix_offsets(key, at, out);
-      prefix_offsets(value, at, out);
+      prefix_offsets(key, at, out, bad_enums);
+      prefix_offsets(value, at, out, bad_enums);
     }
   } else {
-    std::apply([&](const auto&... f) { (prefix_offsets(f, at, out), ...); },
-               v.fields());
+    std::apply(
+        [&](const auto&... f) {
+          (prefix_offsets(f, at, out, bad_enums), ...);
+        },
+        v.fields());
   }
 }
 
 /// Runs one message type against hostile bytes.  @p sample (with at least
 /// one element in each container) must round-trip; every strict prefix of
-/// its encoding must fail to decode; and each count or length prefix set
+/// its encoding must fail to decode; each count or length prefix set
 /// to 0xFFFFFFFF must fail, allocating no more than decoding the honest
-/// frame does (so nothing is reserved for the hostile count).
+/// frame does (so nothing is reserved for the hostile count); and each
+/// enum field set just outside its declared range must fail.
 template <typename T>
 void expect_hostile_bytes_fail(const T& sample) {
   const std::string frame = util::encode(sample).str();
@@ -402,8 +427,15 @@ void expect_hostile_bytes_fail(const T& sample) {
   }
   std::size_t end = 0;
   std::vector<std::size_t> prefixes;
-  prefix_offsets(sample, end, prefixes);
+  std::vector<std::pair<std::size_t, std::string>> bad_enums;
+  prefix_offsets(sample, end, prefixes, bad_enums);
   ASSERT_EQ(end, frame.size());
+  for (const auto& [at, bytes] : bad_enums) {
+    std::string bad = frame;
+    bad.replace(at, bytes.size(), bytes);
+    T out;
+    EXPECT_FALSE(util::decode(bad, out)) << "enum at offset " << at;
+  }
 #if COOP_COUNT_ALLOCS
   T honest;
   const std::uint64_t h0 = g_alloc_bytes.load(std::memory_order_relaxed);
@@ -481,6 +513,61 @@ TEST(WireMessages, GroupChannelMessagesRejectHostileBytes) {
       .total = 4,
       .tail = {{1, 2, 0, 5, sim::msec(3), "tail"}},
       .relays = {{2, 7, sim::msec(4), 0, "relay"}}});
+}
+
+TEST(WireMessages, FifoMessagesRejectHostileBytes) {
+  expect_hostile_bytes_fail(
+      net::FifoData{.epoch = 2, .seq = 7, .payload = "edit"});
+  expect_hostile_bytes_fail(net::FifoAck{.epoch = 2, .cumulative = 7});
+  expect_hostile_bytes_fail(net::FifoHello{.epoch = 2});
+}
+
+TEST(WireMessages, RpcMessagesRejectHostileBytes) {
+  expect_hostile_bytes_fail(rpc::RpcRequest{
+      .req_id = 3, .method = "floor.request", .body = "alice"});
+  expect_hostile_bytes_fail(rpc::RpcReply{
+      .req_id = 3, .status = rpc::Status::kAppError, .body = "busy"});
+}
+
+TEST(WireMessages, DurableRecordsRejectHostileBytes) {
+  using durable::WalRecord;
+  expect_hostile_bytes_fail(WalRecord{.type = WalRecord::kErase,
+                                      .lsn = 4,
+                                      .version = 2,
+                                      .stamp = 9,
+                                      .key = "doc",
+                                      .value = "text"});
+  expect_hostile_bytes_fail(
+      durable::Checkpoint{.base_lsn = 5,
+                          .items = {{"doc", "text", 2}},
+                          .tombstones = {{"old", 3, 9}}});
+  expect_hostile_bytes_fail(
+      std::vector<durable::AeSummaryEntry>{{"doc", 2}, {"old", 3}});
+  expect_hostile_bytes_fail(std::vector<durable::AeEntry>{
+      {WalRecord::kPut, "doc", "text", 2, 0},
+      {WalRecord::kErase, "old", "", 3, 9}});
+}
+
+TEST(WireMessages, EditorMessagesRejectHostileBytes) {
+  expect_hostile_bytes_fail(groupware::RegisterMsg{.site = 2});
+  expect_hostile_bytes_fail(groupware::OpMsg{
+      .site = 2,
+      .originated_at = sim::msec(3),
+      .link = {ccontrol::TextOp::insert(4, "xy", 2), 5, 1}});
+  expect_hostile_bytes_fail(groupware::SnapshotMsg{.doc = "hello"});
+}
+
+TEST(WireMessages, ConferenceMessagesRejectHostileBytes) {
+  expect_hostile_bytes_fail(
+      groupware::ClientMsg{groupware::ConferenceMsg::kFloorReq, 7});
+  expect_hostile_bytes_fail(groupware::InputMsg{.client = 7, .text = "ls"});
+  expect_hostile_bytes_fail(groupware::DisplayMsg{.content = "$ ls"});
+  expect_hostile_bytes_fail(groupware::FloorMsg{.holder = 7});
+}
+
+TEST(WireMessages, StreamFrameRejectsHostileBytes) {
+  expect_hostile_bytes_fail(streams::Frame{
+      .stream_id = 1, .seq = 2, .captured_at = sim::msec(3), .size = 1200});
 }
 
 // --- link-state bookkeeping ------------------------------------------------

@@ -43,13 +43,14 @@ TEST_F(StreamTest, SourceEmitsAtConfiguredRate) {
 TEST_F(StreamTest, FrameEncodingRoundTrips) {
   const Frame f{.stream_id = 7, .seq = 42, .captured_at = sim::msec(123),
                 .size = 999};
-  const auto decoded = StreamBinding::decode(StreamBinding::encode(f));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->stream_id, 7u);
-  EXPECT_EQ(decoded->seq, 42u);
-  EXPECT_EQ(decoded->captured_at, sim::msec(123));
-  EXPECT_EQ(decoded->size, 999u);
-  EXPECT_FALSE(StreamBinding::decode("garbage").has_value());
+  const util::Buf wire = util::encode(f);
+  Frame decoded;
+  ASSERT_TRUE(util::decode(wire, decoded));
+  EXPECT_EQ(decoded.stream_id, 7u);
+  EXPECT_EQ(decoded.seq, 42u);
+  EXPECT_EQ(decoded.captured_at, sim::msec(123));
+  EXPECT_EQ(decoded.size, 999u);
+  EXPECT_FALSE(util::decode(std::string_view("garbage"), decoded));
 }
 
 TEST_F(StreamTest, UnicastBindingDeliversFramesWithLatency) {
