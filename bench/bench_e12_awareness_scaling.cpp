@@ -263,7 +263,7 @@ void BM_E12Parity(benchmark::State& state) {
       b.suppressed == x.suppressed &&
       b.digests_dropped == x.digests_dropped &&
       b.interest_evicted == x.interest_evicted &&
-      b.notification_time.count() == x.notification_time.count() &&
+      b.notification_time.total() == x.notification_time.total() &&
       brute.interest_table_final == indexed.interest_table_final;
   if (!ok) {
     ++g_parity_failures;

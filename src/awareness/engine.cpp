@@ -129,7 +129,8 @@ void AwarenessEngine::drop_observer(ClientId observer) {
   const std::uint32_t at = observer_index_.find(observer);
   if (at == ObserverIndex::kNone) return;
   Observer& state = observers_[at];
-  stats_.digests_dropped += state.pending.size();
+  stats_.digests_dropped += state.digest_count;
+  free_digests(state.digest_head);
   if (state.queued) {
     // Absent when a flush skipped the (then dead) observer.
     auto q = std::find(digest_queue_.begin(), digest_queue_.end(), observer);
@@ -181,7 +182,18 @@ double AwarenessEngine::weight(ClientId observer, ClientId actor,
 AwarenessEngine::InterestList& AwarenessEngine::touch(
     ClientId who, const std::string& object) {
   const sim::TimePoint now = sim_.now();
-  auto entry = interest_.try_emplace(object).first;
+  auto entry = interest_.find(object);
+  if (entry == interest_.end()) {
+    if (spare_interest_.empty()) {
+      entry = interest_.try_emplace(object).first;
+    } else {
+      // Re-key a node GC emptied; its list keeps its capacity.
+      InterestTable::node_type node = std::move(spare_interest_.back());
+      spare_interest_.pop_back();
+      node.key() = object;
+      entry = interest_.insert(std::move(node)).position;
+    }
+  }
   InterestList& list = entry->second;
   auto it = seek(list, who);
   if (it != list.end() && it->id == who) {
@@ -208,19 +220,51 @@ bool AwarenessEngine::handle(ClientId id, Observer& state,
     stats_.notification_time.add(static_cast<double>(sim_.now() - event.at));
     if (state.deliver) state.deliver(event, w, /*via_digest=*/false);
   } else {
-    auto [it, inserted] = state.pending.try_emplace(event.object, event, w);
-    if (!inserted) {
+    for (std::uint32_t d = state.digest_head; d != kNoDigest;
+         d = digests_[d].next) {
+      Digest& entry = digests_[d];
+      if (entry.event.object != event.object) continue;
       ++stats_.coalesced;
       // Latest event wins *with its own weight*: delivering a newer event
       // stamped with an older event's higher weight misled observers
       // about what just happened (the old coalescing kept max(weight)).
-      it->second = {event, w};
-    } else if (!state.queued) {
+      entry.event = event;
+      entry.weight = w;
+      return true;
+    }
+    const std::uint32_t d = alloc_digest(event, w);
+    digests_[d].next = state.digest_head;
+    state.digest_head = d;
+    ++state.digest_count;
+    if (!state.queued) {
       state.queued = true;
       digest_queue_.push_back(id);
     }
   }
   return true;
+}
+
+std::uint32_t AwarenessEngine::alloc_digest(const ActivityEvent& event,
+                                            double w) {
+  if (free_digest_ == kNoDigest) {
+    digests_.push_back(Digest{event, w});
+    return static_cast<std::uint32_t>(digests_.size() - 1);
+  }
+  const std::uint32_t d = free_digest_;
+  Digest& entry = digests_[d];
+  free_digest_ = entry.next;
+  entry.event = event;
+  entry.weight = w;
+  return d;
+}
+
+void AwarenessEngine::free_digests(std::uint32_t head) {
+  while (head != kNoDigest) {
+    const std::uint32_t next = digests_[head].next;
+    digests_[head].next = free_digest_;
+    free_digest_ = head;
+    head = next;
+  }
 }
 
 void AwarenessEngine::publish(const ActivityEvent& event) {
@@ -364,23 +408,36 @@ void AwarenessEngine::flush_digests() {
     if (found == nullptr || dead_.count(observer) != 0) continue;
     Observer& state = *found;
     state.queued = false;
-    auto pending = std::move(state.pending);
-    state.pending = {};
+    // Unhook the digest (callbacks below start a fresh one) and deliver
+    // it in object order.
+    const std::uint32_t head = std::exchange(state.digest_head, kNoDigest);
+    state.digest_count = 0;
+    std::vector<std::uint32_t> entries = std::move(digest_scratch_);
+    entries.clear();
+    for (std::uint32_t d = head; d != kNoDigest; d = digests_[d].next)
+      entries.push_back(d);
+    std::sort(entries.begin(), entries.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return digests_[a].event.object < digests_[b].event.object;
+              });
     std::size_t delivered = 0;
-    for (auto& [object, entry] : pending) {
+    for (const std::uint32_t d : entries) {
       if (dead_.count(observer) != 0) {
         // A callback earlier in this flush unsubscribed the observer:
         // the rest of their digest dies with the subscription.
-        dropped += pending.size() - delivered;
+        dropped += entries.size() - delivered;
         break;
       }
+      const Digest& entry = digests_[d];
       ++stats_.digested;
       stats_.notification_time.add(
-          static_cast<double>(sim_.now() - entry.first.at));
+          static_cast<double>(sim_.now() - entry.event.at));
       if (state.deliver)
-        state.deliver(entry.first, entry.second, /*via_digest=*/true);
+        state.deliver(entry.event, entry.weight, /*via_digest=*/true);
       ++delivered;
     }
+    free_digests(head);
+    digest_scratch_ = std::move(entries);
     if (digest_queue_.empty()) continue;
     // Callbacks queued new digests.  Ids above the cursor join this pass,
     // as the ascending walk would still reach them; the rest (this
@@ -439,7 +496,9 @@ void AwarenessEngine::gc_interest() {
     --interest_entries_;
     ++stats_.interest_evicted;
     ++gc_epoch_;
-    if (list.empty()) interest_.erase(interest_.find(rec.entry->first));
+    if (list.empty())
+      spare_interest_.push_back(
+          interest_.extract(interest_.find(rec.entry->first)));
     expiry_.pop_back();
   }
 }

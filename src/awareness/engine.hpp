@@ -38,6 +38,13 @@
 // sorts and visits only those; interest GC pops expired records from a
 // min-heap that holds at most one record per live interest entry.
 //
+// Storage on the publish path reuses what it has: pending digests are
+// entries of one engine-wide pool chained per observer (an observer
+// holds only the head index and a count), freed entries go on a free
+// list, and an interest-table node emptied by GC is kept and re-keyed
+// for the next new object.  Memory follows the peak pending digests and
+// the peak live objects, not the session's history.
+//
 // Reentrancy contract: subscribe()/unsubscribe() may be called from
 // inside a DeliverFn.  The mutation is deferred until the dispatch that
 // is currently running completes; until then an unsubscribed observer
@@ -52,8 +59,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -101,7 +108,9 @@ struct EngineStats {
   std::uint64_t suppressed = 0;      ///< weight-zero drops
   std::uint64_t digests_dropped = 0; ///< pending entries lost to unsubscribe
   std::uint64_t interest_evicted = 0;  ///< last-touch entries GC'd
-  util::Summary notification_time;   ///< publish -> delivery, virtual µs
+  /// Publish -> delivery, virtual µs, over [0, 10 s); total() and
+  /// max_seen() are exact.
+  util::Histogram notification_time{0.0, 1e7, 64};
 };
 
 /// Session-local awareness distributor.  Distribution across sites is the
@@ -166,12 +175,26 @@ class AwarenessEngine {
  private:
   using ObserverIndex = util::FlatIndex<ClientId>;
 
+  /// No digest entry: the end of a list.
+  static constexpr std::uint32_t kNoDigest = ~std::uint32_t{0};
+
+  /// One pending digest entry: the latest event on one object for one
+  /// observer, with its weight.  `next` chains an observer's entries (or
+  /// the free list).
+  struct Digest {
+    ActivityEvent event;
+    double weight = 0;
+    std::uint32_t next = kNoDigest;
+  };
+
   struct Observer {
     ClientId id;
     DeliverFn deliver;
-    /// Pending digest: object -> latest event (+ its weight).
-    std::map<std::string, std::pair<ActivityEvent, double>> pending;
-    /// In digest_queue_ or the running flush: set while pending is
+    /// This observer's pending digest: a list in digests_, one entry per
+    /// object, unordered.
+    std::uint32_t digest_head = kNoDigest;
+    std::uint32_t digest_count = 0;
+    /// In digest_queue_ or the running flush: set while the digest is
     /// non-empty (dead observers keep it until apply_deferred drops them).
     bool queued = false;
   };
@@ -202,6 +225,11 @@ class AwarenessEngine {
   /// Delivers or digests @p event for one observer; false if weight == 0.
   bool handle(ClientId id, Observer& state, const ActivityEvent& event,
               double w);
+  /// A digest entry holding @p event and @p w, from the free list if it
+  /// has one.
+  std::uint32_t alloc_digest(const ActivityEvent& event, double w);
+  /// Returns the list starting at @p head to the free list.
+  void free_digests(std::uint32_t head);
   void flush_digests();
   void gc_interest();
   /// @p id's entry in observers_, or nullptr if not subscribed.
@@ -222,7 +250,15 @@ class AwarenessEngine {
   std::vector<ClientId> observer_ids_;
   /// Observers whose digest is waiting for the next flush, unsorted.
   std::vector<ClientId> digest_queue_;
+  /// Every digest entry, pending or free.  A deque, so an entry being
+  /// delivered stays put while a callback's publish grows the pool.
+  std::deque<Digest> digests_;
+  /// Head of the free entries' list.
+  std::uint32_t free_digest_ = kNoDigest;
   InterestTable interest_;
+  /// Nodes GC emptied out of interest_, kept (with their list's
+  /// capacity) to carry the next new object.
+  std::vector<InterestTable::node_type> spare_interest_;
   std::size_t interest_entries_ = 0;
   /// Min-heap on `at` (see Expiry).
   std::vector<Expiry> expiry_;
@@ -248,6 +284,7 @@ class AwarenessEngine {
   std::vector<Candidate> candidate_scratch_;
   std::vector<Candidate> merge_scratch_;
   std::vector<ClientId> flush_scratch_;
+  std::vector<std::uint32_t> digest_scratch_;
 
   // --- observability ------------------------------------------------------
   std::unique_ptr<obs::Obs> owned_obs_;  // only when no context was supplied

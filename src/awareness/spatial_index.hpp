@@ -9,14 +9,19 @@
 // that radius lives in at most the 2x2 block of cells around the query
 // point.
 //
-// The index is also the participant store: one id -> record map holds
-// each participant's position, both aura radii and its cell slot, and
-// each cell entry carries a copy of the position and focus radius, so a
-// query computes every hit's spatial weight from the cell it scans.
+// The index is also the participant store: one dense vector of records
+// holds each participant's position, both aura radii, its cell and its
+// slot there, and each cell entry carries a copy of the position and
+// focus radius, so a query computes every hit's spatial weight from the
+// cell it scans.  Records and cell buckets each sit in one dense vector
+// found through an open-addressing table (util/flat_index.hpp): by id,
+// and by packed cell coordinates.  Erasing a record, an entry or an
+// emptied bucket swaps the last one into the hole, so the tables hold
+// only live participants and occupied cells.
 //
 // Determinism contract: query() appends matches in unspecified order
-// (cells are hashed, in-cell order depends on move history); callers that
-// need run-to-run stable iteration sort the result.  The index itself is
+// (bucket and in-cell order depend on move history); callers that need
+// run-to-run stable iteration sort the result.  The index itself is
 // exact — a participant is returned iff its distance from the centre is
 // <= radius — so an engine that sorts the candidates by id visits the
 // same observers in the same order a brute-force scan would, minus the
@@ -27,10 +32,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ccontrol/locks.hpp"  // ClientId
+#include "util/flat_index.hpp"
 
 namespace coop::awareness {
 
@@ -86,36 +92,47 @@ class UniformGridIndex {
     return cells_.size();
   }
 
-  /// @p id's record, or nullptr if absent.
+  /// @p id's record, or nullptr if absent.  Valid until the next
+  /// upsert() or erase().
   [[nodiscard]] const Participant* find(ClientId id) const {
-    auto it = records_.find(id);
-    return it == records_.end() ? nullptr : &it->second.p;
+    const std::uint32_t at = record_index_.find(id);
+    return at == RecordIndex::kNone ? nullptr : &records_[at].p;
   }
 
   /// Inserts @p id with record @p p, or replaces its record.  O(1): a
   /// record knows its slot in its cell, so neither a same-cell update nor
   /// a cell crossing scans a bucket.
   void upsert(ClientId id, const Participant& p) {
-    const std::int64_t key = key_of(p.position);
-    auto [it, fresh] = records_.try_emplace(id);
-    Record& r = it->second;
-    if (!fresh && r.key == key) {
-      Entry& e = cells_.find(key)->second[r.slot];
+    const std::uint64_t key = key_of(p.position);
+    const std::uint32_t at = record_index_.find(id);
+    if (at == RecordIndex::kNone) {
+      record_index_.insert(id, static_cast<std::uint32_t>(records_.size()));
+      attach(records_.emplace_back(Record{.id = id, .p = p, .key = key}));
+      return;
+    }
+    Record& r = records_[at];
+    r.p = p;
+    if (r.key == key) {
+      Entry& e = cells_[cell_index_.find(key)].entries[r.slot];
       e.at = p.position;
       e.focus = p.focus_radius;
     } else {
-      if (!fresh) detach(r);
+      detach(r);
       r.key = key;
-      attach(id, r, p);
+      attach(r);
     }
-    r.p = p;
   }
 
   void erase(ClientId id) {
-    auto it = records_.find(id);
-    if (it == records_.end()) return;
-    detach(it->second);
-    records_.erase(it);
+    const std::uint32_t at = record_index_.find(id);
+    if (at == RecordIndex::kNone) return;
+    detach(records_[at]);
+    if (at + 1 != records_.size()) {
+      records_[at] = records_.back();
+      record_index_.reassign(records_[at].id, at);
+    }
+    records_.pop_back();
+    record_index_.erase(id);
   }
 
   /// Grows (or shrinks) the cell side and rebuilds.  The caller decides
@@ -125,9 +142,10 @@ class UniformGridIndex {
     if (s == cell_) return;
     cell_ = s;
     cells_.clear();
-    for (auto& [id, r] : records_) {
+    cell_index_ = {};
+    for (Record& r : records_) {
       r.key = key_of(r.p.position);
-      attach(id, r, r.p);
+      attach(r);
     }
   }
 
@@ -150,8 +168,8 @@ class UniformGridIndex {
     const auto width = static_cast<std::uint64_t>(cx_hi - cx_lo + 1);
     const auto height = static_cast<std::uint64_t>(cy_hi - cy_lo + 1);
     const std::uint64_t occupied = cells_.size();
-    auto scan = [&](const std::vector<Entry>& bucket) {
-      for (const Entry& e : bucket) {
+    auto scan = [&](const Cell& cell) {
+      for (const Entry& e : cell.entries) {
         if (e.id == exclude) continue;
         const double d = distance(e.at, centre);
         if (d <= nimbus)
@@ -159,29 +177,38 @@ class UniformGridIndex {
       }
     };
     if (width > occupied || height > occupied || width * height > occupied) {
-      for (const auto& [key, bucket] : cells_) scan(bucket);
+      for (const Cell& cell : cells_) scan(cell);
       return;
     }
     for (std::int64_t cx = cx_lo; cx <= cx_hi; ++cx) {
       for (std::int64_t cy = cy_lo; cy <= cy_hi; ++cy) {
-        auto it = cells_.find(pack(static_cast<std::int32_t>(cx),
-                                   static_cast<std::int32_t>(cy)));
-        if (it != cells_.end()) scan(it->second);
+        const std::uint32_t c = cell_index_.find(
+            pack(static_cast<std::int32_t>(cx), static_cast<std::int32_t>(cy)));
+        if (c != CellIndex::kNone) scan(cells_[c]);
       }
     }
   }
 
  private:
+  using RecordIndex = util::FlatIndex<ClientId>;
+  using CellIndex = util::FlatIndex<std::uint64_t>;
+
   /// A cell's copy of what a query reads.
   struct Entry {
     ClientId id;
     Point at;
     double focus;
   };
+  /// One occupied cell: its packed coordinates and its participants.
+  struct Cell {
+    std::uint64_t key;
+    std::vector<Entry> entries;
+  };
   struct Record {
+    ClientId id;
+    std::uint32_t slot = 0;  ///< index of the entry in its cell
     Participant p;
-    std::int64_t key = 0;
-    std::uint32_t slot = 0;  ///< index of the entry in cells_[key]
+    std::uint64_t key = 0;  ///< the cell's packed coordinates
   };
 
   /// The cell column (or row) of coordinate @p v, saturated into the
@@ -197,38 +224,55 @@ class UniformGridIndex {
     return static_cast<std::int32_t>(c);
   }
 
-  static std::int64_t pack(std::int32_t cx, std::int32_t cy) {
-    return (static_cast<std::int64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-           static_cast<std::int64_t>(static_cast<std::uint32_t>(cy));
+  static std::uint64_t pack(std::int32_t cx, std::int32_t cy) {
+    return (std::uint64_t{static_cast<std::uint32_t>(cx)} << 32) |
+           static_cast<std::uint32_t>(cy);
   }
 
-  [[nodiscard]] std::int64_t key_of(Point p) const {
+  [[nodiscard]] std::uint64_t key_of(Point p) const {
     return pack(cell_coord(p.x), cell_coord(p.y));
   }
 
-  /// Appends @p id's entry to the cell of @p r.key.
-  void attach(ClientId id, Record& r, const Participant& p) {
-    std::vector<Entry>& bucket = cells_[r.key];
-    r.slot = static_cast<std::uint32_t>(bucket.size());
-    bucket.push_back({id, p.position, p.focus_radius});
+  /// Appends @p r's entry to the cell of @p r.key, opening it if empty.
+  void attach(Record& r) {
+    std::uint32_t c = cell_index_.find(r.key);
+    if (c == CellIndex::kNone) {
+      c = static_cast<std::uint32_t>(cells_.size());
+      cell_index_.insert(r.key, c);
+      cells_.push_back(Cell{.key = r.key, .entries = {}});
+    }
+    std::vector<Entry>& entries = cells_[c].entries;
+    r.slot = static_cast<std::uint32_t>(entries.size());
+    entries.push_back({r.id, r.p.position, r.p.focus_radius});
   }
 
   /// Swap-removes @p r's entry from its cell; the entry moved into the
-  /// hole gets its record's slot fixed.
+  /// hole gets its record's slot fixed.  An emptied cell is swap-removed
+  /// the same way.
   void detach(const Record& r) {
-    auto cit = cells_.find(r.key);
-    std::vector<Entry>& bucket = cit->second;
-    if (r.slot + 1 != bucket.size()) {
-      bucket[r.slot] = bucket.back();
-      records_.find(bucket[r.slot].id)->second.slot = r.slot;
+    const std::uint32_t c = cell_index_.find(r.key);
+    std::vector<Entry>& entries = cells_[c].entries;
+    if (r.slot + 1 != entries.size()) {
+      entries[r.slot] = entries.back();
+      records_[record_index_.find(entries[r.slot].id)].slot = r.slot;
     }
-    bucket.pop_back();
-    if (bucket.empty()) cells_.erase(cit);
+    entries.pop_back();
+    if (!entries.empty()) return;
+    if (c + 1 != cells_.size()) {
+      std::swap(cells_[c], cells_.back());
+      cell_index_.reassign(cells_[c].key, c);
+    }
+    cells_.pop_back();
+    cell_index_.erase(r.key);
   }
 
   double cell_;
-  std::unordered_map<std::int64_t, std::vector<Entry>> cells_;
-  std::unordered_map<ClientId, Record> records_;
+  /// Occupied cells, densely; cell_index_ maps packed coordinates here.
+  std::vector<Cell> cells_;
+  CellIndex cell_index_;
+  /// Every participant, densely; record_index_ maps ids here.
+  std::vector<Record> records_;
+  RecordIndex record_index_;
 };
 
 }  // namespace coop::awareness

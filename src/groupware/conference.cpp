@@ -57,9 +57,17 @@ void ConferenceServer::handle(const net::Address& from,
                               std::string_view payload) {
   ClientMsg m;
   if (!util::decode(payload, m)) return;
+  // A client id is bound to the address that joined with it; a frame
+  // naming an id from any other address is dropped.
+  if (m.type == ConferenceMsg::kJoin) {
+    const auto [bound, fresh] = members_.try_emplace(m.client, from);
+    if (!fresh && bound->second != from) return;
+  } else {
+    const auto member = members_.find(m.client);
+    if (member == members_.end() || member->second != from) return;
+  }
   switch (m.type) {
     case ConferenceMsg::kJoin:
-      members_[m.client] = from;
       // Late joiners get the current state immediately.
       channel_.send(from, display_frame());
       channel_.send(from, floor_frame());

@@ -24,7 +24,10 @@ void EditorServer::handle(const net::Address& from,
   if (type == EditorMsg::kRegister) {
     RegisterMsg reg;
     if (!util::decode(payload, reg)) return;
-    client_addrs_[reg.site] = from;
+    // A site stays bound to the address that registered it first: a
+    // register from anyone else would take over that site's relays.
+    const auto [bound, fresh] = client_addrs_.try_emplace(reg.site, from);
+    if (!fresh && bound->second != from) return;
     ot_.add_client(reg.site);
     // Late-join state transfer: the client adopts the server's current
     // document; every op relayed after this point (same FIFO channel, so
@@ -34,6 +37,9 @@ void EditorServer::handle(const net::Address& from,
   }
   OpMsg op;
   if (type != EditorMsg::kOp || !util::decode(payload, op)) return;
+  // Only the site's own address may speak for it.
+  const auto site = client_addrs_.find(op.site);
+  if (site == client_addrs_.end() || site->second != from) return;
 
   ot_.receive(op.site, op.link, fanout_);
   for (auto& o : fanout_) {

@@ -6,11 +6,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "awareness/engine.hpp"
@@ -325,6 +328,87 @@ TEST(SpatialIndex, NaNNeverMatches) {
   EXPECT_EQ(grid.size(), 1u);
 }
 
+TEST(SpatialIndex, MatchesBruteForceModel) {
+  // The grid's dense record and bucket tables against a plain map under
+  // random upserts (fresh ids, same-cell nudges, cell crossings), erases,
+  // cell-size growth and queries.  Few participants on a fine grid leave
+  // most cells holding one entry, so erases and crossings keep emptying
+  // buckets and swapping the last bucket into the hole.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    UniformGridIndex grid(4.0);
+    std::map<ClientId, Participant> model;
+    auto occupied_cells = [&] {
+      std::set<std::pair<double, double>> cells;
+      for (const auto& [id, p] : model) {
+        cells.insert({std::floor(p.position.x / grid.cell_size()),
+                      std::floor(p.position.y / grid.cell_size())});
+      }
+      return cells.size();
+    };
+    for (int step = 0; step < 400; ++step) {
+      const auto id = static_cast<ClientId>(rng.uniform_int(1, 48));
+      const auto found = model.find(id);
+      const double roll = rng.uniform();
+      if (found == model.end() || roll < 0.35) {
+        // A fresh participant, or a jump to anywhere (usually another
+        // cell).
+        const Participant p{
+            .position = {rng.uniform(-60, 60), rng.uniform(-60, 60)},
+            .focus_radius = rng.uniform(0.0, 30.0)};
+        grid.upsert(id, p);
+        model[id] = p;
+      } else if (roll < 0.65) {
+        // A short step: sometimes within the cell, sometimes across.
+        Participant p = found->second;
+        const double step_len = grid.cell_size() / 2;
+        p.position.x += rng.uniform(-step_len, step_len);
+        p.position.y += rng.uniform(-step_len, step_len);
+        p.focus_radius = rng.uniform(0.0, 30.0);
+        grid.upsert(id, p);
+        found->second = p;
+      } else if (roll < 0.95) {
+        grid.erase(id);
+        model.erase(found);
+      } else {
+        grid.set_cell_size(grid.cell_size() * 2);
+      }
+      ASSERT_EQ(grid.size(), model.size()) << "step " << step;
+      ASSERT_EQ(grid.cell_count(), occupied_cells()) << "step " << step;
+      for (ClientId other = 1; other <= 48; ++other) {
+        const Participant* got = grid.find(other);
+        const auto want = model.find(other);
+        ASSERT_EQ(got != nullptr, want != model.end())
+            << "step " << step << " id " << other;
+        if (got == nullptr) continue;
+        ASSERT_EQ(got->position.x, want->second.position.x);
+        ASSERT_EQ(got->position.y, want->second.position.y);
+        ASSERT_EQ(got->focus_radius, want->second.focus_radius);
+      }
+      const Point centre{rng.uniform(-70, 70), rng.uniform(-70, 70)};
+      const double radius = rng.uniform(0.0, 2 * grid.cell_size());
+      std::vector<Candidate> got;
+      grid.query(centre, radius, /*exclude=*/id, got);
+      std::sort(got.begin(), got.end(), by_id);
+      std::vector<Candidate> want;
+      for (const auto& [other, p] : model) {
+        const double d = distance(p.position, centre);
+        if (other != id && d <= radius)
+          want.push_back({other, falloff(d, p.focus_radius) *
+                                     falloff(d, radius)});
+      }
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].id, want[i].id) << "step " << step;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].weight),
+                  std::bit_cast<std::uint64_t>(want[i].weight))
+            << "step " << step << " id " << got[i].id;
+      }
+    }
+  }
+}
+
 TEST(Spatial, NonFiniteInputIsRejectedAndLeavesTheModelUnchanged) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -468,8 +552,8 @@ TEST_F(EngineTest, NotificationTimeRecordsDigestDelay) {
   engine.publish(edit(kAlice, "doc/sec1"));  // Carol: digest path
   sim.run_until(sim::sec(6));
   // One immediate (Bob, ~0) and one digested (Carol, ~5s).
-  EXPECT_EQ(engine.stats().notification_time.count(), 2u);
-  EXPECT_GE(engine.stats().notification_time.max(),
+  EXPECT_EQ(engine.stats().notification_time.total(), 2u);
+  EXPECT_GE(engine.stats().notification_time.max_seen(),
             static_cast<double>(sim::sec(4)));
 }
 
@@ -711,6 +795,92 @@ TEST_P(MidFlushReentrancyTest, DigestsQueuedAboveTheCursorJoinThisFlush) {
   EXPECT_EQ(engine.stats().immediate, 0u);
 }
 
+// Pending digests live in one pool shared by every observer.  Whatever
+// order events arrive in, a flush delivers each observer's digest in
+// object order, one entry per object carrying the latest event and that
+// event's own weight; observers come in ascending id order.  Callbacks
+// that publish during the first flush grow the pool while an entry is
+// being delivered, and the event a callback holds must stay intact.
+TEST_P(MidFlushReentrancyTest, DigestsArriveByObserverThenObjectWithTheLatestWeight) {
+  constexpr ClientId kPeople = 8;
+  sim::Simulator sim;
+  SpatialModel space;
+  // No weight reaches 1.1: every delivery is a digest.
+  AwarenessEngine engine(sim, space,
+                         {.full_threshold = 1.1,
+                          .digest_period = sim::sec(5),
+                          .interest_decay = sim::sec(60),
+                          .use_index = GetParam()});
+  sim::Rng rng(5);
+  for (ClientId id = 1; id <= kPeople; ++id)
+    space.place(id, {rng.uniform(0, 8), rng.uniform(0, 8)});
+  // (observer, object) -> (verb of the latest event, its weight).
+  std::map<std::pair<ClientId, std::string>, std::pair<std::string, double>>
+      expected;
+  int serial = 0;
+  auto publish = [&](ClientId actor, const std::string& object) {
+    const std::string verb = "v" + std::to_string(serial++);
+    for (ClientId obs = 1; obs <= kPeople; ++obs) {
+      const double w = engine.weight(obs, actor, object);
+      if (obs != actor && w > 0.0) expected[{obs, object}] = {verb, w};
+    }
+    engine.publish({actor, object, verb, sim.now()});
+  };
+  struct Delivery {
+    sim::TimePoint at;
+    ClientId observer;
+    std::string object;
+  };
+  std::vector<Delivery> log;
+  std::size_t checked = 0;
+  int echoes = 0;
+  for (ClientId id = 1; id <= kPeople; ++id) {
+    engine.subscribe(id, [&, id](const ActivityEvent& e, double w, bool d) {
+      EXPECT_TRUE(d);
+      const std::string object = e.object;
+      const std::string verb = e.verb;
+      const auto want = expected.find({id, object});
+      ASSERT_NE(want, expected.end()) << id << " " << object;
+      EXPECT_EQ(verb, want->second.first) << id << " " << object;
+      EXPECT_EQ(w, want->second.second) << id << " " << object;
+      expected.erase(want);
+      ++checked;
+      log.push_back({sim.now(), id, object});
+      if (sim.now() == sim::sec(5) && echoes < 12) {
+        // Fresh objects, so no pending entry changes under the flush.
+        ++echoes;
+        publish(id, "echo/" + std::to_string(echoes) +
+                        "/a-name-too-long-for-short-string-storage");
+        EXPECT_EQ(e.object, object);
+        EXPECT_EQ(e.verb, verb);
+      }
+    });
+  }
+  const std::vector<std::string> objects = {"d", "a", "c", "b", "e"};
+  for (int round = 0; round < 3; ++round) {
+    for (int k = 0; k < 40; ++k) {
+      const auto actor = static_cast<ClientId>(rng.uniform_int(1, kPeople));
+      space.place(actor, {rng.uniform(0, 8), rng.uniform(0, 8)});
+      publish(actor, objects[static_cast<std::size_t>(
+                         rng.uniform_int(0, 4))]);
+      sim.run_until(sim.now() + sim::msec(100));
+    }
+    sim.run_until(sim::sec(5) * (round + 1) + sim::msec(1));
+  }
+  sim.run_until(sim::sec(30));
+  EXPECT_TRUE(expected.empty());
+  EXPECT_EQ(echoes, 12);
+  EXPECT_EQ(checked, engine.stats().digested);
+  EXPECT_GT(engine.stats().coalesced, 0u);
+  // Within each flush: ascending by (observer, object).
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    if (log[i].at != log[i - 1].at) continue;
+    EXPECT_LT(std::tie(log[i - 1].observer, log[i - 1].object),
+              std::tie(log[i].observer, log[i].object))
+        << "delivery " << i << " at " << log[i].at;
+  }
+}
+
 // ------------------------------------------------- interest GC + revival
 
 class GcEngineTest : public ::testing::Test {
@@ -870,7 +1040,7 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b) {
   EXPECT_EQ(a.suppressed, b.suppressed);
   EXPECT_EQ(a.digests_dropped, b.digests_dropped);
   EXPECT_EQ(a.interest_evicted, b.interest_evicted);
-  EXPECT_EQ(a.notification_time.count(), b.notification_time.count());
+  EXPECT_EQ(a.notification_time.total(), b.notification_time.total());
 }
 
 /// One engine of a parity pair, with its delivery log and the ids it has

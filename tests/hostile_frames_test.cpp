@@ -2,8 +2,8 @@
 //
 // A raw endpoint forges frames and sends them through the network, so each
 // one carries a valid checksum and reaches the decoder: FIFO stream frames,
-// an editor op carried over a FIFO stream, group-channel and membership
-// frames, and trader and share-server requests.  A
+// editor and conference frames carried over a FIFO stream, group-channel
+// and membership frames, and trader and share-server requests.  A
 // decoder must drop what it cannot trust without crashing, delivering or
 // adopting any of it, and keep serving well-formed traffic afterwards.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "ccontrol/ot.hpp"
 #include "groups/group_channel.hpp"
 #include "groups/membership.hpp"
+#include "groupware/conference.hpp"
 #include "groupware/editor.hpp"
 #include "mobile/host.hpp"
 #include "mobile/share_server.hpp"
@@ -230,6 +231,75 @@ TEST_F(HostileFrames, EditorOpOfAnUnknownKindIsDroppedAndReplicasConverge) {
   EXPECT_EQ(server.doc(), "hello! world");
   EXPECT_EQ(alice.doc(), server.doc());
   EXPECT_EQ(bob.doc(), server.doc());
+}
+
+TEST_F(HostileFrames, EditorRegisterForABoundSiteIsRefused) {
+  groupware::EditorServer server(net, {10, 1}, "doc");
+  groupware::EditorClient alice(net, {3, 1}, {10, 1}, 1, "doc");
+  groupware::EditorClient bob(net, {5, 1}, {10, 1}, 2, "doc");
+  alice.connect();
+  bob.connect();
+  sim.run_until(sim::msec(50));
+  ASSERT_TRUE(alice.connected() && bob.connected());
+  // A third endpoint claims alice's site, then speaks for it.
+  FifoChannel forger(net, {4, 1});
+  std::size_t forger_got = 0;
+  forger.on_receive([&](const Address&, std::string_view) { ++forger_got; });
+  forger.send({10, 1}, util::encode(groupware::RegisterMsg{.site = 1}));
+  sim.run_until(sim::msec(100));
+  forger.send({10, 1}, util::encode(groupware::OpMsg{
+                           .site = 1,
+                           .link = {ccontrol::TextOp::insert(0, "X", 1), 0,
+                                    0}}));
+  bob.insert(3, "!");
+  sim.run_until(sim::msec(200));
+  EXPECT_EQ(server.doc(), "doc!");
+  EXPECT_EQ(bob.doc(), "doc!");
+  EXPECT_EQ(alice.doc(), "doc!");
+  EXPECT_EQ(forger_got, 0u);
+  // Alice keeps editing through her own binding.
+  alice.insert(0, ">");
+  sim.run_until(sim::msec(300));
+  EXPECT_EQ(server.doc(), ">doc!");
+  EXPECT_EQ(bob.doc(), ">doc!");
+  EXPECT_EQ(alice.doc(), ">doc!");
+}
+
+TEST_F(HostileFrames, ConferenceFramesNamingAnotherClientAreDropped) {
+  groupware::ConferenceServer server(
+      net, {10, 1}, std::make_unique<groupware::TerminalApp>(),
+      {.policy = ccontrol::FloorPolicy::kExplicitRelease});
+  groupware::ConferenceClient alice(net, {3, 1}, {10, 1}, 1);
+  alice.join();
+  sim.run_until(sim::msec(50));
+  alice.request_floor();
+  sim.run_until(sim::msec(100));
+  ASSERT_TRUE(alice.has_floor());
+  // An endpoint that never joined releases alice's floor, asks for it as
+  // id 9 and types as id 9; then it tries to join as alice.
+  FifoChannel forger(net, {4, 1});
+  std::size_t forger_got = 0;
+  forger.on_receive([&](const Address&, std::string_view) { ++forger_got; });
+  using groupware::ConferenceMsg;
+  forger.send({10, 1},
+              util::encode(groupware::ClientMsg{ConferenceMsg::kFloorRel, 1}));
+  forger.send({10, 1},
+              util::encode(groupware::ClientMsg{ConferenceMsg::kFloorReq, 9}));
+  forger.send({10, 1},
+              util::encode(groupware::InputMsg{.client = 9, .text = "rm"}));
+  forger.send({10, 1},
+              util::encode(groupware::ClientMsg{ConferenceMsg::kJoin, 1}));
+  sim.run_until(sim::msec(200));
+  EXPECT_EQ(server.floor().holder(), std::optional<groupware::ClientId>(1));
+  EXPECT_EQ(server.app().display(), "");
+  EXPECT_EQ(server.stats().inputs_accepted, 0u);
+  EXPECT_EQ(server.member_count(), 1u);
+  EXPECT_EQ(forger_got, 0u);
+  // Alice still holds the floor and is heard.
+  alice.send_input("ls");
+  sim.run_until(sim::msec(300));
+  EXPECT_EQ(server.app().display(), "ls");
+  EXPECT_EQ(alice.display(), "ls");
 }
 
 // --- group-channel frames ----------------------------------------------------
