@@ -279,6 +279,13 @@ Metrics run_ot_scheme() {
                              std::string(400, 'x'));
   groupware::EditorClient u2(net, {2, 1}, {100, 1}, 2,
                              std::string(400, 'x'));
+  // The clients keep no samples; E1 keeps its own exact Summary, fed by
+  // each client's remote-change callback.
+  for (groupware::EditorClient* client : {&u1, &u2}) {
+    client->on_remote_change([&m](const ccontrol::TextOp&, sim::Duration d) {
+      m.notify_us.add(static_cast<double>(d));
+    });
+  }
   u1.connect();
   u2.connect();
 
@@ -301,8 +308,6 @@ Metrics run_ot_scheme() {
     edit(2, kEditsPerUser);
   });
   sim.run_until(sim::minutes(60));
-  m.notify_us = u1.notification_time();
-  for (double s : u2.notification_time().samples()) m.notify_us.add(s);
   return m;
 }
 

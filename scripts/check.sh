@@ -37,6 +37,15 @@ if grep -rn 'util::Reader\|util::Writer' src --exclude=codec.hpp; then
   exit 1
 fi
 
+echo "== library stats: O(1) memory, no sample per event =="
+# A long session must not grow a stat by one sample per edit, grant or
+# delivery: these modules keep util::Histogram stats, and a caller that
+# needs exact percentiles keeps its own util::Summary, fed by a callback.
+if grep -rn 'util::Summary' src/groupware src/ccontrol src/awareness; then
+  echo "util::Summary used in src/groupware, src/ccontrol or src/awareness" >&2
+  exit 1
+fi
+
 echo "== tier-1: build + tests =="
 run cmake -B build-check -S . -DCMAKE_BUILD_TYPE=Release
 run cmake --build build-check -j "${JOBS}"

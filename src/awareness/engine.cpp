@@ -185,7 +185,9 @@ AwarenessEngine::InterestList& AwarenessEngine::touch(
   auto entry = interest_.find(object);
   if (entry == interest_.end()) {
     if (spare_interest_.empty()) {
+      // Room for four touchers: a node GC recycles seldom grows again.
       entry = interest_.try_emplace(object).first;
+      entry->second.reserve(4);
     } else {
       // Re-key a node GC emptied; its list keeps its capacity.
       InterestTable::node_type node = std::move(spare_interest_.back());

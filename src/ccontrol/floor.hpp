@@ -49,7 +49,7 @@ struct FloorStats {
   std::uint64_t preemptions = 0;
   std::uint64_t refusals = 0;
   std::uint64_t auto_grants = 0;  ///< negotiation timeouts (implicit consent)
-  util::Summary wait_time;        ///< request -> grant, virtual µs
+  util::Histogram wait_time{0.0, 1e7, 64};  ///< request -> grant, µs
 };
 
 /// The session's floor arbiter.

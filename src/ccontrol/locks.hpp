@@ -100,7 +100,7 @@ struct LockStats {
   std::uint64_t transfers = 0;       ///< kTickle idle-holder revocations
   std::uint64_t notifications = 0;   ///< kNotify change fan-outs
   std::uint64_t timeouts = 0;        ///< waits abandoned
-  util::Summary wait_time;           ///< virtual µs blocked per request
+  util::Histogram wait_time{0.0, 1e7, 64};  ///< µs blocked per request
 };
 
 /// One lock table covering any number of named resources.

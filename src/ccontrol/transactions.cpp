@@ -9,7 +9,6 @@ namespace coop::ccontrol {
 TxnId TransactionManager::begin() {
   const TxnId id = next_id_++;
   Txn t;
-  t.began = sim_.now();
   t.record.id = id;
   txns_[id] = std::move(t);
   ++stats_.begun;
@@ -189,7 +188,6 @@ bool TransactionManager::commit(TxnId txn) {
   for (auto& [key, value] : t.write_buffer) store_.write(key, value);
   t.state = TxnState::kCommitted;
   ++stats_.commits;
-  stats_.txn_latency.add(static_cast<double>(sim_.now() - t.began));
   log_.push_back(t.record);
   release_all(txn);
   return true;

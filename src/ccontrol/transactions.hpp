@@ -47,8 +47,7 @@ struct TxnStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
   std::uint64_t wait_die_aborts = 0;
-  util::Summary block_time;   ///< virtual µs blocked per lock wait
-  util::Summary txn_latency;  ///< begin -> commit, committed txns only
+  util::Histogram block_time{0.0, 1e7, 64};  ///< µs blocked per lock wait
 };
 
 /// The operation log of a committed transaction, in program order — used
@@ -118,7 +117,6 @@ class TransactionManager {
   };
   struct Txn {
     TxnState state = TxnState::kActive;
-    sim::TimePoint began = 0;
     std::set<std::string> locks;
     std::map<std::string, std::string> write_buffer;
     CommitRecord record;

@@ -61,10 +61,13 @@ void Wal::sync() {
                      {"log_bytes", static_cast<double>(media_.log.size())},
                      {"acks", static_cast<double>(waiters_.size())}});
   pending_.clear();
-  // Swap out first: an ack callback may append (and so wait) again.
-  std::vector<Waiter> fire;
+  // Swap out first: an ack callback may append, and so sync, again.  The
+  // two buffers take turns through the spare, so both keep their capacity.
+  std::vector<Waiter> fire = std::move(spare_waiters_);
   fire.swap(waiters_);
   for (Waiter& w : fire) w.fn();
+  fire.clear();
+  spare_waiters_ = std::move(fire);
   if (after_sync_) after_sync_();
 }
 

@@ -163,6 +163,7 @@ class Wal {
   WalConfig cfg_;
   std::vector<std::uint8_t> pending_;  ///< encoded, not yet synced
   std::vector<Waiter> waiters_;        ///< ack gates for pending records
+  std::vector<Waiter> spare_waiters_;  ///< empty; keeps a buffer for sync()
   DurableFn after_sync_;               ///< post-commit hook (may be empty)
   std::uint64_t next_lsn_;
   sim::EventId sync_timer_ = sim::kInvalidEvent;

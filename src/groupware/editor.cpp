@@ -109,9 +109,8 @@ void EditorClient::handle(const net::Address& from,
   OpMsg op;
   if (type != EditorMsg::kOp || !util::decode(payload, op)) return;
   ot_.receive(op.link);
-  const sim::Duration notif = net_.simulator().now() - op.originated_at;
-  notification_.add(static_cast<double>(notif));
-  if (on_remote_) on_remote_(op.link.op, notif);
+  if (on_remote_)
+    on_remote_(op.link.op, net_.simulator().now() - op.originated_at);
 }
 
 }  // namespace coop::groupware

@@ -19,7 +19,6 @@
 #include "net/fifo_channel.hpp"
 #include "net/network.hpp"
 #include "util/codec.hpp"
-#include "util/stats.hpp"
 
 namespace coop::groupware {
 
@@ -97,15 +96,11 @@ class EditorClient {
   [[nodiscard]] ccontrol::SiteId site() const { return ot_.site(); }
 
   /// Fired when a remote operation lands, with the notification time
-  /// (originating site's send time -> local apply, virtual µs).
+  /// (originating site's send time -> local apply, virtual µs); the client
+  /// keeps no samples, so a caller that wants the distribution collects it.
   void on_remote_change(
       std::function<void(const ccontrol::TextOp&, sim::Duration)> fn) {
     on_remote_ = std::move(fn);
-  }
-
-  /// Notification-time distribution across all remote ops received.
-  [[nodiscard]] const util::Summary& notification_time() const {
-    return notification_;
   }
 
  private:
@@ -118,7 +113,6 @@ class EditorClient {
   ccontrol::OtClient ot_;
   bool connected_ = false;
   std::function<void(const ccontrol::TextOp&, sim::Duration)> on_remote_;
-  util::Summary notification_;
 };
 
 }  // namespace coop::groupware

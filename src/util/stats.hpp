@@ -3,8 +3,8 @@
 // Experiments report means, percentiles and jitter of simulated latencies;
 // Summary collects raw samples (latencies are few enough per run to keep),
 // Counter/Gauge cover event accounting, and Histogram provides fixed-bucket
-// distributions for QoS monitoring windows where keeping samples would be
-// too heavy.
+// distributions for QoS monitoring windows and library stats, where keeping
+// samples would grow with a session's history.
 #pragma once
 
 #include <algorithm>
@@ -128,7 +128,7 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.  Used by QoS monitors where sample retention is too heavy.
+/// edge buckets.  Used by QoS monitors and library stats: it keeps no samples.
 ///
 /// Degenerate ranges (hi <= lo) are normalized to a unit-width window so
 /// add() never divides by zero; NaN samples are tallied in nan_count()
@@ -147,6 +147,7 @@ class Histogram {
       return;
     }
     ++total_;
+    sum_ += x;
     max_seen_ = std::max(max_seen_, x);
     const double n = static_cast<double>(counts_.size());
     // Clamp in double space *before* the integer cast: a far-out-of-range
@@ -158,6 +159,13 @@ class Histogram {
   }
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+
+  /// Running sum of the non-NaN samples (exact while they are integers
+  /// below 2^53, e.g. virtual µs) and their mean (0 when empty).
+  [[nodiscard]] double sum() const noexcept { return sum_; }
+  [[nodiscard]] double mean() const noexcept {
+    return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
+  }
 
   /// NaN samples seen (counted separately, never bucketed).
   [[nodiscard]] std::uint64_t nan_count() const noexcept { return nan_; }
@@ -198,6 +206,7 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::uint64_t nan_ = 0;
+  double sum_ = 0;
   double max_seen_ = -std::numeric_limits<double>::infinity();
 };
 

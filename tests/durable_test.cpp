@@ -65,6 +65,50 @@ TEST_F(DurableTest, CrashDropsUnsyncedTailAcksNeverLie) {
   EXPECT_EQ(s->recovery().truncated_bytes, 0u);  // clean crash, no torn tail
 }
 
+// An ack callback may append again, and with a zero sync interval that
+// append syncs from inside the outer sync.  Every ack fires exactly once,
+// in append order, and the next group commits still work after the
+// nested syncs have taken turns with the waiter buffers.
+TEST_F(DurableTest, AckCallbacksMayAppendAndSyncAgain) {
+  std::vector<std::uint64_t> acked;
+  auto put = [](std::uint64_t version) {
+    return WalRecord{.version = version, .key = "k", .value = "v"};
+  };
+  for (const sim::Duration interval : {sim::Duration{0}, sim::msec(5)}) {
+    SCOPED_TRACE(interval);
+    acked.clear();
+    StableMedia disk;
+    Wal wal(sim, obs, disk, {.name = "reentrant", .sync_interval = interval},
+            1);
+    // 1's ack appends 2, whose ack appends 3; 4 rides in 1's batch.
+    wal.append(put(1), [&] {
+      acked.push_back(1);
+      wal.append(put(2), [&] {
+        acked.push_back(2);
+        wal.append(put(3), [&] { acked.push_back(3); });
+      });
+    });
+    if (interval > 0) wal.append(put(4), [&] { acked.push_back(4); });
+    wal.sync();
+    if (interval == 0) {
+      EXPECT_EQ(acked, (std::vector<std::uint64_t>{1, 2, 3}));
+    } else {
+      // 2 waits for the next commit, and so does 3 after it.
+      EXPECT_EQ(acked, (std::vector<std::uint64_t>{1, 4}));
+      wal.sync();
+      wal.sync();
+      EXPECT_EQ(acked, (std::vector<std::uint64_t>{1, 4, 2, 3}));
+    }
+    for (std::uint64_t v = 5; v <= 8; ++v) {
+      wal.append(put(v), [&acked, v] { acked.push_back(v); });
+      wal.sync();
+    }
+    EXPECT_EQ(acked.size(), 8u - (interval == 0 ? 1u : 0u));
+    EXPECT_EQ(acked.back(), 8u);
+    EXPECT_EQ(wal.next_lsn(), interval == 0 ? 8u : 9u);
+  }
+}
+
 TEST_F(DurableTest, TornTailRecordIsDiscardedByChecksumNeverParsed) {
   std::optional<DurableStore> s;
   s.emplace(sim, obs, media, cfg());

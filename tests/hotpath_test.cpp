@@ -773,21 +773,18 @@ TEST(ZeroAllocTest, FifoChannelSteadyStateIsAllocationFree) {
 // tokens (inside std::string's inline buffer, as perfbench's do);
 // erases remove 3 characters as 3 single-character ops.
 //
-// Ceiling: 0.015 allocations per edit, i.e. 12 across the 800 timed
-// edits.  The edit path itself allocates nothing; what remains is
-// amortized growth of state that legitimately gets bigger.  Each client's
-// notification-time Summary keeps every sample, and the timed phase
-// takes each of the 8 from ~1300 to ~2700 samples, across one doubling
-// of its vector: 8 allocations.  An OtLink in-flight ring that reaches a
-// new peak doubles once: measured 1, allowed up to 4.  So the measured
-// total is 9 (0.011 per edit; GCC 12, libstdc++).  With a std::string
-// per FIFO payload, a std::map node per frame and a fresh fan-out vector
-// per op it was 68.0 per edit.
+// Ceiling: 0.005 allocations per edit, i.e. 4 across the 800 timed
+// edits.  The edit path itself allocates nothing, and the client keeps
+// no per-op samples (notification times go to the callback only).  What
+// remains is an OtLink in-flight ring that reaches a new peak and
+// doubles once: measured 1, allowed up to 4 (GCC 12, libstdc++).  With
+// a std::string per FIFO payload, a std::map node per frame and a fresh
+// fan-out vector per op it was 68.0 per edit.
 TEST(ZeroAllocTest, EditorEditLoopStaysUnderAllocationCeiling) {
 #if !COOP_COUNT_ALLOCS
   GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
 #else
-  constexpr double kCeiling = 0.015;  // allocations per edit
+  constexpr double kCeiling = 0.005;  // allocations per edit
   constexpr int kClients = 8;
   constexpr int kRounds = 100;  // one edit per client per round
   sim::Simulator sim{9};
@@ -923,17 +920,18 @@ TEST(ZeroAllocTest, AwarenessIndexedPublishStaysUnderAllocationCeiling) {
 // digest timer and later publishes bring them back.  The timed loop
 // publishes, moves and lets digests flush.
 //
-// Ceiling: 0.0035 allocations per publish, i.e. 22 across the 6400
+// Ceiling: 0.000625 allocations per publish, i.e. 4 across the 6400
 // timed publishes.  Digest entries come from the engine's pool, emptied
-// interest-table nodes are reused, and the warm-up is long enough for
-// the pool and the spare nodes to reach their peaks.  What remains is
-// the odd interest list or cell bucket that grows past every capacity
-// it had before: the measured total is 21 (GCC 12, libstdc++).
+// interest-table nodes are reused, a new interest list has room for four
+// touchers, and the warm-up is long enough for the pool and the spare
+// nodes to reach their peaks.  What remains is the odd interest list or
+// cell bucket that grows past every capacity it had before: the measured
+// total is 4 (GCC 12, libstdc++).
 TEST(ZeroAllocTest, AwarenessDigestAndMovePathStaysUnderAllocationCeiling) {
 #if !COOP_COUNT_ALLOCS
   GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
 #else
-  constexpr double kCeiling = 0.0035;  // allocations per publish
+  constexpr double kCeiling = 0.000625;  // allocations per publish
   constexpr awareness::ClientId kPeople = 160;
   constexpr std::uint64_t kSide = 4;
   constexpr int kRounds = 40;  // one publish per participant per round

@@ -317,7 +317,7 @@ TEST(Floor, WaitTimesAreRecorded) {
   fc.request(kBob, nullptr);
   sim.run_until(sim::sec(7));
   fc.release(kAlice);
-  EXPECT_DOUBLE_EQ(fc.stats().wait_time.max(),
+  EXPECT_DOUBLE_EQ(fc.stats().wait_time.max_seen(),
                    static_cast<double>(sim::sec(7)));
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -210,6 +211,26 @@ TEST(Stats, HistogramQuantiles) {
   EXPECT_EQ(h.total(), 100u);
   EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
   EXPECT_NEAR(h.quantile(0.95), 95.0, 2.0);
+}
+
+TEST(Stats, HistogramSumAndMeanMatchASummaryOfIntegerSamples) {
+  // Library stats read sum(), mean() and max_seen() where they used to
+  // read a Summary; for integer µs samples the values are the same,
+  // including samples the buckets clamp.  NaN stays out of the sum.
+  Histogram h(0.0, 1e7, 64);
+  Summary s;
+  EXPECT_EQ(h.mean(), 0.0);
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 5000; ++i) {
+    const auto x = static_cast<double>(rng() % 40'000'000);  // up to 40 s
+    h.add(x);
+    s.add(x);
+  }
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h.total(), s.count());
+  EXPECT_EQ(h.sum(), s.sum());
+  EXPECT_EQ(h.mean(), s.mean());
+  EXPECT_EQ(h.max_seen(), s.max());
 }
 
 TEST(Stats, HistogramClampsOutOfRange) {
