@@ -325,12 +325,14 @@ void check_parity(const char* what, const CellResult& serial,
 
 // --- benchmark cells --------------------------------------------------------
 
-/// One space-time cell: serial oracle and sharded kernel over the same
-/// seed and horizon, parity-checked, both rates reported.  Horizons
-/// shrink as N grows so each cell stays within a CI-friendly budget
-/// while still covering multiple cadence periods of both quadrants.
+/// One space-time cell: serial oracle and sharded kernel (on
+/// state.range(1) worker threads) over the same seed and horizon,
+/// parity-checked, both rates reported.  Horizons shrink as N grows so
+/// each cell stays within a CI-friendly budget while still covering
+/// multiple cadence periods of both quadrants.
 void BM_E13_SpaceTime(benchmark::State& state) {
   const auto participants = static_cast<std::uint32_t>(state.range(0));
+  const auto threads = static_cast<std::uint32_t>(state.range(1));
   const sim::TimePoint horizon = participants >= 1'000'000  ? sim::msec(250)
                                  : participants >= 100'000 ? sim::msec(500)
                                                            : sim::sec(2);
@@ -340,18 +342,20 @@ void BM_E13_SpaceTime(benchmark::State& state) {
   CellResult serial, sharded;
   for (auto _ : state) {
     serial = run_serial(participants, kSeed, kWanTopology, horizon);
-    sharded =
-        run_sharded(participants, kSeed, kWanTopology, horizon, kShards);
+    sharded = run_sharded(participants, kSeed, kWanTopology, horizon,
+                          kShards, threads);
   }
-  const std::string tag = "N=" + std::to_string(participants);
-  check_parity(tag.c_str(), serial, sharded);
+  const std::string cell =
+      std::to_string(participants) + ".t" + std::to_string(threads);
+  check_parity(("N=" + cell).c_str(), serial, sharded);
 
-  const std::string prefix = "e13." + std::to_string(participants);
+  const std::string prefix = "e13." + cell;
   knob(prefix + ".sharded.hash", hex64(sharded.hash));
   knob(prefix + ".serial.hash", hex64(serial.hash));
   knob(prefix + ".events", std::to_string(sharded.events));
 
   state.counters["participants"] = static_cast<double>(participants);
+  state.counters["threads"] = static_cast<double>(threads);
   state.counters["sharded_events_per_sec"] =
       static_cast<double>(sharded.events) / sharded.wall_s;
   state.counters["serial_events_per_sec"] =
@@ -393,10 +397,11 @@ void BM_E13_ParityMatrix(benchmark::State& state) {
 }
 
 BENCHMARK(BM_E13_ParityMatrix)->Iterations(1);
+// The 10k cell runs on one thread only, so shard_parity_gate.sh's
+// "SpaceTime/10000/" filter selects exactly one cell.
 BENCHMARK(BM_E13_SpaceTime)
-    ->Arg(10'000)
-    ->Arg(100'000)
-    ->Arg(1'000'000)
+    ->Args({10'000, 1})
+    ->ArgsProduct({{100'000, 1'000'000}, {1, 2, 4}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -13,17 +13,9 @@
 # It also prints the line count of src/ (*.cpp and *.hpp) in both trees,
 # for the log only: the size never fails the gate.
 #
-# Then times T1 on both trees: TIMING_REPS runs per side, interleaved,
-# alternating which side goes first.  Each driver's statistic is its
-# fastest repeat of events_per_sec (read from the Google Benchmark JSON);
-# the gate passes once the geometric mean of the four head/base ratios
-# reaches TIMING_FLOOR.  Below it, another round of reps joins the pool,
-# up to TIMING_ROUNDS: on a shared host, slow spells of several seconds
-# can starve one side of fast runs, and a second round makes that rare,
-# while a real regression stays below the floor however long it runs.
-# On a shared 4-vCPU host, 20 of 20 same-binary gates passed (two only
-# after the second round), and 10 of 10 failed against a build that
-# cuts every driver's events/sec by 16-25%.
+# Then times T1 on both trees with scripts/ab_timing.py, which fails if
+# a driver is slower at head than at <rev>; its per-pair table lands in
+# ab_timing/pairs.tsv under the current directory.
 #
 # Usage:
 #   scripts/artifact_ab_gate.sh <rev>
@@ -43,9 +35,6 @@ fi
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 REV="$(git -C "${ROOT}" rev-parse --verify "$1^{commit}")"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
-TIMING_REPS=9
-TIMING_ROUNDS=2
-TIMING_FLOOR=0.92
 WORK="$(mktemp -d)"
 BASE_SRC="${WORK}/base-src"
 
@@ -81,56 +70,6 @@ build() {
   echo "+ build $1"
   cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "$2" -j "${JOBS}" --target "${TARGETS[@]}" >/dev/null
-}
-
-# t1_timing <base-bin> <head-bin> <run-dir>: the interleaved timing stage.
-t1_timing() {
-  local -A bin=([base]="$1" [head]="$2")
-  local round rep side order
-  for round in $(seq 1 "${TIMING_ROUNDS}"); do
-    for rep in $(seq $(( (round - 1) * TIMING_REPS + 1 )) \
-                     $(( round * TIMING_REPS ))); do
-      order="base head"
-      (( rep % 2 == 0 )) && order="head base"
-      for side in ${order}; do
-        if ! (cd "$3" && BENCHMARK_OUT="${side}-${rep}.json" \
-              BENCHMARK_OUT_FORMAT=json "${bin[${side}]}" \
-              >/dev/null 2>stderr.log); then
-          cat "$3/stderr.log" >&2
-          echo "artifact_ab_gate: ${side} T1 timing run failed" >&2
-          return 1
-        fi
-      done
-    done
-    python3 - "$3" "${TIMING_FLOOR}" <<'EOF' && return 0
-import glob, json, math, sys
-
-run_dir, floor = sys.argv[1], float(sys.argv[2])
-
-def fastest(side):
-    best = {}
-    for path in glob.glob(f"{run_dir}/{side}-*.json"):
-        for b in json.load(open(path))["benchmarks"]:
-            driver = b["name"].split("/")[0].removeprefix("BM_T1_").lower()
-            best[driver] = max(best.get(driver, 0.0), b["events_per_sec"])
-    return best
-
-base, head = fastest("base"), fastest("head")
-logs = []
-for driver, base_eps in base.items():
-    ratio = head[driver] / base_eps
-    logs.append(math.log(ratio))
-    print(f"artifact_ab_gate: T1 {driver}: base {base_eps:.0f} ev/s, "
-          f"head {head[driver]:.0f} ev/s, {ratio:.3f}x")
-mean = math.exp(sum(logs) / len(logs))
-ok = mean >= floor
-print(f"artifact_ab_gate: T1 events/sec geometric mean {mean:.3f}x "
-      f"(floor {floor}) {'ok' if ok else 'below floor'}")
-sys.exit(0 if ok else 1)
-EOF
-  done
-  echo "artifact_ab_gate: T1 is slower than the base" >&2
-  return 1
 }
 
 echo "artifact_ab_gate: base ${REV}"
@@ -171,8 +110,8 @@ for b in "${BENCHES[@]}"; do
   fi
 done
 
-echo "+ T1 timing: ${TIMING_REPS} interleaved runs per side and round"
-mkdir -p "${WORK}/timing"
-t1_timing "${WORK}/base-build/bench/bench_t1_throughput" \
-    "${WORK}/head-build/bench/bench_t1_throughput" "${WORK}/timing"
+echo "+ T1 timing"
+python3 "${ROOT}/scripts/ab_timing.py" ab_timing \
+    "${WORK}/base-build/bench/bench_t1_throughput" \
+    "${WORK}/head-build/bench/bench_t1_throughput"
 exit "${status}"

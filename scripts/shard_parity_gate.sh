@@ -14,8 +14,9 @@
 # Usage:
 #   scripts/shard_parity_gate.sh [--full] [build-dir]
 #
-#   --full     also run the 100k and 1M cells (several minutes; the
-#              default keeps the gate CI-sized).
+#   --full     also run the 100k and 1M cells, each on 1, 2 and 4
+#              threads (several minutes; the default keeps the gate
+#              CI-sized).
 #   build-dir  tree containing bench/bench_e13_million_users
 #              (default: build)
 set -euo pipefail

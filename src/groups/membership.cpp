@@ -372,7 +372,7 @@ MembershipMember::MembershipMember(net::Network& net, net::Address self,
                    if (view_ && view_->bans(self_)) return;  // evicted: quiet
                    send_simple(kHeartbeat);
                  }),
-      join_retry_(net.simulator(), config.join_retry_period,
+      join_retry_(net.simulator(), kJoinRetryPeriod,
                   [this] {
                     if (view_ && view_->bans(self_)) return;  // evicted
                     if (joined_ && !candidate_ &&
@@ -558,7 +558,7 @@ void MembershipMember::maybe_promote() {
   for (const auto& [addr, v] : pledges_) ts.rejoined.push_back(addr);
   const net::Address host{
       self_.node,
-      static_cast<net::PortId>(self_.port + config_.coordinator_port_offset)};
+      static_cast<net::PortId>(self_.port + kCoordinatorPortOffset)};
   takeovers_->inc();
   net_.obs().tracer.event(net_.simulator().now(), obs::Category::kGroup,
                           "coord_takeover",

@@ -132,26 +132,24 @@ inline constexpr sim::Duration kTakeoverStagger = sim::msec(150);
 /// A candidate re-sends its claim at this cadence until it activates,
 /// adopts another coordinator, or stands down to a better claimant.
 inline constexpr sim::Duration kClaimRetryPeriod = sim::msec(150);
+/// Member re-sends JOIN at this cadence until a view containing it
+/// arrives (repairs a lost JOIN, re-admits a wrongly evicted member).
+inline constexpr sim::Duration kJoinRetryPeriod = sim::msec(200);
+/// A promoted member hosts its coordinator at {node, port + this}.
+inline constexpr net::PortId kCoordinatorPortOffset = 1000;
 
 /// Tuning for both sides of the membership protocol.
 struct MembershipConfig {
   /// A member is suspected failed after this long without a heartbeat.
   sim::Duration failure_timeout = sim::msec(350);
-  /// Member re-sends JOIN at this cadence until a view containing it
-  /// arrives (repairs a lost JOIN datagram, and re-admits a member that a
-  /// lossy link caused the failure detector to evict).
-  sim::Duration join_retry_period = sim::msec(200);
 
   // --- coordinator failover (opt-in) ---------------------------------------
 
   /// Enables lease-based coordinator failure detection and member-driven
   /// takeover (kCoordLeaseTimeout, kTakeoverStagger, kClaimRetryPeriod).
   /// Off by default: a fixed coordinator stays authoritative, and
-  /// coordinator_port_offset and recover_on_start do not apply.
+  /// kCoordinatorPortOffset and recover_on_start do not apply.
   bool enable_failover = false;
-  /// A promoted member hosts its coordinator endpoint at
-  /// {node, member port + this offset}.
-  net::PortId coordinator_port_offset = 1000;
   /// Coordinator restart semantics: start in a recovering role that lost
   /// all state — it solicits REJOIN summaries from whoever still talks to
   /// it and only re-activates with a majority of the reported last view

@@ -173,7 +173,7 @@ TEST_F(MembershipTest, PartitionEvictedMemberRejoinsAfterHeal) {
 
   // After the heal, no explicit rejoin: member 2's next heartbeat makes
   // the coordinator re-send the current view, the member sees itself
-  // absent, and join_retry_period drives it back in.
+  // absent, and kJoinRetryPeriod drives it back in.
   net.heal_partition();
   sim.run_until(sim::sec(4));
   EXPECT_EQ(coord.view().members.size(), 2u);
